@@ -28,7 +28,13 @@ from .geodesic import dijkstra_distances, fast_marching
 from .geometry import MetricField, curvature_report
 from .kernels import backend_name
 from .mesh import euler_characteristic, generate_mesh, read_off, save_off, validate_manifold
-from .optimize import LossConfig, feasibility_projection, lambda_sweep, run_optimization
+from .optimize import (
+    LossConfig,
+    _resolved,
+    feasibility_projection,
+    lambda_sweep,
+    run_optimization,
+)
 from .projection import Dataset, Embedding
 from .runconfig import RunSettings, read_config
 
@@ -120,13 +126,7 @@ def _prepare_run(settings: RunSettings):
     if settings.jitter > 0.0:
         rng = np.random.default_rng(settings.seed)
         metric = metric.with_jitter(rng, settings.jitter)
-    loss = settings.loss
-    mean = float(np.mean(metric.lengths))
-    loss = dataclasses.replace(
-        loss,
-        feas_margin=loss.feas_margin if loss.feas_margin is not None else 1e-4 * mean,
-        min_length=loss.min_length if loss.min_length is not None else 1e-6 * mean,
-    )
+    loss = _resolved(settings.loss, metric)
     metric = feasibility_projection(mesh, metric, loss.feas_margin, loss.min_length)
     if settings.v_target_auto and loss.mu_volume > 0.0:
         vol = curvature_report(mesh, metric).total_volume

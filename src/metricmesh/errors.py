@@ -42,7 +42,7 @@ class TapeDomainError(TapeError):
 
 
 class TapeNonFiniteError(TapeError):
-    """An operation produced a NaN or infinity; names the offending node."""
+    """A tape operation or the optimizer's loss gradient produced a NaN or infinity."""
 
 
 class FeasibilityProjectionError(MetricMeshError):

@@ -7,8 +7,10 @@ the incident angle sum at interior vertices, pi minus the sum on the
 boundary, which makes the total defect a topological invariant
 (Gauss-Bonnet) regardless of the metric.
 
-The scalar functions accept plain floats or TracedScalars, so the same
-formulas drive both the fast vectorized reports and the autodiff tape.
+The vectorized reports serve the optimizer, whose gradient differentiates
+them in closed form. The scalar functions accept plain floats or
+TracedScalars, so they can be recorded on the autodiff tape; that tape
+is the reference the closed-form gradient is tested against.
 """
 
 from __future__ import annotations

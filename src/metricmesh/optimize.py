@@ -6,14 +6,13 @@ total-area control, and the isometry coupling:
     total = data + mu_iso * iso
           + lambda * (curvature + mu_dirichlet * dirichlet + mu_volume * volume)
 
-Two evaluation paths cooperate. The numeric path recomputes everything
-from scratch, including fresh closest-point projections, and is what the
-line search compares: accepted iterates are monotone in the true loss.
-The traced path records the loss once per projection face assignment and
-replays the tape for gradients; barycentric coordinates are frozen
-inputs whose adjoints are discarded, the envelope treatment of the inner
-closest-point minimization. A consequence worth testing: the data term
-contributes exactly zero gradient to the edge lengths.
+The line search compares the numeric loss, which reprojects the data
+onto every candidate embedding: accepted iterates are monotone in the
+true loss. The gradient is closed-form array code over the same arrays
+(angles, areas, defects, edge lengths) and holds the current projection's
+faces and barycentric coordinates fixed, the envelope treatment of the
+inner closest-point minimization. A consequence worth testing: the data
+term contributes exactly zero gradient to the edge lengths.
 
 Every candidate step is pushed back into the feasible set (triangle
 inequality with margin, length floor) before it is evaluated, so every
@@ -30,10 +29,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import geometry
-from .autodiff import Tape, TracedScalar
-from . import autodiff as ad
-from .errors import FeasibilityProjectionError, InfeasibleMetricError, TapeError
-from .geometry import MetricField, TWO_PI
+from .errors import (
+    FeasibilityProjectionError,
+    InfeasibleMetricError,
+    TapeError,
+    TapeNonFiniteError,
+)
+from .geometry import MetricField
 from .projection import Dataset, Embedding, isometry_coupling, project_dataset_arrays
 
 Projections = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -125,184 +127,91 @@ def total_loss(
 
 
 # --------------------------------------------------------------------------
-# Traced loss
+# Gradient
 
 
-_UNSET = object()
+def _gradient(
+    mesh,
+    metric: MetricField,
+    embedding: Embedding,
+    dataset: Dataset | None,
+    config: LossConfig,
+    projections: Projections | None,
+    freeze_embedding: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(length gradient, flattened coordinate gradient or None if frozen).
 
+    Closed form of the gradient of :func:`total_loss` with the faces and
+    barycentric coordinates of ``projections`` held fixed. Corner angles
+    and face areas are differentiated with the edge-length identities
+    d(theta_i)/d(l_i) = l_i / (2A), d(theta_i)/d(l_j) = -l_i cos(theta_k) / (2A)
+    and dA/d(l_i) = l_i cot(theta_i) / 2 (Springborn, Schroeder & Pinkall,
+    "Conformal equivalence of triangle meshes", 2008).
 
-class _TracedLoss:
-    """Cache of tape programs for the gradient, keyed by face assignment.
-
-    Re-recording happens only when a data point switches its closest
-    face; all other changes (lengths, coordinates, barycentric weights)
-    replay an existing tape at new inputs. Input layout: edge lengths,
-    then flattened coordinates when the embedding is free, then flattened
-    barycentric coordinates when the data term is traced.
-
-    Terms with zero weight are left off the tape entirely. With a frozen
-    embedding the data term has no differentiable arguments at all and is
-    skipped, and with lambda = 0 the tape contains no geometry, so the
-    length gradient is exactly zero, not merely small.
+    Terms with zero weight are skipped, not multiplied by zero: with
+    lambda = mu_iso = 0 the length gradient is exactly zero. The
+    subgradient of |defect| at 0 is +1, as in :func:`autodiff.absolute`.
     """
+    if config.mu_volume > 0.0 and config.v_target is None:
+        raise ValueError("mu_volume > 0 requires v_target")
+    coords = embedding.coords
+    ndim = coords.shape[1]
+    g_len = np.zeros(metric.edge_count)
+    g_coord = None if freeze_embedding else np.zeros(coords.size)
 
-    def __init__(self, mesh, config: LossConfig, dataset: Dataset | None, freeze_embedding: bool):
-        self._mesh = mesh
-        self._config = config
-        self._points = None if dataset is None else dataset.points
-        self._freeze = bool(freeze_embedding)
-        self._trace_data = self._points is not None and not self._freeze
-        self._cache: dict[bytes, object] = {}
+    def scatter(vertices, rows):
+        """Sum (..., ndim) rows into the flat coordinate gradient by vertex."""
+        idx = vertices[..., None] * ndim + np.arange(ndim)
+        return np.bincount(idx.ravel(), weights=rows.ravel(), minlength=coords.size)
 
-    def gradient(
-        self,
-        metric: MetricField,
-        embedding: Embedding,
-        projections: Projections | None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(length gradient, coordinate gradient or None if frozen)."""
-        key = projections[0].tobytes() if self._trace_data else b""
-        prog = self._cache.get(key, _UNSET)
-        if prog is _UNSET:
-            if len(self._cache) >= 32:
-                # Assignment churn is front-loaded; dropping stale tapes
-                # bounds memory without hurting steady state.
-                self._cache.clear()
-            prog = self._record(metric, embedding, projections)
-            self._cache[key] = prog
-        n_len = metric.edge_count
-        n_coord = 0 if self._freeze else embedding.coords.size
-        if prog is None:
-            g_len = np.zeros(n_len)
-            g_coord = None if self._freeze else np.zeros(n_coord)
-            return g_len, g_coord
-        x = self._pack(metric, embedding, projections)
-        _, grad = prog.value_and_grad(x)
-        g_len = grad[:n_len]
-        g_coord = None if self._freeze else grad[n_len:n_len + n_coord]
-        return g_len, g_coord
+    if dataset is not None and g_coord is not None:
+        corners = mesh.faces[projections[0]]
+        bary = projections[1]
+        resid = np.einsum("nk,nkd->nd", bary, coords[corners]) - dataset.points
+        g_coord += scatter(corners, 2.0 * bary[:, :, None] * resid[:, None, :])
 
-    def _pack(self, metric, embedding, projections) -> np.ndarray:
-        parts = [metric.lengths]
-        if not self._freeze:
-            parts.append(embedding.coords.ravel())
-        if self._trace_data:
-            parts.append(projections[1].ravel())
-        return np.concatenate(parts)
-
-    def _record(self, metric, embedding, projections):
-        cfg = self._config
-        mesh = self._mesh
-        ndim = embedding.ambient_dim
-        tape = Tape()
-        t_len = [tape.input(v) for v in metric.lengths]
-        t_coord = None
-        if not self._freeze:
-            t_coord = [tape.input(v) for v in embedding.coords.ravel()]
-        t_bary = None
-        if self._trace_data:
-            t_bary = [tape.input(v) for v in projections[1].ravel()]
-
-        total = None
-
-        def add(term):
-            nonlocal total
-            total = term if total is None else total + term
-
-        if self._trace_data:
-            faces = mesh.faces
-            pf = projections[0]
-            pts = self._points
-            acc = None
-            for i in range(pts.shape[0]):
-                v0, v1, v2 = faces[pf[i]]
-                b0, b1, b2 = t_bary[3 * i], t_bary[3 * i + 1], t_bary[3 * i + 2]
-                sq = None
-                for d in range(ndim):
-                    q = (
-                        b0 * t_coord[v0 * ndim + d]
-                        + b1 * t_coord[v1 * ndim + d]
-                        + b2 * t_coord[v2 * ndim + d]
-                    )
-                    r = q - float(pts[i, d])
-                    sq = r * r if sq is None else sq + r * r
-                acc = sq if acc is None else acc + sq
-            if acc is not None:
-                add(acc)
-
-        if cfg.mu_iso > 0.0:
+    if config.mu_iso > 0.0:
+        ext = embedding.edge_lengths(mesh)
+        gap = 2.0 * config.mu_iso * (ext - metric.lengths)
+        g_len -= gap
+        if g_coord is not None:
             edges = mesh.edges
-            ext_const = embedding.edge_lengths(mesh) if self._freeze else None
-            acc = None
-            for e in range(mesh.edge_count):
-                if self._freeze:
-                    r = float(ext_const[e]) - t_len[e]
-                else:
-                    u, v = int(edges[e, 0]), int(edges[e, 1])
-                    sq = None
-                    for d in range(ndim):
-                        diff = t_coord[u * ndim + d] - t_coord[v * ndim + d]
-                        sq = diff * diff if sq is None else sq + diff * diff
-                    r = ad.sqrt(sq) - t_len[e]
-                term = r * r
-                acc = term if acc is None else acc + term
-            add(cfg.mu_iso * acc)
+            pull = (gap / ext)[:, None] * (coords[edges[:, 0]] - coords[edges[:, 1]])
+            g_coord += scatter(edges, np.stack((pull, -pull), axis=1))
 
-        if cfg.lambda_ > 0.0:
-            fe = mesh.face_edges
-            fcs = mesh.faces
-            nv = mesh.vertex_count
-            angle_sum: list = [None] * nv
-            vertex_area: list = [None] * nv
-            vol = None
-            for f in range(mesh.face_count):
-                l_ij = t_len[fe[f, 0]]
-                l_jk = t_len[fe[f, 1]]
-                l_ki = t_len[fe[f, 2]]
-                ang = geometry.interior_angles(l_jk, l_ki, l_ij)
-                area = geometry.triangle_area(l_jk, l_ki, l_ij)
-                third = area / 3.0
-                for pos in range(3):
-                    vtx = int(fcs[f, pos])
-                    a = ang[pos]
-                    angle_sum[vtx] = a if angle_sum[vtx] is None else angle_sum[vtx] + a
-                    vertex_area[vtx] = (
-                        third if vertex_area[vtx] is None else vertex_area[vtx] + third
-                    )
-                vol = area if vol is None else vol + area
-            boundary = mesh.boundary_vertex
-            curv = None
-            for vtx in range(nv):
-                if angle_sum[vtx] is None:
-                    continue
-                base = math.pi if boundary[vtx] else TWO_PI
-                defect = base - angle_sum[vtx]
-                if cfg.p == 2.0:
-                    term = (defect * defect) / vertex_area[vtx]
-                else:
-                    term = ad.absolute(defect) ** cfg.p * vertex_area[vtx] ** (1.0 - cfg.p)
-                curv = term if curv is None else curv + term
-            reg = curv
-            if cfg.mu_dirichlet > 0.0:
-                dir_acc = None
-                for f in range(mesh.face_count):
-                    lg0 = ad.log(t_len[fe[f, 0]])
-                    lg1 = ad.log(t_len[fe[f, 1]])
-                    lg2 = ad.log(t_len[fe[f, 2]])
-                    d01 = lg0 - lg1
-                    d12 = lg1 - lg2
-                    d20 = lg2 - lg0
-                    term = d01 * d01 + d12 * d12 + d20 * d20
-                    dir_acc = term if dir_acc is None else dir_acc + term
-                reg = reg + cfg.mu_dirichlet * dir_acc
-            if cfg.mu_volume > 0.0:
-                r = (vol - cfg.v_target) / cfg.v_target
-                reg = reg + cfg.mu_volume * (r * r)
-            add(cfg.lambda_ * reg)
+    if config.lambda_ > 0.0:
+        report = geometry.curvature_report(mesh, metric)
+        p = config.p
+        mag = np.abs(report.defect)
+        sign = np.where(report.defect >= 0.0, 1.0, -1.0)
+        d_defect = p * mag ** (p - 1.0) * sign * report.vertex_area ** (1.0 - p)
+        d_vertex_area = (1.0 - p) * mag**p * report.vertex_area ** (-p)
+        # Column c of ``opp`` is the edge opposite the corner at faces[f, c].
+        opp = mesh.face_edges[:, [1, 2, 0]]
+        sides = metric.lengths[opp]
+        cos = np.cos(geometry.face_corner_angles(mesh, metric))
+        w_angle = -d_defect[mesh.faces] * sides
+        w_area = d_vertex_area[mesh.faces].sum(axis=1) / 3.0
+        if config.mu_volume > 0.0:
+            v_t = config.v_target
+            w_area += config.mu_volume * 2.0 * (report.total_volume - v_t) / (v_t * v_t)
+        g_face = (
+            w_angle
+            - np.roll(w_angle, -1, axis=1) * np.roll(cos, -2, axis=1)
+            - np.roll(w_angle, -2, axis=1) * np.roll(cos, -1, axis=1)
+            + 0.5 * (w_area * sides.prod(axis=1))[:, None] * cos
+        ) / (2.0 * report.face_area)[:, None]
+        if config.mu_dirichlet > 0.0:
+            logs = np.log(sides)
+            spread = 3.0 * logs - logs.sum(axis=1, keepdims=True)
+            g_face += config.mu_dirichlet * 2.0 * spread / sides
+        g_len += config.lambda_ * np.bincount(
+            opp.ravel(), weights=g_face.ravel(), minlength=metric.edge_count
+        )
 
-        if not isinstance(total, TracedScalar):
-            return None
-        return tape.program(total)
+    if not np.isfinite(g_len).all() or (g_coord is not None and not np.isfinite(g_coord).all()):
+        raise TapeNonFiniteError("the loss gradient is non-finite")
+    return g_len, g_coord
 
 
 def loss_gradient(
@@ -315,15 +224,13 @@ def loss_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """One-shot (value, length gradient, coordinate gradient).
 
-    The value is the true numeric loss; gradients come from the traced
-    surrogate with frozen barycentric coordinates.
+    The value is the true numeric loss; the gradients are its closed form
+    with the closest-point faces and barycentric coordinates held fixed.
     """
-    config = _resolved(config, metric)
     proj = None
     if dataset is not None:
         proj = project_dataset_arrays(dataset.points, embedding, mesh)
-    traced = _TracedLoss(mesh, config, dataset, freeze_embedding)
-    g_len, g_coord = traced.gradient(metric, embedding, proj)
+    g_len, g_coord = _gradient(mesh, metric, embedding, dataset, config, proj, freeze_embedding)
     value = total_loss(mesh, metric, embedding, dataset, config, projections=proj).total
     return value, g_len, g_coord
 
@@ -465,9 +372,7 @@ class OptimizationResult:
 
 
 def _resolved(config: LossConfig, metric: MetricField) -> LossConfig:
-    """Fill derived feasibility parameters and check cross-field needs."""
-    if config.mu_volume > 0.0 and config.v_target is None:
-        raise ValueError("mu_volume > 0 requires v_target")
+    """Fill an unset margin and floor from ``metric``'s mean edge length."""
     if config.feas_margin is not None and config.min_length is not None:
         return config
     mean = float(np.mean(metric.lengths))
@@ -510,7 +415,6 @@ def run_optimization(
     metric = feasibility_projection(mesh, metric, config.feas_margin, config.min_length)
     coords_free = not freeze_embedding
 
-    traced = _TracedLoss(mesh, config, dataset, freeze_embedding)
     proj = None
     if dataset is not None:
         proj = project_dataset_arrays(dataset.points, embedding, mesh)
@@ -521,7 +425,9 @@ def run_optimization(
     eta_next = eta_init
     k = 0
     while True:
-        g_len, g_coord = traced.gradient(metric, embedding, proj)
+        g_len, g_coord = _gradient(
+            mesh, metric, embedding, dataset, config, proj, freeze_embedding
+        )
         sq = float(g_len @ g_len)
         if g_coord is not None:
             sq += float(g_coord @ g_coord)
@@ -629,9 +535,10 @@ def lambda_sweep(
 ) -> list[SweepRecord]:
     """Optimize at each weight, warm-starting from the previous optimum.
 
-    Weights must be ascending and non-negative. A failed run is recorded
-    and the sweep continues from the last successful state, so one bad
-    weight does not void the rest.
+    Weights must be ascending and non-negative. An unset margin and floor
+    are derived once, from the starting metric, and shared by every run. A
+    failed run is recorded and the sweep continues from the last
+    successful state, so one bad weight does not void the rest.
     """
     lam = [float(x) for x in lambdas]
     if not lam:
@@ -641,6 +548,7 @@ def lambda_sweep(
     if any(b < a for a, b in zip(lam, lam[1:])):
         raise ValueError(f"sweep weights must be ascending, got {lam}")
 
+    config = _resolved(config, metric)
     records: list[SweepRecord] = []
     cur_metric, cur_emb = metric, embedding
     for lv in lam:

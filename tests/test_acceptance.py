@@ -4,7 +4,7 @@ One test per guarantee, so a verbose run reads as a checklist:
 
 1. total angle defect is the topological constant on closed surfaces,
    metric-independent across random feasible metrics;
-2. the reverse-mode gradient of the full objective matches central
+2. the closed-form gradient of the full objective matches central
    finite differences;
 3. fast-marching distances on a flat grid are accurate, never worse
    than edge-graph Dijkstra, and improve under refinement;

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import metricmesh as mm
+from metricmesh import autodiff as ad
 from metricmesh import optimize
-from metricmesh.autodiff import finite_difference_gradient
+from metricmesh.autodiff import evaluate_with_gradient, finite_difference_gradient
 from metricmesh.errors import FeasibilityProjectionError, InfeasibleMetricError
 from metricmesh.optimize import (
     LossConfig,
@@ -209,6 +210,117 @@ class TestGradients:
         metric = mm.MetricField.from_embedding(mesh, emb)
         with pytest.raises(ValueError):
             loss_gradient(mesh, metric, emb, None, LossConfig(mu_volume=1.0))
+
+
+def tape_gradient(mesh, metric, emb, ds, cfg, freeze):
+    """Gradient of the objective recorded term by term on the scalar tape.
+
+    The independent oracle for the closed form: scalar ``interior_angles``
+    and ``triangle_area`` per face, barycentric coordinates frozen at the
+    current projection, coordinates traced only for a free embedding.
+    """
+    faces, nd, ne, nv = mesh.faces, emb.ambient_dim, mesh.edge_count, mesh.vertex_count
+    pf, bary, _ = mm.project_dataset_arrays(ds.points, emb, mesh)
+    bary, pts, ext = bary.tolist(), ds.points.tolist(), emb.edge_lengths(mesh).tolist()
+
+    def objective(t):
+        ln = t[:ne]
+        x = None if freeze else [t[ne + v * nd : ne + (v + 1) * nd] for v in range(nv)]
+        data = iso = vol = dirichlet = curv = 0.0
+        for e, (u, v) in enumerate(mesh.edges):
+            length = ext[e] if freeze else ad.sqrt(sum((x[u][d] - x[v][d]) ** 2 for d in range(nd)))
+            iso = iso + (length - ln[e]) ** 2
+        if not freeze:
+            for i, f in enumerate(pf):
+                for d in range(nd):
+                    q = sum(bary[i][c] * x[faces[f, c]][d] for c in range(3))
+                    data = data + (q - pts[i][d]) ** 2
+        angle_sum = [0.0] * nv
+        vertex_area = [0.0] * nv
+        for f in range(mesh.face_count):
+            l_ij, l_jk, l_ki = (ln[e] for e in mesh.face_edges[f])
+            area = mm.triangle_area(l_jk, l_ki, l_ij)
+            for c, angle in enumerate(mm.interior_angles(l_jk, l_ki, l_ij)):
+                angle_sum[faces[f, c]] = angle_sum[faces[f, c]] + angle
+                vertex_area[faces[f, c]] = vertex_area[faces[f, c]] + area / 3.0
+            vol = vol + area
+            logs = [ad.log(l_ij), ad.log(l_jk), ad.log(l_ki)]
+            dirichlet = dirichlet + sum((logs[a] - logs[a - 1]) ** 2 for a in range(3))
+        for v in range(nv):
+            base = math.pi if mesh.boundary_vertex[v] else 2.0 * math.pi
+            defect = ad.absolute(base - angle_sum[v])
+            curv = curv + defect**cfg.p * vertex_area[v] ** (1.0 - cfg.p)
+        vol_pen = ((vol - cfg.v_target) / cfg.v_target) ** 2
+        return data + cfg.mu_iso * iso + cfg.lambda_ * (
+            curv + cfg.mu_dirichlet * dirichlet + cfg.mu_volume * vol_pen
+        )
+
+    inputs = metric.lengths if freeze else np.concatenate((metric.lengths, emb.coords.ravel()))
+    return evaluate_with_gradient(objective, inputs).gradient
+
+
+def closed_form_gradient(mesh, metric, emb, ds, cfg, freeze):
+    _, g_len, g_coord = loss_gradient(mesh, metric, emb, ds, cfg, freeze_embedding=freeze)
+    return g_len if freeze else np.concatenate((g_len, g_coord))
+
+
+def gradient_case(kind, jitter, seed=5, n_points=60):
+    mesh, emb = mm.generate_mesh(kind)
+    rng = np.random.default_rng(seed)
+    raw = mm.MetricField.from_embedding(mesh, emb)
+    if jitter > 0.0:
+        raw = raw.with_jitter(rng, jitter)
+    mean = float(np.mean(raw.lengths))
+    metric = feasibility_projection(mesh, raw, 1e-4 * mean, 1e-6 * mean)
+    picks = emb.coords[rng.integers(0, mesh.vertex_count, n_points)]
+    ds = mm.Dataset(1.1 * picks + rng.normal(scale=0.1, size=picks.shape))
+    v_target = 1.1 * mm.curvature_report(mesh, metric).total_volume
+    return mesh, emb, metric, ds, v_target
+
+
+class TestClosedFormGradient:
+    """The optimizer's closed-form gradient against the tape oracle.
+
+    Gated on max|delta| relative to max|g_tape|: near-cancelling
+    components at p = 1 legitimately differ by more in relative terms.
+    """
+
+    @pytest.mark.parametrize("kind", ["icosphere(2)", "torus(16,8,2.0,0.7)", "grid(10,10,1.0)"])
+    @pytest.mark.parametrize("jitter", [0.1, 0.5])
+    def test_matches_tape_all_terms(self, kind, jitter):
+        mesh, emb, metric, ds, v_target = gradient_case(kind, jitter)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            cfg = LossConfig(
+                lambda_=0.7, p=p, mu_dirichlet=0.3, mu_volume=2.0, mu_iso=1.5, v_target=v_target
+            )
+            for freeze in (False, True):
+                ref = tape_gradient(mesh, metric, emb, ds, cfg, freeze)
+                got = closed_form_gradient(mesh, metric, emb, ds, cfg, freeze)
+                assert got.shape == ref.shape
+                err = np.max(np.abs(got - ref))
+                assert err <= 1e-11 * np.max(np.abs(ref)), (p, freeze, err)
+
+    def test_zero_defect_subgradient_is_plus_one(self):
+        # stretching one interior edge of a flat grid leaves the defect
+        # exactly zero at every vertex off its two faces; at p = 1 the
+        # tape's |x| takes the subgradient +1 there, not 0
+        mesh, emb, metric, ds, v_target = gradient_case("grid(6,5,0.5)", 0.0)
+        lengths = metric.lengths.copy()
+        lengths[np.flatnonzero(~mesh.boundary_edge)[7]] *= 1.05
+        metric = mm.MetricField(lengths)
+        defect = mm.curvature_report(mesh, metric).defect
+        assert np.count_nonzero(defect == 0.0) > 0 and np.count_nonzero(defect < 0.0) > 0
+        cfg = LossConfig(lambda_=1.0, p=1.0, v_target=v_target)
+        ref = tape_gradient(mesh, metric, emb, ds, cfg, True)
+        got = closed_form_gradient(mesh, metric, emb, ds, cfg, True)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_non_finite_gradient_raises(self, icosphere0):
+        mesh, emb = icosphere0
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        collapsed = mm.Embedding(np.zeros_like(emb.coords))
+        with pytest.raises(mm.TapeNonFiniteError):
+            loss_gradient(mesh, metric, collapsed, None, LossConfig(lambda_=0.0, mu_iso=1.0))
 
 
 class TestFeasibilityProjection:
@@ -460,6 +572,22 @@ class TestLambdaSweep:
         assert "InfeasibleMetricError" in records[1].detail
         # the failed weight leaves the warm-start state untouched
         assert seen_starts[2] is records[0].result.metric
+
+    def test_auto_margin_resolved_once_from_start(self, icosphere1):
+        # every weight runs at the margin and floor of the starting metric,
+        # not of the previous optimum it warm-starts from
+        mesh, emb = icosphere1
+        rng = np.random.default_rng(0)
+        metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(rng, 0.3)
+        records = lambda_sweep(
+            mesh, metric, emb, None, LossConfig(), [0.1, 1.0, 10.0],
+            stop=StopRule(max_iters=5, grad_tol=1e-12), freeze_embedding=True,
+        )
+        mean = float(np.mean(metric.lengths))
+        assert all(r.status == "ok" for r in records)
+        for r in records:
+            assert r.result.config.feas_margin == 1e-4 * mean
+            assert r.result.config.min_length == 1e-6 * mean
 
     def test_warm_start_chains(self, icosphere1):
         mesh, emb = icosphere1
