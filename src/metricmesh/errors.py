@@ -25,6 +25,10 @@ class NonManifoldEdgeError(MeshError):
     """An edge in a loaded file borders more than two faces."""
 
 
+class IsolatedVertexError(MeshError):
+    """A vertex belongs to no face, so it has no area and no curvature."""
+
+
 class InfeasibleMetricError(MetricMeshError):
     """Edge lengths violate the strict triangle inequality on some face."""
 

@@ -1,16 +1,17 @@
-"""Hot numeric kernels, numba-compiled by default with plain fallbacks.
+"""Numeric inner loops: the autodiff tape interpreters and the projection.
 
-Backend selection happens once at import time through the environment
-variable ``METRICMESH_BACKEND``:
+The tape interpreters are numba-compiled when numba imports. The
+environment variable ``METRICMESH_BACKEND`` picks their path once at
+import time:
 
-* unset or ``numba``: use ``numba.njit`` kernels when numba imports,
-  otherwise fall back silently;
-* ``numpy``: force the fallback path (pure-Python loops for the tape
-  interpreter, vectorized NumPy for the projection scan).
+* unset or ``numba``: use the ``numba.njit`` interpreters when numba
+  imports, otherwise fall back silently;
+* ``numpy``: force the pure-Python interpreters.
 
-Both variants of every kernel stay importable regardless of the flag so
-they can be cross-checked and benchmarked against each other; the flag
-only picks which one the library routes through.
+Both interpreter variants stay importable regardless of the flag so they
+can be cross-checked against each other. The batch closest-point
+projection has one path, in numpy: an exact, bound-pruned search that
+gives the same result, bit for bit, as a scan over every face.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ tape_backward = tape_backward_nb if USING_NUMBA else tape_backward_py
 
 
 # --------------------------------------------------------------------------
-# Closest point on a triangle, batched over points x faces.
+# Closest point on a triangle, single and batched over (point, face) pairs.
 #
 # Classic region decomposition on the barycentric-coordinate plane. Works
 # in any ambient dimension since only dot products of edge vectors enter.
@@ -316,121 +317,115 @@ def _closest_point_single(p, a, b, c):
     return b0, b1, b2
 
 
-def _make_project_points(closest_point):
-    def project(points, coords, faces, out_face, out_bary, out_sq):
-        npts = points.shape[0]
-        nf = faces.shape[0]
-        n = points.shape[1]
-        for ip in range(npts):
-            p = points[ip]
-            best = math.inf
-            best_f = -1
-            bb0 = 0.0
-            bb1 = 0.0
-            bb2 = 0.0
-            for f in range(nf):
-                a = coords[faces[f, 0]]
-                b = coords[faces[f, 1]]
-                c = coords[faces[f, 2]]
-                b0, b1, b2 = closest_point(p, a, b, c)
-                sq = 0.0
-                for k in range(n):
-                    q = b0 * a[k] + b1 * b[k] + b2 * c[k]
-                    r = p[k] - q
-                    sq += r * r
-                if sq < best:
-                    best = sq
-                    best_f = f
-                    bb0 = b0
-                    bb1 = b1
-                    bb2 = b2
-            out_face[ip] = best_f
-            out_bary[ip, 0] = bb0
-            out_bary[ip, 1] = bb1
-            out_bary[ip, 2] = bb2
-            out_sq[ip] = best
-        return 0
+def _closest_points(p, a, b, c):
+    """Closest point on triangle (a_i, b_i, c_i) to p_i for every row i.
 
-    return project
-
-
-closest_point_py = _closest_point_single
-_project_points_loop_py = _make_project_points(_closest_point_single)
-
-if NUMBA_IMPORTABLE:
-    closest_point_nb = njit(cache=True, error_model="numpy")(_closest_point_single)
-    project_points_nb = njit(cache=True, error_model="numpy")(
-        _make_project_points(closest_point_nb)
-    )
-else:  # pragma: no cover
-    closest_point_nb = None
-    project_points_nb = None
-
-
-def project_points_numpy(points, coords, faces, out_face, out_bary, out_sq):
-    """Vectorized fallback for the all-points x all-faces projection scan.
-
-    Mirrors the branch order of ``_closest_point_single`` exactly via a
-    first-true-wins select, so both paths agree bitwise on the chosen
-    region and tie-break to the lowest face index through argmin.
+    Takes (M, n) arrays and returns (barycentric (M, 3), squared distance
+    (M,)). Mirrors the branch order of ``_closest_point_single`` through a
+    first-true-wins select, and hands interior rows with a degenerate
+    denominator to it.
     """
-    a = coords[faces[:, 0]]  # (F, n)
-    b = coords[faces[:, 1]]
-    c = coords[faces[:, 2]]
     ab = b - a
     ac = c - a
+    ap = p - a
+    bp = p - b
+    cp = p - c
+    d1 = np.einsum("ik,ik->i", ab, ap)
+    d2 = np.einsum("ik,ik->i", ac, ap)
+    d3 = np.einsum("ik,ik->i", ab, bp)
+    d4 = np.einsum("ik,ik->i", ac, bp)
+    d5 = np.einsum("ik,ik->i", ab, cp)
+    d6 = np.einsum("ik,ik->i", ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d4 * d5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
+        w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
+        den_bc = (d4 - d3) + (d5 - d6)
+        w_bc = np.where(den_bc != 0.0, (d4 - d3) / den_bc, 0.0)
+        denom = va + vb + vc
+        v_in = np.where(denom != 0.0, vb / denom, 0.0)
+        w_in = np.where(denom != 0.0, vc / denom, 0.0)
+    conds = [
+        (d1 <= 0.0) & (d2 <= 0.0),
+        (d3 >= 0.0) & (d4 <= d3),
+        (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
+        (d6 >= 0.0) & (d5 <= d6),
+        (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+        (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
+    ]
+    ones = np.ones(len(p))
+    zeros = np.zeros(len(p))
+    b0 = np.select(conds, [ones, zeros, 1.0 - v_ab, zeros, 1.0 - w_ac, zeros], 1.0 - v_in - w_in)
+    b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
+    b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
+    interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
+    bad = interior & ~((denom > 0.0) & np.isfinite(denom))
+    for i in np.flatnonzero(bad):
+        b0[i], b1[i], b2[i] = _closest_point_single(p[i], a[i], b[i], c[i])
+    r = p - (b0[:, None] * a + b1[:, None] * b + b2[:, None] * c)
+    return np.stack((b0, b1, b2), axis=1), np.einsum("ik,ik->i", r, r)
+
+
+def _sq_distances(x, y):
+    """Squared distances between the broadcast rows of x and y.
+
+    Summed coordinate by coordinate, so a point that equals a corner gets
+    exactly that corner's distance to the centroid.
+    """
+    total = 0.0
+    for k in range(x.shape[-1]):
+        d = x[..., k] - y[..., k]
+        total = total + d * d
+    return total
+
+
+# Points go through the bound stage in blocks of about this many point x
+# face (or point x vertex) distances, which keeps the temporaries small.
+_BLOCK_PAIRS = 1 << 14
+
+# Relative slack on the pruning bound. It is far above the rounding in
+# the distances that enter the bound, so a face that can win (or tie) is
+# never dropped; the extra faces it admits cost next to nothing.
+_PRUNE_SLACK = 1e-6
+
+
+def project_points(points, coords, faces):
+    """Closest point on the triangle mesh ``coords[faces]`` for every point.
+
+    Returns (face index (N,), barycentric (N, 3), squared distance (N,)),
+    the same arrays, bit for bit, as running ``_closest_points`` over every
+    face and taking the first minimum: ties go to the lowest face index.
+
+    Exact pruning: the distance ``reach`` from a point to the nearest
+    vertex that some face uses bounds its distance to the closest face, so
+    a face can win only if its bounding sphere (centroid, farthest corner
+    ``r``) comes within ``reach`` of the point, ``|p - c| <= reach + r``.
+    The kernel runs only on the (point, face) pairs that pass.
+    """
+    a = coords[faces[:, 0]]
+    b = coords[faces[:, 1]]
+    c = coords[faces[:, 2]]
+    # an isolated vertex is on no face, so it bounds nothing
+    used = coords[np.bincount(faces.ravel(), minlength=coords.shape[0]) > 0]
+    centroid = (a + b + c) / 3.0
+    radius = np.sqrt(np.maximum.reduce([_sq_distances(x, centroid) for x in (a, b, c)]))
     npts = points.shape[0]
-    nf = faces.shape[0]
-    for ip in range(npts):
-        p = points[ip]
-        ap = p[None, :] - a
-        bp = p[None, :] - b
-        cp = p[None, :] - c
-        d1 = np.einsum("fk,fk->f", ab, ap)
-        d2 = np.einsum("fk,fk->f", ac, ap)
-        d3 = np.einsum("fk,fk->f", ab, bp)
-        d4 = np.einsum("fk,fk->f", ac, bp)
-        d5 = np.einsum("fk,fk->f", ab, cp)
-        d6 = np.einsum("fk,fk->f", ac, cp)
-        vc = d1 * d4 - d3 * d2
-        vb = d5 * d2 - d1 * d6
-        va = d3 * d6 - d4 * d5
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
-            w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
-            den_bc = (d4 - d3) + (d5 - d6)
-            w_bc = np.where(den_bc != 0.0, (d4 - d3) / den_bc, 0.0)
-            denom = va + vb + vc
-            v_in = np.where(denom != 0.0, vb / denom, 0.0)
-            w_in = np.where(denom != 0.0, vc / denom, 0.0)
-        conds = [
-            (d1 <= 0.0) & (d2 <= 0.0),
-            (d3 >= 0.0) & (d4 <= d3),
-            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
-            (d6 >= 0.0) & (d5 <= d6),
-            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
-            (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
-        ]
-        ones = np.ones(nf)
-        zeros = np.zeros(nf)
-        b0 = np.select(conds, [ones, zeros, 1.0 - v_ab, zeros, 1.0 - w_ac, zeros], 1.0 - v_in - w_in)
-        b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
-        b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
-        interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
-        bad = interior & ~((denom > 0.0) & np.isfinite(denom))
-        if np.any(bad):
-            for f in np.flatnonzero(bad):
-                b0[f], b1[f], b2[f] = _closest_point_single(p, a[f], b[f], c[f])
-        q = b0[:, None] * a + b1[:, None] * b + b2[:, None] * c
-        sq = np.einsum("fk,fk->f", p[None, :] - q, p[None, :] - q)
-        f_best = int(np.argmin(sq))
-        out_face[ip] = f_best
-        out_bary[ip, 0] = b0[f_best]
-        out_bary[ip, 1] = b1[f_best]
-        out_bary[ip, 2] = b2[f_best]
-        out_sq[ip] = sq[f_best]
-    return 0
-
-
-project_points_py = project_points_numpy
-project_points = project_points_nb if USING_NUMBA else project_points_numpy
+    out_face = np.empty(npts, dtype=np.int64)
+    out_bary = np.empty((npts, 3), dtype=np.float64)
+    out_sq = np.empty(npts, dtype=np.float64)
+    step = max(1, _BLOCK_PAIRS // max(faces.shape[0], used.shape[0]))
+    for start in range(0, npts, step):
+        block = points[start : start + step]
+        reach = np.sqrt(_sq_distances(block[:, None], used).min(axis=1))
+        bound = (reach[:, None] + radius[None, :]) * (1.0 + _PRUNE_SLACK)
+        pi, fi = np.nonzero(np.sqrt(_sq_distances(block[:, None], centroid)) <= bound)
+        bary, sq = _closest_points(block[pi], a[fi], b[fi], c[fi])
+        order = np.lexsort((fi, sq, pi))
+        best = order[np.flatnonzero(np.diff(pi[order], prepend=-1))]
+        rows = slice(start, start + block.shape[0])
+        out_face[rows] = fi[best]
+        out_bary[rows] = bary[best]
+        out_sq[rows] = sq[best]
+    return out_face, out_bary, out_sq

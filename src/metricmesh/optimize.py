@@ -32,6 +32,7 @@ from . import geometry
 from .errors import (
     FeasibilityProjectionError,
     InfeasibleMetricError,
+    IsolatedVertexError,
     TapeError,
     TapeNonFiniteError,
 )
@@ -176,7 +177,9 @@ def _gradient(
         g_len -= gap
         if g_coord is not None:
             edges = mesh.edges
-            pull = (gap / ext)[:, None] * (coords[edges[:, 0]] - coords[edges[:, 1]])
+            # a zero-length edge makes this non-finite, reported below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pull = (gap / ext)[:, None] * (coords[edges[:, 0]] - coords[edges[:, 1]])
             g_coord += scatter(edges, np.stack((pull, -pull), axis=1))
 
     if config.lambda_ > 0.0:
@@ -406,11 +409,18 @@ def run_optimization(
     then tries steps eta, eta/2, ... until the candidate (after its own
     feasibility projection) does not increase the true loss; the accepted
     step is doubled as the next iteration's first try. Stop reasons:
-    ``grad_tol``, ``loss_tol``, ``max_iters``, ``stalled``.
+    ``grad_tol``, ``loss_tol``, ``max_iters``, ``stalled``. A mesh with a
+    vertex that belongs to no face raises :class:`IsolatedVertexError`.
     """
     if eta_init <= 0.0 or not math.isfinite(eta_init):
         raise ValueError(f"eta_init must be positive and finite, got {eta_init}")
     stop = stop if stop is not None else StopRule()
+    isolated = np.flatnonzero(np.bincount(mesh.faces.ravel(), minlength=mesh.vertex_count) == 0)
+    if isolated.size:
+        raise IsolatedVertexError(
+            f"vertex {int(isolated[0])} belongs to no face, so its curvature density "
+            f"is undefined ({isolated.size} isolated vertices in the mesh)"
+        )
     config = _resolved(config, metric)
     metric = feasibility_projection(mesh, metric, config.feas_margin, config.min_length)
     coords_free = not freeze_embedding

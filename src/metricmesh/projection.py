@@ -5,9 +5,10 @@ on a face, to data space by linear interpolation of per-vertex
 coordinates. Projecting a data point back onto the embedded surface is
 an exact closest-point computation per face (a two-variable quadratic
 over the barycentric simplex, solved in closed form by region
-decomposition) followed by a scan over all faces; ties go to the lowest
-face index. The batched scan is one of the numba kernels in
-:mod:`.kernels`.
+decomposition) minimized over the faces; ties go to the lowest face
+index. The batch projection, :func:`.kernels.project_points`, skips the
+faces that a nearest-vertex bound rules out, so its result is the same
+as a scan over all faces.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def closest_point_on_face(point, triangle) -> tuple[np.ndarray, float]:
     """
     p = np.ascontiguousarray(point, dtype=np.float64)
     tri = np.ascontiguousarray(triangle, dtype=np.float64)
-    b0, b1, b2 = kernels.closest_point_py(p, tri[0], tri[1], tri[2])
+    b0, b1, b2 = kernels._closest_point_single(p, tri[0], tri[1], tri[2])
     q = b0 * tri[0] + b1 * tri[1] + b2 * tri[2]
     r = p - q
     return np.array([b0, b1, b2]), float(r @ r)
@@ -154,7 +155,7 @@ def closest_point_on_face(point, triangle) -> tuple[np.ndarray, float]:
 def project_dataset_arrays(
     dataset_points: np.ndarray, embedding: Embedding, mesh
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch closest-point scan over every face for every point.
+    """Closest point on the embedded mesh for every point, as arrays.
 
     Returns (face index, barycentric, squared distance) arrays. Ties in
     squared distance keep the lowest face index.
@@ -164,12 +165,7 @@ def project_dataset_arrays(
         raise DatasetError(
             f"dataset dimension {pts.shape[1]} != embedding dimension {embedding.ambient_dim}"
         )
-    n = pts.shape[0]
-    out_face = np.empty(n, dtype=np.int64)
-    out_bary = np.empty((n, 3), dtype=np.float64)
-    out_sq = np.empty(n, dtype=np.float64)
-    kernels.project_points(pts, embedding.coords, mesh.faces, out_face, out_bary, out_sq)
-    return out_face, out_bary, out_sq
+    return kernels.project_points(pts, embedding.coords, mesh.faces)
 
 
 def project_dataset(dataset: Dataset, embedding: Embedding, mesh) -> list[ProjectionResult]:

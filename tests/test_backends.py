@@ -1,10 +1,8 @@
-"""Agreement between the jitted kernels and their interpreted fallbacks.
+"""Agreement between the jitted tape interpreters and their fallbacks.
 
 Both tape interpreters execute the same opcode sequence with strict
 IEEE semantics (no fastmath), so values and adjoints should match to
-the last bit. The batch projection is vectorized differently in the
-numpy path, so squared distances may differ by rounding and the argmin
-face may flip only where two faces are genuinely tied.
+the last bit.
 """
 
 import os
@@ -45,23 +43,6 @@ def recorded(icosphere1):
     metric = feasible_jittered(mesh, emb, seed=7, amount=0.1)
     prog = record_curvature_energy(mesh, metric)
     return prog, metric.lengths.copy()
-
-
-@pytest.fixture(scope="module")
-def projected(icosphere2):
-    mesh, emb = icosphere2
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(2000, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts *= rng.uniform(0.8, 1.25, size=(2000, 1))
-    results = {}
-    for name, fn in (("nb", kernels.project_points_nb), ("np", kernels.project_points_numpy)):
-        face = np.empty(len(pts), dtype=np.int64)
-        bary = np.empty((len(pts), 3), dtype=np.float64)
-        sq = np.empty(len(pts), dtype=np.float64)
-        fn(pts, emb.coords, mesh.faces, face, bary, sq)
-        results[name] = (face, bary, sq)
-    return results
 
 
 class TestTapeKernelParity:
@@ -112,43 +93,12 @@ class TestTapeKernelParity:
         assert not finite.all()
 
 
-class TestProjectionKernelParity:
-    def test_distances_agree(self, projected):
-        sq_nb = projected["nb"][2]
-        sq_np = projected["np"][2]
-        np.testing.assert_allclose(sq_np, sq_nb, rtol=0.0, atol=1e-12)
-
-    def test_faces_agree_except_ties(self, projected):
-        face_nb, _, sq_nb = projected["nb"]
-        face_np, _, sq_np = projected["np"]
-        flipped = face_nb != face_np
-        # disagreements are allowed only where the two candidate faces
-        # hold the query point at indistinguishable distance
-        assert np.all(np.abs(sq_nb[flipped] - sq_np[flipped]) <= 1e-12)
-        assert flipped.mean() < 0.01
-
-    def test_barycentric_agrees_where_faces_agree(self, projected):
-        face_nb, bary_nb, _ = projected["nb"]
-        face_np, bary_np, _ = projected["np"]
-        same = face_nb == face_np
-        np.testing.assert_allclose(bary_np[same], bary_nb[same], rtol=0.0, atol=1e-9)
-
-    def test_single_point_kernel_matches_batch(self, icosphere2):
-        mesh, emb = icosphere2
-        p = np.array([0.3, -1.1, 0.4])
-        tri = emb.coords[mesh.faces[17]]
-        b_nb = kernels.closest_point_nb(p, tri[0], tri[1], tri[2])
-        b_py = kernels.closest_point_py(p, tri[0], tri[1], tri[2])
-        np.testing.assert_array_equal(np.asarray(b_nb), np.asarray(b_py))
-
-
 class TestBackendSelection:
     def test_default_backend_is_numba(self):
         if os.environ.get("METRICMESH_BACKEND"):
             pytest.skip("backend forced by the environment")
         assert mm.backend_name() == "numba"
         assert kernels.tape_forward is kernels.tape_forward_nb
-        assert kernels.project_points is kernels.project_points_nb
 
     def test_env_flag_selects_numpy(self):
         env = dict(os.environ, METRICMESH_BACKEND="numpy")

@@ -205,6 +205,14 @@ class TestOptimizeCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["optimize", "--config", str(tmp_path / "none.cfg")]) == 1
 
+    def test_isolated_vertex_exits_one(self, tmp_path, capsys):
+        off = tmp_path / "stray.off"
+        off.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 5\n3 0 1 2\n")
+        cfg = write_config(tmp_path / "run.cfg", mesh=off, outdir=tmp_path / "o")
+        assert main(["optimize", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "vertex 3" in err and "Traceback" not in err
+
     def test_missing_dataset_file(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.cfg",

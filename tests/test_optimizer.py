@@ -384,6 +384,21 @@ class TestRunOptimization:
         cfg = dataclasses.replace(cfg, v_target=report.total_volume)
         return mesh, emb, metric, cfg
 
+    def test_isolated_vertex_rejected_before_first_iteration(self):
+        # vertex 3 is on no face: its vertex area is 0, so for p > 1 the
+        # curvature energy is inf and no step could ever lower the loss
+        mesh = mm.Mesh(4, [[0, 1, 2]])
+        emb = mm.Embedding(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [5, 5, 5]]))
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        ds = mm.Dataset(np.array([[0.2, 0.2, 0.5]]))
+        seen = []
+        with pytest.raises(mm.IsolatedVertexError, match="vertex 3"):
+            run_optimization(
+                mesh, metric, emb, ds, LossConfig(lambda_=1.0, p=2.0),
+                stop=StopRule(max_iters=3), on_iteration=seen.append,
+            )
+        assert seen == []
+
     def test_descent_trace_shape(self, icosphere1):
         mesh, emb, metric, cfg = self.geometry_setup(icosphere1)
         res = run_optimization(

@@ -1,9 +1,11 @@
 import io
+import zlib
 
 import numpy as np
 import pytest
 
 import metricmesh as mm
+from metricmesh import kernels
 from metricmesh.errors import DatasetError
 from metricmesh.projection import closest_point_on_face, project_dataset_arrays
 
@@ -21,6 +23,143 @@ def brute_force_sq(point, embedding, mesh, samples=60):
                 r = point - q
                 best = min(best, float(r @ r))
     return best
+
+
+def scan_all_faces(points, coords, faces):
+    """Closest point per point by a scan over every face: the exact oracle.
+
+    Runs the region-select closest-point kernel against all faces for one
+    point at a time and keeps the first minimum, so ties go to the lowest
+    face index. The pruned ``kernels.project_points`` must agree with it
+    bit for bit.
+    """
+    a = coords[faces[:, 0]]  # (F, n)
+    b = coords[faces[:, 1]]
+    c = coords[faces[:, 2]]
+    ab = b - a
+    ac = c - a
+    npts = points.shape[0]
+    nf = faces.shape[0]
+    out_face = np.empty(npts, dtype=np.int64)
+    out_bary = np.empty((npts, 3), dtype=np.float64)
+    out_sq = np.empty(npts, dtype=np.float64)
+    for ip in range(npts):
+        p = points[ip]
+        ap = p[None, :] - a
+        bp = p[None, :] - b
+        cp = p[None, :] - c
+        d1 = np.einsum("fk,fk->f", ab, ap)
+        d2 = np.einsum("fk,fk->f", ac, ap)
+        d3 = np.einsum("fk,fk->f", ab, bp)
+        d4 = np.einsum("fk,fk->f", ac, bp)
+        d5 = np.einsum("fk,fk->f", ab, cp)
+        d6 = np.einsum("fk,fk->f", ac, cp)
+        vc = d1 * d4 - d3 * d2
+        vb = d5 * d2 - d1 * d6
+        va = d3 * d6 - d4 * d5
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
+            w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
+            den_bc = (d4 - d3) + (d5 - d6)
+            w_bc = np.where(den_bc != 0.0, (d4 - d3) / den_bc, 0.0)
+            denom = va + vb + vc
+            v_in = np.where(denom != 0.0, vb / denom, 0.0)
+            w_in = np.where(denom != 0.0, vc / denom, 0.0)
+        conds = [
+            (d1 <= 0.0) & (d2 <= 0.0),
+            (d3 >= 0.0) & (d4 <= d3),
+            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
+            (d6 >= 0.0) & (d5 <= d6),
+            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+            (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
+        ]
+        ones = np.ones(nf)
+        zeros = np.zeros(nf)
+        b0 = np.select(conds, [ones, zeros, 1.0 - v_ab, zeros, 1.0 - w_ac, zeros], 1.0 - v_in - w_in)
+        b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
+        b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
+        interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
+        bad = interior & ~((denom > 0.0) & np.isfinite(denom))
+        for f in np.flatnonzero(bad):
+            b0[f], b1[f], b2[f] = kernels._closest_point_single(p, a[f], b[f], c[f])
+        q = b0[:, None] * a + b1[:, None] * b + b2[:, None] * c
+        sq = np.einsum("fk,fk->f", p[None, :] - q, p[None, :] - q)
+        f_best = int(np.argmin(sq))
+        out_face[ip] = f_best
+        out_bary[ip] = b0[f_best], b1[f_best], b2[f_best]
+        out_sq[ip] = sq[f_best]
+    return out_face, out_bary, out_sq
+
+
+def oracle_points(mesh, coords, rng):
+    """Random cloud plus the tie-prone and far points the pruning must survive."""
+    centre = coords.mean(axis=0)
+    extent = float(np.abs(coords - centre).max())
+    dim = coords.shape[1]
+    cloud = centre + rng.normal(size=(120, dim)) * 0.7 * extent
+    on_vertices = coords[rng.integers(0, coords.shape[0], 25)]
+    edges = mesh.edges[rng.integers(0, mesh.edge_count, 25)]
+    on_edges = 0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])
+    above_vertices = centre + 1.5 * (coords[rng.integers(0, coords.shape[0], 25)] - centre)
+    far = centre + rng.normal(size=(10, dim)) * 30.0 * extent
+    return np.vstack([cloud, on_vertices, on_edges, above_vertices, far])
+
+
+def oracle_case(name):
+    """(points, coords, faces) for one named case of the oracle test."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    kind, _, variant = name.partition(" ")
+    mesh, emb = mm.generate_mesh(kind)
+    coords = emb.coords
+    if variant == "2d":
+        coords = np.ascontiguousarray(coords[:, :2])
+    elif variant == "4d":
+        coords = np.hstack([coords, coords[:, :1] * coords[:, 1:2]])
+    elif variant == "flat":
+        coords = coords * np.array([1.0, 1.0, 1e-9])
+    elif variant == "collinear":
+        # every face degenerate, its corners on one line
+        coords = coords * np.array([1.0, 0.0, 0.0])
+    elif variant == "isolated":
+        # one vertex that no face uses, far from the surface; the points
+        # near it have it as their nearest vertex but must land on a face
+        coords = np.vstack([coords, [[4.0, 0.0, 0.0]]])
+        mesh = mm.Mesh(coords.shape[0], mesh.faces)
+    points = oracle_points(mesh, coords, rng)
+    if variant == "isolated":
+        points = np.vstack([points, [[4.0, 0.0, 0.0], [3.9, 0.2, -0.1]]])
+    return np.ascontiguousarray(points), coords, mesh.faces
+
+
+ORACLE_CASES = [
+    f"{kind} {variant}".strip()
+    for kind in ("icosphere(2)", "icosphere(3)", "torus(16,8,2.0,0.7)", "grid(30,30,1.0)")
+    for variant in ("", "2d")
+] + [
+    "icosphere(2) 4d",
+    "icosphere(2) flat",
+    "torus(16,8,2.0,0.7) flat",
+    "icosphere(2) collinear",
+    "icosphere(1) isolated",
+]
+
+
+class TestPrunedProjectionMatchesScan:
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_bitwise_equal_to_scan(self, name):
+        points, coords, faces = oracle_case(name)
+        got = kernels.project_points(points, coords, faces)
+        want = scan_all_faces(points, coords, faces)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        points, coords, faces = oracle_case("torus(16,8,2.0,0.7)")
+        want = kernels.project_points(points, coords, faces)
+        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 1)
+        got = kernels.project_points(points, coords, faces)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestClosestPoint:
