@@ -403,7 +403,16 @@ def project_points(points, coords, faces):
     a face can win only if its bounding sphere (centroid, farthest corner
     ``r``) comes within ``reach`` of the point, ``|p - c| <= reach + r``.
     The kernel runs only on the (point, face) pairs that pass.
+
+    The kernel's products are of fourth degree in the coordinates, so at
+    large or small scale they overflow or underflow long before the
+    coordinates do. Points and coordinates are therefore scaled by the
+    power of two that brings the mesh to unit magnitude, which is exact,
+    and the squared distances are scaled back.
     """
+    _, k = np.frexp(np.abs(coords).max(initial=0.0))
+    points = np.ldexp(points, -k)
+    coords = np.ldexp(coords, -k)
     a = coords[faces[:, 0]]
     b = coords[faces[:, 1]]
     c = coords[faces[:, 2]]
@@ -428,4 +437,4 @@ def project_points(points, coords, faces):
         out_face[rows] = fi[best]
         out_bary[rows] = bary[best]
         out_sq[rows] = sq[best]
-    return out_face, out_bary, out_sq
+    return out_face, out_bary, np.ldexp(out_sq, 2 * k)

@@ -251,29 +251,31 @@ def feasibility_projection(
 ) -> MetricField:
     """Push a metric into the feasible set by local triangle repairs.
 
-    Sweeps faces cyclically; a face whose worst triangle inequality falls
-    short of the margin has its two short sides raised and its long side
-    lowered by a third of the deficit each, slightly overshot so repeated
-    visits cannot ping-pong below the margin, plus an absolute floor of a
-    few ulps so that even deficits too small to register in one addition
-    still make progress. Lengths never drop below ``min_length``. Already
-    feasible input is returned unchanged (the same object).
+    Sweeps faces in index order; a face whose worst triangle inequality
+    falls short of the margin has its two short sides raised and its long
+    side lowered by a third of the deficit each, slightly overshot so
+    repeated visits cannot ping-pong below the margin, plus an absolute
+    floor of a few ulps so that even deficits too small to register in one
+    addition still make progress. Each repair sees the lengths the faces
+    before it left, so the order is part of the result; an oracle test pins
+    it bit for bit. Lengths never drop below ``min_length``. Already
+    feasible input is returned unchanged (the same object). A margin or
+    floor that is not finite and positive raises ``ValueError``.
     """
-    if feas_margin <= 0.0:
-        raise ValueError(f"feas_margin must be positive, got {feas_margin}")
-    if min_length <= 0.0:
-        raise ValueError(f"min_length must be positive, got {min_length}")
+    # plain floats: a numpy-scalar argument would slow the sweep or round in float32
+    feas_margin, min_length = float(feas_margin), float(min_length)
+    for name, value in (("feas_margin", feas_margin), ("min_length", min_length)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     slacks = geometry.face_slacks(mesh, metric)
     if (slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
         return metric
 
-    lengths = metric.lengths.copy()
-    np.maximum(lengths, min_length, out=lengths)
-    fe = mesh.face_edges
+    lengths = np.maximum(metric.lengths, min_length).tolist()
+    face_edges = mesh.face_edges.tolist()
     for _ in range(max_sweeps):
         changed = False
-        for f in range(fe.shape[0]):
-            e0, e1, e2 = fe[f, 0], fe[f, 1], fe[f, 2]
+        for e0, e1, e2 in face_edges:
             x0, x1, x2 = lengths[e0], lengths[e1], lengths[e2]
             s0 = x0 + x1 - x2
             s1 = x1 + x2 - x0
@@ -287,16 +289,14 @@ def feasibility_projection(
             deficit = feas_margin - smin
             if deficit <= 0.0:
                 continue
-            step = max(
-                deficit * (1.0 + 1e-9), 8.0 * np.spacing(max(x0, x1, x2))
-            ) / 3.0
+            step = max(deficit * (1.0 + 1e-9), 8.0 * math.ulp(max(x0, x1, x2))) / 3.0
             lengths[lo_a] += step
             lengths[lo_b] += step
             lengths[hi] = max(lengths[hi] - step, min_length)
             changed = True
         if not changed:
             break
-    result = MetricField(lengths)
+    result = MetricField(np.array(lengths))
     bad = geometry.check_feasible(mesh, result, feas_margin)
     if bad:
         raise FeasibilityProjectionError(

@@ -1,0 +1,28 @@
+"""The benchmark's workloads run to completion and check their outputs.
+
+Runs ``perfbench/run.py`` once per workload with no time budget (every
+instance gets one turn) and reads its closing JSON line. No timing is
+asserted, so the test cannot flake on a slow host.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["fit", "flow", "analyze"])
+def test_workload_runs_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "5", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True, proc.stderr
+    assert summary["failed"] == 0

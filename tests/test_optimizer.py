@@ -365,6 +365,13 @@ class TestFeasibilityProjection:
             feasibility_projection(mesh, metric, 0.0, 1e-9)
         with pytest.raises(ValueError):
             feasibility_projection(mesh, metric, 1e-6, 0.0)
+        # a non-finite margin or floor is named up front, before any sweep
+        # (a NaN margin used to run every sweep and then blame the lengths)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="feas_margin must be finite"):
+                feasibility_projection(mesh, metric, bad, 1e-9)
+            with pytest.raises(ValueError, match="min_length must be finite"):
+                feasibility_projection(mesh, metric, 1e-6, bad)
 
     def test_tiny_deficit_converges(self):
         # a deficit far below one ulp of the side lengths must still make
@@ -373,6 +380,120 @@ class TestFeasibilityProjection:
         lengths = np.array([1.0, 1.0, 2.0 - 1e-13])
         out = feasibility_projection(mesh, mm.MetricField(lengths), 1e-12, 1e-9)
         assert mm.check_feasible(mesh, out, 1e-12) == []
+
+
+def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50):
+    """The repair sweep on numpy scalars, as it first shipped: the oracle.
+
+    Visits faces in index order and indexes the length array once per
+    read, so each repair sees what the faces before it wrote. The library
+    runs the same arithmetic on plain floats and must agree bit for bit.
+    """
+    lengths = metric.lengths.copy()
+    np.maximum(lengths, min_length, out=lengths)
+    fe = mesh.face_edges
+    for _ in range(max_sweeps):
+        changed = False
+        for f in range(fe.shape[0]):
+            e0, e1, e2 = fe[f, 0], fe[f, 1], fe[f, 2]
+            x0, x1, x2 = lengths[e0], lengths[e1], lengths[e2]
+            s0 = x0 + x1 - x2
+            s1 = x1 + x2 - x0
+            s2 = x2 + x0 - x1
+            if s0 <= s1 and s0 <= s2:
+                smin, lo_a, lo_b, hi = s0, e0, e1, e2
+            elif s1 <= s2:
+                smin, lo_a, lo_b, hi = s1, e1, e2, e0
+            else:
+                smin, lo_a, lo_b, hi = s2, e2, e0, e1
+            deficit = feas_margin - smin
+            if deficit <= 0.0:
+                continue
+            step = max(
+                deficit * (1.0 + 1e-9), 8.0 * np.spacing(max(x0, x1, x2))
+            ) / 3.0
+            lengths[lo_a] += step
+            lengths[lo_b] += step
+            lengths[hi] = max(lengths[hi] - step, min_length)
+            changed = True
+        if not changed:
+            break
+    result = mm.MetricField(lengths)
+    bad = mm.check_feasible(mesh, result, feas_margin)
+    if bad:
+        raise FeasibilityProjectionError(
+            f"{len(bad)} faces still below margin {feas_margin} after "
+            f"{max_sweeps} sweeps, worst deficit {max(d for _, d in bad)}",
+            faces=tuple(f for f, _ in bad[:16]),
+        )
+    return result
+
+
+def repair_outcome(repair, mesh, lengths, margin, floor, max_sweeps=50):
+    """Repaired lengths, or the failure's (message, faces)."""
+    try:
+        return repair(mesh, mm.MetricField(lengths), margin, floor, max_sweeps).lengths
+    except FeasibilityProjectionError as exc:
+        return str(exc), exc.faces
+
+
+def jittered_case(kind, amount):
+    """Jittered extrinsic lengths with the auto margin and floor."""
+    mesh, emb = mm.generate_mesh(kind)
+    metric = mm.MetricField.from_embedding(mesh, emb)
+    metric = metric.with_jitter(np.random.default_rng(int(amount * 10)), amount)
+    cfg = optimize._resolved(LossConfig(), metric)
+    return mesh, metric.lengths, cfg.feas_margin, cfg.min_length
+
+
+def repair_case(name):
+    """(mesh, lengths, margin, floor) for one named case of the oracle test."""
+    if name == "min_length clamp":
+        # some lengths start below the floor
+        mesh, lengths, margin, _ = jittered_case("icosphere(2)", 0.5)
+        lengths = lengths.copy()
+        lengths[::7] *= 1e-6
+        return mesh, lengths, margin, 0.3 * float(np.mean(lengths))
+    if name == "three-way ties":
+        # a uniform metric below the margin: every face ties three ways,
+        # and lowering a long side runs into the floor
+        mesh, _ = mm.generate_mesh("icosphere(1)")
+        return mesh, np.ones(mesh.edge_count), 1.5, 0.9
+    if name == "sub-ulp deficit":
+        # progress only through the absolute step floor
+        mesh = mm.Mesh(3, np.array([[0, 1, 2]]))
+        return mesh, np.array([1.0, 1.0, 2.0 - 1e-13]), 1e-12, 1e-9
+    kind, _, amount = name.partition(" jitter ")
+    return jittered_case(kind, float(amount))
+
+
+REPAIR_CASES = [
+    f"{kind} jitter {amount}"
+    for kind in (
+        "icosphere(1)", "icosphere(2)", "icosphere(3)", "torus(16,8,2.0,0.7)", "grid(10,10,1.0)"
+    )
+    for amount in (0.1, 0.5, 0.9)
+] + ["min_length clamp", "three-way ties", "sub-ulp deficit"]
+
+
+class TestRepairMatchesNumpyScalarSweep:
+    @pytest.mark.parametrize("name", REPAIR_CASES)
+    def test_bitwise_equal_to_oracle(self, name):
+        mesh, lengths, margin, floor = repair_case(name)
+        got = repair_outcome(feasibility_projection, mesh, lengths, margin, floor)
+        want = repair_outcome(numpy_scalar_repair, mesh, lengths, margin, floor)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("max_sweeps", [1, 3])
+    def test_same_failure_when_sweeps_run_out(self, max_sweeps):
+        mesh, lengths, margin, floor = jittered_case("icosphere(2)", 0.9)
+        got = repair_outcome(feasibility_projection, mesh, lengths, margin, floor, max_sweeps)
+        want = repair_outcome(numpy_scalar_repair, mesh, lengths, margin, floor, max_sweeps)
+        assert isinstance(want, tuple), "the case must run out of sweeps"
+        assert got == want
 
 
 class TestRunOptimization:

@@ -162,6 +162,23 @@ class TestPrunedProjectionMatchesScan:
             np.testing.assert_array_equal(g, w)
 
 
+class TestProjectionScale:
+    # Unscaled, the kernel's fourth-degree products overflow for coordinates
+    # beyond about 1e77 and underflow below about 1e-77. Scaling by a power
+    # of two is exact, so the answer must be the unit-scale one, sq times 4^k.
+    @pytest.mark.parametrize("name", ["icosphere(2)", "grid(30,30,1.0)"])
+    @pytest.mark.parametrize("k", [330, -300])
+    def test_power_of_two_scale_is_exact(self, name, k):
+        points, coords, faces = oracle_case(name)
+        face, bary, sq = kernels.project_points(points, coords, faces)
+        got_face, got_bary, got_sq = kernels.project_points(
+            np.ldexp(points, k), np.ldexp(coords, k), faces
+        )
+        np.testing.assert_array_equal(got_face, face)
+        np.testing.assert_array_equal(got_bary, bary)
+        np.testing.assert_array_equal(got_sq, np.ldexp(sq, 2 * k))
+
+
 class TestClosestPoint:
     def test_interior_projection(self):
         tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
