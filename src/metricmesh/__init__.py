@@ -24,7 +24,6 @@ from .errors import (
     TapeError,
     TapeNonFiniteError,
 )
-from .kernels import backend_name
 from .mesh import (
     Mesh,
     Violation,
@@ -96,6 +95,15 @@ from .optimize import (
 from .runconfig import RunSettings, parse_config, read_config
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the numeric path, recorded in every run manifest.
+
+    There is one path, plain numpy, so this is always ``"numpy"``.
+    """
+    return "numpy"
+
 
 __all__ = [
     "ConfigError",

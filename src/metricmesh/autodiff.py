@@ -4,8 +4,10 @@ Recording builds the computational graph eagerly: every arithmetic
 operation on a :class:`TracedScalar` appends one node (opcode, parent
 indices, constant payload, value) to its :class:`Tape`. A frozen
 :class:`TapeProgram` can then be replayed at fresh inputs and swept
-backward for the gradient; the interpreters live in :mod:`.kernels` so
-the hot loops run under numba when available.
+backward for the gradient by the two interpreters in this module, which
+are the only code that reads the tape format. The optimizer does not use
+the tape; it serves as a public API and as the reference that the
+closed-form gradient in :mod:`.optimize` is tested against.
 
 Derivative conventions at non-smooth points are fixed and deterministic:
 min/max ties route the adjoint to the first argument, and the arccos
@@ -21,27 +23,50 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import TapeDomainError, TapeNonFiniteError
-from .kernels import (
-    OP_ACOS,
-    OP_ADD,
-    OP_ADDC,
-    OP_CONST,
-    OP_DIV,
-    OP_EXP,
-    OP_INPUT,
-    OP_LOG,
-    OP_MAX,
-    OP_MIN,
-    OP_MUL,
-    OP_MULC,
-    OP_NAMES,
-    OP_NEG,
-    OP_POWC,
-    OP_SQRT,
-    OP_SUB,
+
+# Tape opcodes. The recorder below emits them and the interpreters replay
+# them. Codes are stable within a process, never serialized.
+
+OP_CONST = 0
+OP_INPUT = 1
+OP_ADD = 2
+OP_SUB = 3
+OP_MUL = 4
+OP_DIV = 5
+OP_NEG = 6
+OP_SQRT = 7
+OP_LOG = 8
+OP_EXP = 9
+OP_POWC = 10
+OP_ACOS = 11
+OP_MIN = 12
+OP_MAX = 13
+OP_ADDC = 14
+OP_MULC = 15
+
+OP_NAMES = (
+    "const",
+    "input",
+    "add",
+    "sub",
+    "mul",
+    "div",
+    "neg",
+    "sqrt",
+    "log",
+    "exp",
+    "pow",
+    "arccos",
+    "min",
+    "max",
+    "add",
+    "mul",
 )
+
+# arccos derivative is evaluated at arguments clamped to this magnitude so
+# the one-sided value at the boundary stays finite.
+ACOS_DERIV_CLAMP = 1.0 - 1e-12
 
 # Traced arccos accepts arguments this far beyond [-1, 1] as rounding
 # overshoot (clamped); anything larger is a genuine domain error.
@@ -181,9 +206,130 @@ class TracedScalar:
         return self.value
 
 
+def _tape_forward(ops, arg1, arg2, aux, inputs, values):
+    """Replay a recorded tape front to back, filling ``values``."""
+    n = ops.shape[0]
+    for i in range(n):
+        op = ops[i]
+        if op == OP_INPUT:
+            v = inputs[arg1[i]]
+        elif op == OP_CONST:
+            v = aux[i]
+        elif op == OP_ADD:
+            v = values[arg1[i]] + values[arg2[i]]
+        elif op == OP_SUB:
+            v = values[arg1[i]] - values[arg2[i]]
+        elif op == OP_MUL:
+            v = values[arg1[i]] * values[arg2[i]]
+        elif op == OP_DIV:
+            v = values[arg1[i]] / values[arg2[i]]
+        elif op == OP_NEG:
+            v = -values[arg1[i]]
+        elif op == OP_SQRT:
+            # IEEE results instead of the raising math-module semantics:
+            # replay never raises mid-sweep, and TapeProgram scans the
+            # values afterwards to report the first non-finite node
+            u = values[arg1[i]]
+            v = math.sqrt(u) if u >= 0.0 else math.nan
+        elif op == OP_LOG:
+            u = values[arg1[i]]
+            if u > 0.0:
+                v = math.log(u)
+            elif u == 0.0:
+                v = -math.inf
+            else:
+                v = math.nan
+        elif op == OP_EXP:
+            u = values[arg1[i]]
+            v = math.inf if u > 709.782712893384 else math.exp(u)
+        elif op == OP_POWC:
+            v = values[arg1[i]] ** aux[i]
+        elif op == OP_ACOS:
+            u = values[arg1[i]]
+            if u > 1.0:
+                u = 1.0
+            elif u < -1.0:
+                u = -1.0
+            v = math.acos(u)
+        elif op == OP_MIN:
+            va = values[arg1[i]]
+            vb = values[arg2[i]]
+            v = va if va <= vb else vb
+        elif op == OP_MAX:
+            va = values[arg1[i]]
+            vb = values[arg2[i]]
+            v = va if va >= vb else vb
+        elif op == OP_ADDC:
+            v = values[arg1[i]] + aux[i]
+        else:  # OP_MULC
+            v = values[arg1[i]] * aux[i]
+        values[i] = v
+
+
+def _tape_backward(ops, arg1, arg2, aux, values, adj):
+    """Reverse sweep accumulating adjoints; ``adj`` arrives seeded.
+
+    Local partials are recomputed from the forward values, so the same
+    tape can be replayed at fresh inputs before differentiating. Ties in
+    min/max route the whole adjoint to the first argument.
+    """
+    n = ops.shape[0]
+    for i in range(n - 1, -1, -1):
+        g = adj[i]
+        if g == 0.0:
+            continue
+        op = ops[i]
+        if op == OP_ADD:
+            adj[arg1[i]] += g
+            adj[arg2[i]] += g
+        elif op == OP_SUB:
+            adj[arg1[i]] += g
+            adj[arg2[i]] -= g
+        elif op == OP_MUL:
+            adj[arg1[i]] += g * values[arg2[i]]
+            adj[arg2[i]] += g * values[arg1[i]]
+        elif op == OP_DIV:
+            vb = values[arg2[i]]
+            adj[arg1[i]] += g / vb
+            adj[arg2[i]] -= g * values[i] / vb
+        elif op == OP_NEG:
+            adj[arg1[i]] -= g
+        elif op == OP_SQRT:
+            adj[arg1[i]] += g * 0.5 / values[i]
+        elif op == OP_LOG:
+            adj[arg1[i]] += g / values[arg1[i]]
+        elif op == OP_EXP:
+            adj[arg1[i]] += g * values[i]
+        elif op == OP_POWC:
+            c = aux[i]
+            adj[arg1[i]] += g * c * values[arg1[i]] ** (c - 1.0)
+        elif op == OP_ACOS:
+            u = values[arg1[i]]
+            if u > ACOS_DERIV_CLAMP:
+                u = ACOS_DERIV_CLAMP
+            elif u < -ACOS_DERIV_CLAMP:
+                u = -ACOS_DERIV_CLAMP
+            adj[arg1[i]] -= g / math.sqrt(1.0 - u * u)
+        elif op == OP_MIN:
+            if values[arg1[i]] <= values[arg2[i]]:
+                adj[arg1[i]] += g
+            else:
+                adj[arg2[i]] += g
+        elif op == OP_MAX:
+            if values[arg1[i]] >= values[arg2[i]]:
+                adj[arg1[i]] += g
+            else:
+                adj[arg2[i]] += g
+        elif op == OP_ADDC:
+            adj[arg1[i]] += g
+        elif op == OP_MULC:
+            adj[arg1[i]] += g * aux[i]
+        # OP_CONST / OP_INPUT have no parents.
+
+
 @dataclass(frozen=True)
 class TapeProgram:
-    """Frozen tape, replayable at fresh inputs via the kernel interpreters."""
+    """Frozen tape, replayable at fresh inputs via the interpreters above."""
 
     ops: np.ndarray
     arg1: np.ndarray
@@ -201,7 +347,7 @@ class TapeProgram:
             raise ValueError(f"expected {self.n_inputs} inputs, got shape {x.shape}")
         values = np.empty(len(self), dtype=np.float64)
         with np.errstate(all="ignore"):  # non-finites are scanned and raised below
-            kernels.tape_forward(self.ops, self.arg1, self.arg2, self.aux, x, values)
+            _tape_forward(self.ops, self.arg1, self.arg2, self.aux, x, values)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             i = int(bad[0])
@@ -220,7 +366,7 @@ class TapeProgram:
         adj = np.zeros(len(self), dtype=np.float64)
         adj[self.root] = 1.0
         with np.errstate(all="ignore"):
-            kernels.tape_backward(self.ops, self.arg1, self.arg2, self.aux, values, adj)
+            _tape_backward(self.ops, self.arg1, self.arg2, self.aux, values, adj)
         input_nodes = np.flatnonzero(self.ops == OP_INPUT)
         grad = np.zeros(self.n_inputs, dtype=np.float64)
         grad[self.arg1[input_nodes]] = adj[input_nodes]

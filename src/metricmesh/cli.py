@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
 
-from . import outputs
+from . import backend_name, outputs
 from .errors import ConfigError, MetricMeshError
 from .geodesic import dijkstra_distances, fast_marching
 from .geometry import MetricField, curvature_report
-from .kernels import backend_name
 from .mesh import euler_characteristic, generate_mesh, read_off, save_off, validate_manifold
 from .optimize import (
     LossConfig,
@@ -206,8 +206,12 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         print("error: --lambdas expects a comma-separated list of numbers", file=sys.stderr)
         return 2
-    if not lambdas or any(l < 0.0 for l in lambdas) or sorted(lambdas) != lambdas:
-        print("error: --lambdas must be ascending and non-negative", file=sys.stderr)
+    if (
+        not lambdas
+        or not all(math.isfinite(l) and l >= 0.0 for l in lambdas)
+        or sorted(lambdas) != lambdas
+    ):
+        print("error: --lambdas must be finite, ascending and non-negative", file=sys.stderr)
         return 2
     settings = read_config(args.config)
     mesh, embedding, dataset, metric, loss = _prepare_run(settings)

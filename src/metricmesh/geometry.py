@@ -145,17 +145,12 @@ def face_areas(mesh, metric: MetricField) -> np.ndarray:
 
 
 def _require_feasible(mesh, metric: MetricField) -> None:
-    fl = _face_lengths(mesh, metric)
-    slack = np.minimum(
-        np.minimum(fl[:, 0] + fl[:, 1] - fl[:, 2], fl[:, 1] + fl[:, 2] - fl[:, 0]),
-        fl[:, 2] + fl[:, 0] - fl[:, 1],
-    )
-    bad = np.flatnonzero(slack <= 0.0)
+    bad = np.flatnonzero(face_slacks(mesh, metric) <= 0.0)
     if bad.size:
         f = int(bad[0])
         raise InfeasibleMetricError(
             f"{bad.size} faces violate the strict triangle inequality, first is face "
-            f"{f} with lengths {fl[f].tolist()}",
+            f"{f} with lengths {metric.lengths[mesh.face_edges[f]].tolist()}",
             faces=tuple(int(x) for x in bad[:16]),
         )
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import metricmesh as mm
 from metricmesh import autodiff as ad
 from metricmesh.autodiff import (
     Tape,
@@ -12,6 +13,8 @@ from metricmesh.autodiff import (
 )
 from metricmesh.errors import TapeDomainError, TapeNonFiniteError
 
+from conftest import feasible_jittered
+
 
 def grad_check(program, inputs, rel=1e-5, abs_tol=1e-8):
     res = evaluate_with_gradient(program, inputs)
@@ -20,6 +23,19 @@ def grad_check(program, inputs, rel=1e-5, abs_tol=1e-8):
     )
     np.testing.assert_allclose(res.gradient, fd, rtol=rel, atol=abs_tol)
     return res
+
+
+def record_curvature_energy(mesh, lengths):
+    """Tape whose output is a p=2 defect-style energy of the edge lengths."""
+    tape = Tape()
+    traced = [tape.input(v) for v in lengths]
+    energy = tape.const(0.0)
+    for e_ij, e_jk, e_ki in mesh.face_edges:
+        l_ij, l_jk, l_ki = traced[e_ij], traced[e_jk], traced[e_ki]
+        alpha, beta, gamma = mm.interior_angles(l_jk, l_ki, l_ij)
+        area = mm.triangle_area(l_ij, l_jk, l_ki)
+        energy = energy + (alpha * alpha + beta * beta + gamma * gamma) / area
+    return tape.program(energy)
 
 
 class TestOperatorGradients:
@@ -221,6 +237,17 @@ class TestDomainAndFiniteness:
         prog = tape.program(ad.exp(x))
         with pytest.raises(TapeNonFiniteError):
             prog.value(np.array([1000.0]))
+
+    @pytest.mark.parametrize("bad", [1e308, 0.0])
+    def test_replay_nonfinite_curvature_energy(self, icosphere1, bad):
+        # overflow and division by zero deep in a real tape must surface as
+        # the scanned TapeNonFiniteError, not as a Python arithmetic error
+        mesh, emb = icosphere1
+        x = feasible_jittered(mesh, emb, seed=7, amount=0.1).lengths.copy()
+        prog = record_curvature_energy(mesh, x)
+        x[0] = bad
+        with pytest.raises(TapeNonFiniteError):
+            prog.value_and_grad(x)
 
     def test_replay_nonfinite_gradient(self):
         # forward sqrt(0) is fine; the reverse sweep divides by it

@@ -171,7 +171,7 @@ class TestOptimizeCommand:
 
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "optimize"
-        assert manifest["backend"] in {"numba", "numpy"}
+        assert manifest["backend"] == "numpy"
         assert manifest["result"]["stop_reason"] in {
             "max_iters", "grad_tol", "loss_tol", "stalled"
         }
@@ -244,7 +244,7 @@ class TestSweepCommand:
         assert manifest["lambdas"] == [0.01, 0.1, 1.0]
         assert (outdir / "lengths_final.csv").exists()
 
-    @pytest.mark.parametrize("bad", ["1,0.5", "abc", "-1,2", ""])
+    @pytest.mark.parametrize("bad", ["1,0.5", "abc", "-1,2", "", "nan", "inf", "1,nan"])
     def test_bad_lambdas_rejected(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path / "s.cfg", outdir=tmp_path / "o")
         assert main(["sweep", "--config", str(cfg), f"--lambdas={bad}"]) == 2

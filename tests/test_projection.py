@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import metricmesh as mm
-from metricmesh import kernels
+from metricmesh import projection
 from metricmesh.errors import DatasetError
 from metricmesh.projection import closest_point_on_face, project_dataset_arrays
 
@@ -30,7 +30,7 @@ def scan_all_faces(points, coords, faces):
 
     Runs the region-select closest-point kernel against all faces for one
     point at a time and keeps the first minimum, so ties go to the lowest
-    face index. The pruned ``kernels.project_points`` must agree with it
+    face index. The pruned ``projection.project_points`` must agree with it
     bit for bit.
     """
     a = coords[faces[:, 0]]  # (F, n)
@@ -81,7 +81,7 @@ def scan_all_faces(points, coords, faces):
         interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
         bad = interior & ~((denom > 0.0) & np.isfinite(denom))
         for f in np.flatnonzero(bad):
-            b0[f], b1[f], b2[f] = kernels._closest_point_single(p, a[f], b[f], c[f])
+            b0[f], b1[f], b2[f] = projection._closest_point_single(p, a[f], b[f], c[f])
         q = b0[:, None] * a + b1[:, None] * b + b2[:, None] * c
         sq = np.einsum("fk,fk->f", p[None, :] - q, p[None, :] - q)
         f_best = int(np.argmin(sq))
@@ -148,16 +148,16 @@ class TestPrunedProjectionMatchesScan:
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_bitwise_equal_to_scan(self, name):
         points, coords, faces = oracle_case(name)
-        got = kernels.project_points(points, coords, faces)
+        got = projection.project_points(points, coords, faces)
         want = scan_all_faces(points, coords, faces)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         points, coords, faces = oracle_case("torus(16,8,2.0,0.7)")
-        want = kernels.project_points(points, coords, faces)
-        monkeypatch.setattr(kernels, "_BLOCK_PAIRS", 1)
-        got = kernels.project_points(points, coords, faces)
+        want = projection.project_points(points, coords, faces)
+        monkeypatch.setattr(projection, "_BLOCK_PAIRS", 1)
+        got = projection.project_points(points, coords, faces)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -170,8 +170,8 @@ class TestProjectionScale:
     @pytest.mark.parametrize("k", [330, -300])
     def test_power_of_two_scale_is_exact(self, name, k):
         points, coords, faces = oracle_case(name)
-        face, bary, sq = kernels.project_points(points, coords, faces)
-        got_face, got_bary, got_sq = kernels.project_points(
+        face, bary, sq = projection.project_points(points, coords, faces)
+        got_face, got_bary, got_sq = projection.project_points(
             np.ldexp(points, k), np.ldexp(coords, k), faces
         )
         np.testing.assert_array_equal(got_face, face)
