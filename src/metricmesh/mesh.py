@@ -46,6 +46,30 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Largest vertex count n for which the edge key lo * n + hi fits in int64.
+_KEYED_VERTEX_LIMIT = math.isqrt(2**63 - 1)
+
+
+def _edge_table(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (lo, hi) pairs in lexicographic order, and each pair's row.
+
+    Sorting the 1-D key ``lo * n + hi`` gives the lexicographic order of
+    the pairs; when the key could overflow int64 the pairs are sorted with
+    ``np.lexsort`` instead.
+    """
+    n = int(hi.max()) + 1
+    if n <= _KEYED_VERTEX_LIMIT:
+        order = np.argsort(lo * n + hi, kind="stable")
+    else:
+        order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    inverse = np.empty(order.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return np.stack((lo[first], hi[first]), axis=1), inverse
+
+
 class Mesh:
     """Immutable fixed-topology triangle mesh.
 
@@ -65,8 +89,8 @@ class Mesh:
         "edges",
         "face_edges",
         "edge_face_count",
-        "_vertex_faces",
-        "_vertex_edges",
+        "vertex_face_csr",
+        "vertex_edge_csr",
         "boundary_edge",
         "boundary_vertex",
     )
@@ -101,33 +125,31 @@ class Mesh:
         # Directed face sides in corner order (i,j), (j,k), (k,i); edge ids
         # come from lexicographic order of the sorted pairs.
         sides = faces[:, (0, 1, 1, 2, 2, 0)].reshape(-1, 2)
-        sides_sorted = np.sort(sides, axis=1)
-        edges, inverse = np.unique(sides_sorted, axis=0, return_inverse=True)
+        edges, inverse = _edge_table(sides.min(axis=1), sides.max(axis=1))
         self.edges = _freeze(edges)
-        self.face_edges = _freeze(inverse.reshape(-1, 3).astype(np.int64))
+        self.face_edges = _freeze(inverse.reshape(-1, 3))
         self.edge_face_count = _freeze(
             np.bincount(inverse, minlength=edges.shape[0]).astype(np.int64)
         )
         self.boundary_edge = _freeze(self.edge_face_count == 1)
 
-        self._vertex_faces = self._incidence(self.faces, self.face_count)
-        self._vertex_edges = self._incidence(self.edges, self.edge_count)
+        # (offsets, rows): the faces incident to vertex v are
+        # ``rows[offsets[v]:offsets[v + 1]]``, ascending.
+        self.vertex_face_csr = self._incidence(self.faces)
+        # Same layout for the edges incident to each vertex.
+        self.vertex_edge_csr = self._incidence(self.edges)
 
         bv = np.zeros(vertex_count, dtype=bool)
         bv[self.edges[self.boundary_edge].ravel()] = True
         self.boundary_vertex = _freeze(bv)
 
-    def _incidence(self, table: np.ndarray, rows: int) -> tuple:
-        """Per-vertex tuple of row indices of ``table`` containing it."""
+    def _incidence(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR pair (offsets, rows) of the rows of ``table`` holding each vertex."""
         flat = table.ravel()
-        order = np.argsort(flat, kind="stable")
-        row_of = order // table.shape[1]
-        counts = np.bincount(flat, minlength=self.vertex_count)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        return tuple(
-            _freeze(np.ascontiguousarray(row_of[offsets[v] : offsets[v + 1]]))
-            for v in range(self.vertex_count)
-        )
+        rows = np.argsort(flat, kind="stable") // table.shape[1]
+        offsets = np.zeros(self.vertex_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.vertex_count), out=offsets[1:])
+        return _freeze(offsets), _freeze(rows)
 
     @property
     def face_count(self) -> int:
@@ -138,12 +160,14 @@ class Mesh:
         return int(self.edges.shape[0])
 
     def vertex_faces(self, v: int) -> np.ndarray:
-        """Indices of faces incident to vertex ``v``, ascending."""
-        return self._vertex_faces[v]
+        """Indices of faces incident to vertex ``v``, ascending (read-only)."""
+        offsets, rows = self.vertex_face_csr
+        return rows[offsets[v] : offsets[v + 1]]
 
     def vertex_edges(self, v: int) -> np.ndarray:
-        """Indices of edges incident to vertex ``v``, ascending."""
-        return self._vertex_edges[v]
+        """Indices of edges incident to vertex ``v``, ascending (read-only)."""
+        offsets, rows = self.vertex_edge_csr
+        return rows[offsets[v] : offsets[v + 1]]
 
     def edge_index(self, u: int, v: int) -> int:
         """Edge id for the vertex pair (u, v), orientation-free."""
@@ -166,51 +190,65 @@ def euler_characteristic(mesh: Mesh) -> int:
     return mesh.vertex_count - mesh.edge_count + mesh.face_count
 
 
+def _fan_counts(mesh: Mesh) -> np.ndarray:
+    """Number of face fans around each vertex; 0 for an isolated vertex.
+
+    A node is a face corner. Each face side links its two corners to the
+    corners of the same vertices in one chosen face of that edge, so all
+    faces of an edge are linked, however many there are. Minimum labels
+    then spread along the links, with pointer jumping, until nothing
+    changes; every corner ends up labelled with the smallest corner of its
+    fan, and a vertex has as many fans as it has corners that are their
+    own label.
+    """
+    corner_vertex = mesh.faces.ravel()
+    ca = np.arange(corner_vertex.size, dtype=np.int32)  # side (f, j) starts at corner 3f + j
+    cb = ca.reshape(-1, 3)[:, (1, 2, 0)].ravel()  # ... and ends at 3f + (j+1) % 3
+    rep = np.empty(mesh.edge_count, dtype=np.int32)
+    rep[mesh.face_edges.ravel()] = ca  # any one side of each edge
+    r = rep[mesh.face_edges.ravel()]
+    same = corner_vertex[r] == corner_vertex
+    src = np.concatenate((ca, cb))
+    dst = np.concatenate((np.where(same, r, cb[r]), np.where(same, cb[r], r)))
+    label = ca.copy()
+    while True:
+        before = label.copy()
+        np.minimum.at(label, src, label[dst])
+        np.minimum.at(label, dst, label[src])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    return np.bincount(corner_vertex[label == ca], minlength=mesh.vertex_count)
+
+
 def validate_manifold(mesh: Mesh) -> list[Violation]:
     """Report manifoldness defects; empty list means the mesh is clean.
 
     Checks that every edge borders at most two faces and that the faces
     around every vertex form a single fan (one cycle for interior
     vertices, one open strip with exactly two boundary edges otherwise).
+    Edge defects come first, by edge id, then vertex defects by vertex.
     """
     out: list[Violation] = []
-    for e in np.flatnonzero(mesh.edge_face_count > 2):
-        u, v = (int(x) for x in mesh.edges[e])
+    counts = mesh.edge_face_count
+    for e in np.flatnonzero(counts > 2).tolist():
+        u, v = mesh.edges[e].tolist()
         out.append(
             Violation(
                 "non-manifold-edge",
-                int(e),
-                f"edge {e} ({u},{v}) borders {int(mesh.edge_face_count[e])} faces",
+                e,
+                f"edge {e} ({u},{v}) borders {int(counts[e])} faces",
             )
         )
-    face_edges = mesh.face_edges
-    for v in range(mesh.vertex_count):
-        incident = mesh.vertex_faces(v)
-        if incident.size == 0:
+    fans = _fan_counts(mesh)
+    n_open = np.bincount(
+        mesh.edges[mesh.boundary_edge].ravel(), minlength=mesh.vertex_count
+    )
+    bad = (fans != 1) | ((n_open != 0) & (n_open != 2))
+    for v in np.flatnonzero(bad).tolist():
+        if fans[v] == 0:
             out.append(Violation("isolated-vertex", v, f"vertex {v} has no faces"))
-            continue
-        # Adjacency between incident faces through the edges that touch v.
-        edge_to_faces: dict[int, list[int]] = {}
-        for f in incident:
-            for e in face_edges[f]:
-                e = int(e)
-                if v in mesh.edges[e]:
-                    edge_to_faces.setdefault(e, []).append(int(f))
-        seen: set[int] = set()
-        stack = [int(incident[0])]
-        seen.add(int(incident[0]))
-        while stack:
-            f = stack.pop()
-            for e in face_edges[f]:
-                e = int(e)
-                if e not in edge_to_faces:
-                    continue
-                for g in edge_to_faces[e]:
-                    if g not in seen:
-                        seen.add(g)
-                        stack.append(g)
-        n_open = sum(1 for fs in edge_to_faces.values() if len(fs) == 1)
-        if len(seen) != incident.size:
+        elif fans[v] > 1:
             out.append(
                 Violation(
                     "non-manifold-vertex",
@@ -218,12 +256,12 @@ def validate_manifold(mesh: Mesh) -> list[Violation]:
                     f"faces around vertex {v} split into disconnected fans",
                 )
             )
-        elif n_open not in (0, 2):
+        else:
             out.append(
                 Violation(
                     "non-manifold-vertex",
                     v,
-                    f"vertex {v} has {n_open} open fan edges (expected 0 or 2)",
+                    f"vertex {v} has {int(n_open[v])} open fan edges (expected 0 or 2)",
                 )
             )
     return out
@@ -287,7 +325,7 @@ def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
         except ValueError as exc:
             raise OFFParseError(f"line {lineno}: bad vertex line {line!r}") from exc
     pos += nv
-    faces = np.empty((nf, 3), dtype=np.int64)
+    faces = []
     for i in range(nf):
         lineno, line = lines[pos + i]
         parts = line.split()
@@ -302,16 +340,17 @@ def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
         if len(parts) < 4:
             raise OFFParseError(f"line {lineno}: face line too short {line!r}")
         try:
-            faces[i] = [int(p) for p in parts[1:4]]
+            faces.append([int(p) for p in parts[1:4]])
         except ValueError as exc:
             raise OFFParseError(f"line {lineno}: bad face indices {line!r}") from exc
     if len(lines) - pos - nf > 0:
         lineno, line = lines[pos + nf]
         raise OFFParseError(f"line {lineno}: unexpected trailing content {line!r}")
-    if (faces < 0).any() or (faces >= nv).any():
-        bad = int(np.flatnonzero(((faces < 0) | (faces >= nv)).any(axis=1))[0])
-        raise FaceIndexError(f"face {bad} references a vertex outside [0, {nv})")
-    mesh = Mesh(nv, faces)
+    # Checked on Python ints, before an index past int64 could reach an array.
+    for i, face in enumerate(faces):
+        if min(face) < 0 or max(face) >= nv:
+            raise FaceIndexError(f"face {i} references a vertex outside [0, {nv})")
+    mesh = Mesh(nv, np.array(faces, dtype=np.int64))
     too_many = np.flatnonzero(mesh.edge_face_count > 2)
     if too_many.size:
         e = int(too_many[0])

@@ -47,9 +47,9 @@ def trace_csv_text(rows: list[TraceRow]) -> str:
 
 def lengths_csv_text(mesh, metric: MetricField) -> str:
     lines = [LENGTHS_HEADER]
-    edges = mesh.edges
-    for e in range(mesh.edge_count):
-        lines.append(f"{e},{edges[e, 0]},{edges[e, 1]},{fmt(metric.lengths[e])}")
+    rows = zip(mesh.edges.tolist(), metric.lengths.tolist())
+    for e, ((v0, v1), length) in enumerate(rows):
+        lines.append(f"{e},{v0},{v1},{fmt(length)}")
     return "\n".join(lines) + "\n"
 
 
@@ -68,7 +68,7 @@ def read_lengths_csv(path, mesh) -> MetricField:
         raise ValueError(
             f"lengths file has {len(body)} rows, mesh has {mesh.edge_count} edges"
         )
-    out = np.empty(mesh.edge_count, dtype=np.float64)
+    out, ends = [], []
     for i, line in enumerate(body):
         parts = line.split(",")
         if len(parts) != 4:
@@ -80,29 +80,34 @@ def read_lengths_csv(path, mesh) -> MetricField:
             raise ValueError(f"lengths row {i}: {exc}") from None
         if e != i:
             raise ValueError(f"lengths row {i}: edge ids must be sequential, got {e}")
-        if v0 != mesh.edges[i, 0] or v1 != mesh.edges[i, 1]:
-            raise ValueError(
-                f"lengths row {i}: edge endpoints ({v0}, {v1}) do not match the mesh "
-                f"({mesh.edges[i, 0]}, {mesh.edges[i, 1]})"
-            )
-        out[i] = value
-    return MetricField(out)
+        ends.append([v0, v1])
+        out.append(value)
+    expected = mesh.edges.tolist()
+    if ends != expected:
+        i = next(i for i, pair in enumerate(ends) if pair != expected[i])
+        raise ValueError(
+            f"lengths row {i}: edge endpoints ({ends[i][0]}, {ends[i][1]}) do not match "
+            f"the mesh ({expected[i][0]}, {expected[i][1]})"
+        )
+    return MetricField(np.array(out))
 
 
 def curvature_csv_text(report: CurvatureReport) -> str:
     lines = [CURVATURE_HEADER]
-    density = report.defect_density
-    for v in range(report.defect.shape[0]):
-        lines.append(
-            f"{v},{fmt(report.defect[v])},{fmt(report.vertex_area[v])},{fmt(density[v])}"
-        )
+    rows = zip(
+        report.defect.tolist(),
+        report.vertex_area.tolist(),
+        report.defect_density.tolist(),
+    )
+    for v, (defect, area, density) in enumerate(rows):
+        lines.append(f"{v},{fmt(defect)},{fmt(area)},{fmt(density)}")
     return "\n".join(lines) + "\n"
 
 
 def distances_csv_text(field: DistanceField) -> str:
     lines = [DISTANCES_HEADER]
-    for v in range(field.distances.shape[0]):
-        lines.append(f"{v},{fmt(field.distances[v])}")
+    for v, d in enumerate(field.distances.tolist()):
+        lines.append(f"{v},{fmt(d)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -71,6 +72,62 @@ class TestGenerateValidate:
 
     def test_missing_off_file(self, tmp_path):
         assert main(["validate", "--mesh", str(tmp_path / "nope.off")]) == 1
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-99999999999999999999"])
+    def test_face_index_past_int64(self, tmp_path, capsys, index):
+        off = tmp_path / "huge.off"
+        off.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {index}\n")
+        assert main(["validate", "--mesh", str(off)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: face 0 references a vertex outside [0, 3)\n"
+
+
+# Tokens that malformed OFF files are made of: huge, negative and
+# non-integer numbers, non-numbers, and counts that disagree with the body.
+_OFF_TOKENS = [
+    "99999999999999999999", "-99999999999999999999", "9223372036854775808",
+    "-1", "0", "1", "3", "4", "12", "1e400", "-0", "nan", "inf", "0x1",
+    "1.5", "", "OFF", "#", "x", "3 0 1 2", "\t",
+]
+
+
+def _mutate_off(text, rng):
+    lines = text.splitlines()
+    kind = rng.randrange(5)
+    i = rng.randrange(len(lines))
+    if kind == 0:  # replace one token
+        parts = lines[i].split() or [""]
+        parts[rng.randrange(len(parts))] = rng.choice(_OFF_TOKENS)
+        lines[i] = " ".join(parts)
+    elif kind == 1:  # insert a token
+        parts = lines[i].split()
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(_OFF_TOKENS))
+        lines[i] = " ".join(parts)
+    elif kind == 2:
+        del lines[i]
+    elif kind == 3:
+        lines.insert(i, lines[rng.randrange(len(lines))])
+    else:  # cut the text anywhere
+        return text[: rng.randrange(len(text))]
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedOFF:
+    def test_seeded_mutations_end_in_an_error_line(self, tmp_path, capsys):
+        mesh, emb = mm.make_icosphere(0)
+        base = mm.write_off(mesh, emb)
+        rng = random.Random(20261018)
+        off = tmp_path / "m.off"
+        for case in range(300):
+            text = base
+            for _ in range(rng.randint(1, 3)):
+                text = _mutate_off(text, rng)
+            off.write_text(text)
+            code = main(["validate", "--mesh", str(off)])
+            out, err = capsys.readouterr()
+            assert code in (0, 1), (case, text)
+            if code == 1 and not out:
+                assert err.startswith("error: ") and err.count("\n") == 1, (case, text, err)
 
 
 class TestCurvatureCommand:

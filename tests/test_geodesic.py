@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import metricmesh as mm
 from metricmesh.errors import InfeasibleMetricError
+from metricmesh.geodesic import _validated
 
 from conftest import feasible_jittered, two_triangle_strip
 
@@ -162,3 +164,120 @@ class TestFastMarching:
         lengths[0] = 25.0
         with pytest.raises(InfeasibleMetricError):
             mm.fast_marching(mesh, mm.MetricField(lengths), 0)
+
+
+def numpy_scalar_fast_marching(mesh, metric, source):
+    """Reference fast marching on numpy arrays and scalars.
+
+    This is the loop ``fast_marching`` ran before it moved to Python
+    lists and floats; the distances must stay bit for bit the same.
+    """
+    _validated(mesh, metric, source)
+    dist = np.full(mesh.vertex_count, np.inf)
+    accepted = np.zeros(mesh.vertex_count, dtype=bool)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    faces = mesh.faces
+    face_edges = mesh.face_edges
+    lengths = metric.lengths
+    while heap:
+        d, u = heapq.heappop(heap)
+        if accepted[u] or d > dist[u]:
+            continue
+        accepted[u] = True
+        for fi in mesh.vertex_faces(u):
+            corners = faces[fi]
+            fl = lengths[face_edges[fi]]
+            opp = (fl[1], fl[2], fl[0])
+            pos_u = 0 if corners[0] == u else (1 if corners[1] == u else 2)
+            for pos_c in range(3):
+                c = int(corners[pos_c])
+                if pos_c == pos_u or accepted[c]:
+                    continue
+                pos_w = 3 - pos_u - pos_c
+                w = int(corners[pos_w])
+                cand = dist[u] + opp[pos_w]
+                if accepted[w]:
+                    cand = min(
+                        cand,
+                        mm.triangle_update(
+                            dist[u], dist[w], la=opp[pos_u], lb=opp[pos_w], lc=opp[pos_c]
+                        ),
+                    )
+                if cand < dist[c]:
+                    dist[c] = cand
+                    heapq.heappush(heap, (cand, c))
+    return dist
+
+
+def numpy_scalar_dijkstra(mesh, metric, source):
+    """Reference edge-graph Dijkstra on numpy arrays and scalars."""
+    _validated(mesh, metric, source)
+    v = mesh.vertex_count
+    u0, u1 = mesh.edges[:, 0], mesh.edges[:, 1]
+    heads = np.concatenate([u0, u1])
+    tails = np.concatenate([u1, u0])
+    wts = np.concatenate([metric.lengths, metric.lengths])
+    order = np.argsort(heads, kind="stable")
+    tails = tails[order]
+    wts = wts[order]
+    starts = np.searchsorted(heads[order], np.arange(v + 1))
+    dist = np.full(v, np.inf)
+    done = np.zeros(v, dtype=bool)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u] or d > dist[u]:
+            continue
+        done[u] = True
+        for k in range(starts[u], starts[u + 1]):
+            c = int(tails[k])
+            cand = d + wts[k]
+            if cand < dist[c]:
+                dist[c] = cand
+                heapq.heappush(heap, (cand, c))
+    return dist
+
+
+def _two_spheres():
+    """Two disjoint icosphere(1) components; the second is never reached."""
+    mesh, emb = mm.make_icosphere(1)
+    faces = np.vstack((mesh.faces, mesh.faces + mesh.vertex_count))
+    coords = np.vstack((emb.coords, emb.coords + 3.0))
+    return mm.Mesh(2 * mesh.vertex_count, faces), mm.Embedding(coords)
+
+
+ORACLE_MESHES = {
+    "icosphere(2)": lambda: mm.make_icosphere(2),
+    "icosphere(3)": lambda: mm.make_icosphere(3),
+    "torus(16,8,2.0,0.7)": lambda: mm.make_torus(16, 8, 2.0, 0.7),
+    "grid(20,20,1.0)": lambda: mm.make_grid(20, 20, 1.0),
+    "grid(30,7,0.5)": lambda: mm.make_grid(30, 7, 0.5),
+    "two spheres": _two_spheres,
+}
+
+
+class TestListLoopsMatchNumpyScalars:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_bitwise(self, name, jitter):
+        mesh, emb = ORACLE_MESHES[name]()
+        if jitter:
+            metric = feasible_jittered(mesh, emb, seed=len(name), amount=jitter)
+        else:
+            # uniform lengths: many exactly tied heap keys
+            metric = mm.MetricField.uniform(mesh, 1.0)
+        rng = np.random.default_rng(7)
+        sources = [0, mesh.vertex_count // 2 - 1]
+        sources += rng.choice(mesh.vertex_count // 2, 2, replace=False).tolist()
+        for source in sources:
+            fmm = mm.fast_marching(mesh, metric, source).distances
+            dij = mm.dijkstra_distances(mesh, metric, source).distances
+            assert fmm.dtype == dij.dtype == np.float64
+            np.testing.assert_array_equal(fmm, numpy_scalar_fast_marching(mesh, metric, source))
+            np.testing.assert_array_equal(dij, numpy_scalar_dijkstra(mesh, metric, source))
+            if name == "two spheres":
+                half = mesh.vertex_count // 2
+                assert np.isfinite(fmm[:half]).all() and np.isinf(fmm[half:]).all()
+                assert np.isinf(dij[half:]).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import metricmesh as mm
+from metricmesh.mesh import _KEYED_VERTEX_LIMIT, Violation, _edge_table
 from metricmesh.errors import (
     FaceIndexError,
     MeshError,
@@ -92,6 +93,190 @@ class TestMeshConstruction:
         assert seen == set(range(mesh.face_count))
 
 
+def fan_walk_violations(mesh):
+    """Reference manifold check: a Python walk over each vertex's fan.
+
+    This is the check ``validate_manifold`` ran before it worked on
+    arrays; the vectorized one must give the same list.
+    """
+    out = []
+    for e in np.flatnonzero(mesh.edge_face_count > 2):
+        u, v = (int(x) for x in mesh.edges[e])
+        out.append(
+            Violation(
+                "non-manifold-edge",
+                int(e),
+                f"edge {e} ({u},{v}) borders {int(mesh.edge_face_count[e])} faces",
+            )
+        )
+    face_edges = mesh.face_edges
+    for v in range(mesh.vertex_count):
+        incident = mesh.vertex_faces(v)
+        if incident.size == 0:
+            out.append(Violation("isolated-vertex", v, f"vertex {v} has no faces"))
+            continue
+        # Adjacency between incident faces through the edges that touch v.
+        edge_to_faces = {}
+        for f in incident:
+            for e in face_edges[f]:
+                e = int(e)
+                if v in mesh.edges[e]:
+                    edge_to_faces.setdefault(e, []).append(int(f))
+        seen = {int(incident[0])}
+        stack = [int(incident[0])]
+        while stack:
+            f = stack.pop()
+            for e in face_edges[f]:
+                for g in edge_to_faces.get(int(e), ()):
+                    if g not in seen:
+                        seen.add(g)
+                        stack.append(g)
+        n_open = sum(1 for fs in edge_to_faces.values() if len(fs) == 1)
+        if len(seen) != incident.size:
+            out.append(
+                Violation(
+                    "non-manifold-vertex",
+                    v,
+                    f"faces around vertex {v} split into disconnected fans",
+                )
+            )
+        elif n_open not in (0, 2):
+            out.append(
+                Violation(
+                    "non-manifold-vertex",
+                    v,
+                    f"vertex {v} has {n_open} open fan edges (expected 0 or 2)",
+                )
+            )
+    return out
+
+
+def unique_edge_table(faces):
+    """Reference edge table: a row-wise ``np.unique`` of the sorted face sides."""
+    sides = np.sort(faces[:, (0, 1, 1, 2, 2, 0)].reshape(-1, 2), axis=1)
+    edges, inverse = np.unique(sides, axis=0, return_inverse=True)
+    return edges, inverse.reshape(-1, 3)
+
+
+def incidence_tuples(mesh, table):
+    """Reference incidence: per-vertex arrays of the rows of ``table`` holding it."""
+    rows = table.tolist()
+    return tuple(
+        np.array([r for r, row in enumerate(rows) if v in row], dtype=np.int64)
+        for v in range(mesh.vertex_count)
+    )
+
+
+def _tetrahedron(a, b, c, d):
+    return [[a, b, c], [a, c, d], [a, d, b], [b, d, c]]
+
+
+def _icosphere_with_defects():
+    """icosphere(1) plus a third face on edge 0 and an isolated vertex."""
+    mesh, _ = mm.make_icosphere(1)
+    u, v = (int(x) for x in mesh.edges[0])
+    faces = np.vstack((mesh.faces, [[v, u, mesh.vertex_count]]))
+    return mm.Mesh(mesh.vertex_count + 2, faces)
+
+
+GENERATED = [f"icosphere({k})" for k in range(5)] + [
+    "torus(16,8,2.0,0.7)",
+    "grid(50,50,1.0)",
+]
+
+CRAFTED = {
+    "bowtie": (5, [[0, 1, 2], [0, 3, 4]]),
+    "edge with 3 faces": (5, [[0, 1, 2], [1, 0, 3], [0, 4, 1]]),
+    "edge with 4 faces": (6, [[0, 1, 2], [0, 1, 3], [1, 0, 4], [0, 1, 5]]),
+    "isolated vertex": (4, [[0, 1, 2]]),
+    "isolated inner vertex": (5, [[0, 1, 3], [1, 4, 3]]),
+    "two fans at one vertex": (7, [[0, 1, 2], [0, 2, 3], [0, 4, 5], [0, 5, 6]]),
+    "two closed fans at one vertex": (7, _tetrahedron(0, 1, 2, 3) + _tetrahedron(0, 4, 5, 6)),
+    "3 open fan edges": (5, [[0, 1, 2], [0, 2, 3], [0, 2, 4]]),
+}
+
+
+class TestValidateManifoldMatchesFanWalk:
+    @pytest.mark.parametrize("spec", GENERATED)
+    def test_generated_meshes(self, spec):
+        mesh, _ = mm.generate_mesh(spec)
+        assert mm.validate_manifold(mesh) == fan_walk_violations(mesh) == []
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_crafted_defects(self, name):
+        vertex_count, faces = CRAFTED[name]
+        mesh = mm.Mesh(vertex_count, np.array(faces))
+        expected = fan_walk_violations(mesh)
+        assert expected, "every crafted mesh has a defect"
+        assert mm.validate_manifold(mesh) == expected
+
+    def test_defects_on_a_larger_mesh(self):
+        mesh = _icosphere_with_defects()
+        expected = fan_walk_violations(mesh)
+        assert [v.kind for v in expected] == [
+            "non-manifold-edge",
+            "non-manifold-vertex",
+            "non-manifold-vertex",
+            "isolated-vertex",
+        ]
+        assert mm.validate_manifold(mesh) == expected
+
+    def test_pinned_messages(self):
+        vertex_count, faces = CRAFTED["3 open fan edges"]
+        mesh = mm.Mesh(vertex_count, np.array(faces))
+        e = mesh.edge_index(0, 2)
+        assert mm.validate_manifold(mesh) == [
+            Violation("non-manifold-edge", e, f"edge {e} (0,2) borders 3 faces"),
+            Violation("non-manifold-vertex", 0, "vertex 0 has 3 open fan edges (expected 0 or 2)"),
+            Violation("non-manifold-vertex", 2, "vertex 2 has 3 open fan edges (expected 0 or 2)"),
+        ]
+
+
+class TestIncidence:
+    MESHES = ["icosphere(2)", "torus(16,8,2.0,0.7)", "grid(7,5,1.0)"]
+
+    @pytest.mark.parametrize("spec", MESHES)
+    def test_matches_reference(self, spec):
+        mesh, _ = mm.generate_mesh(spec)
+        faces = incidence_tuples(mesh, mesh.faces)
+        edges = incidence_tuples(mesh, mesh.edges)
+        for v in range(mesh.vertex_count):
+            np.testing.assert_array_equal(mesh.vertex_faces(v), faces[v])
+            np.testing.assert_array_equal(mesh.vertex_edges(v), edges[v])
+
+    def test_read_only(self):
+        mesh = mm.Mesh(5, np.array([[0, 1, 3], [1, 4, 3]]))
+        assert mesh.vertex_faces(2).size == 0 and mesh.vertex_edges(2).size == 0
+        arrays = [mesh.vertex_faces(1), mesh.vertex_edges(1)]
+        arrays += [*mesh.vertex_face_csr, *mesh.vertex_edge_csr]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("spec", GENERATED[:4] + ["torus(16,8,2.0,0.7)", "grid(9,6,1.0)"])
+    def test_matches_unique(self, spec):
+        mesh, _ = mm.generate_mesh(spec)
+        edges, face_edges = unique_edge_table(mesh.faces)
+        np.testing.assert_array_equal(mesh.edges, edges)
+        np.testing.assert_array_equal(mesh.face_edges, face_edges)
+
+    @pytest.mark.parametrize("top", [_KEYED_VERTEX_LIMIT - 1, _KEYED_VERTEX_LIMIT, 2**62, 2**63 - 1])
+    def test_huge_vertex_ids(self, top):
+        # Near the int64 limit the key lo * n + hi would wrap; the table
+        # must still come out in lexicographic order.
+        rng = np.random.default_rng(top % 1000)
+        ids = np.concatenate(([0, 1, top], top - rng.integers(1, 2**20, size=12)))
+        faces = np.stack([np.roll(ids, k) for k in (0, 1, 3)], axis=1)
+        sides = faces[:, (0, 1, 1, 2, 2, 0)].reshape(-1, 2)
+        edges, inverse = _edge_table(sides.min(axis=1), sides.max(axis=1))
+        ref_edges, ref_inverse = unique_edge_table(faces)
+        np.testing.assert_array_equal(edges, ref_edges)
+        np.testing.assert_array_equal(inverse.reshape(-1, 3), ref_inverse)
+
+
 class TestValidateManifold:
     def test_generators_clean(self):
         for mesh, _ in (mm.make_icosphere(1), mm.make_torus(5, 4, 2.0, 0.5), mm.make_grid(4, 4, 1.0)):
@@ -160,6 +345,12 @@ class TestOFF:
             "3 0 1 2\n3 0 1 3\n3 0 1 4\n"
         )
         with pytest.raises(NonManifoldEdgeError):
+            mm.load_off(text)
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "-99999999999999999999"])
+    def test_face_index_past_int64(self, index):
+        text = f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {index}\n"
+        with pytest.raises(FaceIndexError, match="face 0 references a vertex outside"):
             mm.load_off(text)
 
     def test_save_and_read(self, tmp_path, icosphere0):

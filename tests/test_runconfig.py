@@ -156,6 +156,44 @@ class TestOutputs:
             with pytest.raises(ValueError):
                 outputs.read_lengths_csv(path, mesh)
 
+    def test_read_lengths_names_first_bad_endpoint_row(self, tmp_path, icosphere0):
+        mesh, emb = icosphere0
+        rows = outputs.lengths_csv_text(mesh, mm.MetricField.from_embedding(mesh, emb)).splitlines()
+        for i in (4, 9):
+            rows[i] = f"{i - 1},7,{10**30},1.0"
+        path = tmp_path / "lengths.csv"
+        path.write_text("\n".join(rows) + "\n")
+        u, v = mesh.edges[3].tolist()
+        message = f"lengths row 3: edge endpoints (7, {10**30}) do not match the mesh ({u}, {v})"
+        with pytest.raises(ValueError) as info:
+            outputs.read_lengths_csv(path, mesh)
+        assert str(info.value) == message
+
+    def test_csv_text_matches_numpy_scalar_rows(self, icosphere1):
+        # Reference rows index numpy arrays one scalar at a time.
+        mesh, emb = icosphere1
+        metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(np.random.default_rng(3), 0.3)
+        lengths = [outputs.LENGTHS_HEADER] + [
+            f"{e},{mesh.edges[e, 0]},{mesh.edges[e, 1]},{outputs.fmt(metric.lengths[e])}"
+            for e in range(mesh.edge_count)
+        ]
+        assert outputs.lengths_csv_text(mesh, metric) == "\n".join(lengths) + "\n"
+        report = mm.curvature_report(mesh, metric)
+        d = report.defect_density
+        curvature = [outputs.CURVATURE_HEADER] + [
+            f"{v},{outputs.fmt(report.defect[v])},{outputs.fmt(report.vertex_area[v])},"
+            f"{outputs.fmt(d[v])}"
+            for v in range(mesh.vertex_count)
+        ]
+        assert outputs.curvature_csv_text(report) == "\n".join(curvature) + "\n"
+        distances = mm.fast_marching(mesh, metric, 5).distances.copy()
+        distances[[1, 7]] = [np.inf, 1e-300]
+        field = mm.DistanceField(source=5, distances=distances)
+        expected = [outputs.DISTANCES_HEADER] + [
+            f"{v},{outputs.fmt(distances[v])}" for v in range(mesh.vertex_count)
+        ]
+        assert outputs.distances_csv_text(field) == "\n".join(expected) + "\n"
+
     def test_distances_text_handles_unreachable(self):
         field = mm.DistanceField(source=0, distances=np.array([0.0, 1.5, np.inf]))
         lines = outputs.distances_csv_text(field).splitlines()
