@@ -41,12 +41,9 @@ from .mesh import (
 from .projection import (
     Dataset,
     Embedding,
-    ProjectionResult,
     closest_point_on_face,
-    data_fidelity,
     decode,
     isometry_coupling,
-    project_dataset,
     project_dataset_arrays,
 )
 from .geometry import (
@@ -59,9 +56,7 @@ from .geometry import (
     face_areas,
     face_corner_angles,
     face_slacks,
-    interior_angles,
     max_feasibility_deficit,
-    triangle_area,
     volume_penalty,
 )
 from .autodiff import (
@@ -135,12 +130,9 @@ __all__ = [
     "write_off",
     "Dataset",
     "Embedding",
-    "ProjectionResult",
     "closest_point_on_face",
-    "data_fidelity",
     "decode",
     "isometry_coupling",
-    "project_dataset",
     "project_dataset_arrays",
     "CurvatureReport",
     "MetricField",
@@ -151,9 +143,7 @@ __all__ = [
     "face_areas",
     "face_corner_angles",
     "face_slacks",
-    "interior_angles",
     "max_feasibility_deficit",
-    "triangle_area",
     "volume_penalty",
     "GradientResult",
     "Tape",

@@ -6,8 +6,9 @@ indices, constant payload, value) to its :class:`Tape`. A frozen
 :class:`TapeProgram` can then be replayed at fresh inputs and swept
 backward for the gradient by the two interpreters in this module, which
 are the only code that reads the tape format. The optimizer does not use
-the tape; it serves as a public API and as the reference that the
-closed-form gradient in :mod:`.optimize` is tested against.
+the tape, and only the package ``__init__`` imports this module; it
+serves as a public API and as the reference that the closed-form
+gradient in :mod:`.optimize` is tested against.
 
 Derivative conventions at non-smooth points are fixed and deterministic:
 min/max ties route the adjoint to the first argument, and the arccos
@@ -178,6 +179,8 @@ class TracedScalar:
                 )
             return t._emit(OP_DIV, self.index, other.index, 0.0, self.value / other.value)
         c = float(other)
+        if c == 0.0:
+            raise TapeDomainError(f"division by zero at tape node {len(t._op)}")
         return t._emit(OP_MULC, self.index, -1, 1.0 / c, self.value / c)
 
     def __rtruediv__(self, other):
@@ -197,7 +200,11 @@ class TracedScalar:
             )
         if v == 0.0 and c < 0.0:
             raise TapeDomainError("pow of zero base with negative exponent")
-        return self.tape._emit(OP_POWC, self.index, -1, c, v**c)
+        try:
+            value = v**c
+        except OverflowError:
+            raise TapeNonFiniteError(f"pow overflowed at tape node {len(self.tape)}") from None
+        return self.tape._emit(OP_POWC, self.index, -1, c, value)
 
     def __neg__(self):
         return self.tape._emit(OP_NEG, self.index, -1, 0.0, -self.value)
@@ -441,8 +448,8 @@ def finite_difference_gradient(
 
 
 # --------------------------------------------------------------------------
-# Generic scalar math: dispatch on TracedScalar vs plain numbers so the
-# same geometric formulas serve both the numeric and the traced paths.
+# Generic scalar math: dispatch on TracedScalar vs plain numbers so one
+# formula can be evaluated on floats or recorded on a tape.
 
 
 def sqrt(x):
@@ -463,7 +470,11 @@ def log(x):
 
 def exp(x):
     if isinstance(x, TracedScalar):
-        return x.tape._emit(OP_EXP, x.index, -1, 0.0, math.exp(x.value))
+        try:
+            value = math.exp(x.value)
+        except OverflowError:
+            raise TapeNonFiniteError(f"exp overflowed at tape node {len(x.tape)}") from None
+        return x.tape._emit(OP_EXP, x.index, -1, 0.0, value)
     return math.exp(x)
 
 

@@ -7,10 +7,10 @@ the incident angle sum at interior vertices, pi minus the sum on the
 boundary, which makes the total defect a topological invariant
 (Gauss-Bonnet) regardless of the metric.
 
-The vectorized reports serve the optimizer, whose gradient differentiates
-them in closed form. The scalar functions accept plain floats or
-TracedScalars, so they can be recorded on the autodiff tape; that tape
-is the reference the closed-form gradient is tested against.
+Every quantity has one implementation, vectorized over the faces:
+:func:`face_corner_angles`, :func:`face_areas` and
+:func:`curvature_report`. The optimizer differentiates them in closed
+form; a single triangle is the one-face case.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import InfeasibleMetricError
 from .projection import Embedding
 
@@ -64,50 +63,6 @@ class MetricField:
             raise ValueError(f"jitter amount must be in [0, 1), got {amount}")
         factors = rng.uniform(1.0 - amount, 1.0 + amount, size=self.lengths.shape)
         return MetricField(self.lengths * factors)
-
-
-def _feasible_strict(la: float, lb: float, lc: float) -> bool:
-    return la + lb > lc and lb + lc > la and lc + la > lb
-
-
-def interior_angles(la, lb, lc):
-    """Cosine-rule angles (alpha, beta, gamma) opposite sides (la, lb, lc).
-
-    Accepts floats or TracedScalars. Raises InfeasibleMetricError unless
-    the triangle inequality holds strictly.
-    """
-    va, vb, vc = ad.value_of(la), ad.value_of(lb), ad.value_of(lc)
-    if not _feasible_strict(va, vb, vc):
-        raise InfeasibleMetricError(
-            f"side lengths ({va}, {vb}, {vc}) violate the strict triangle inequality"
-        )
-    a2 = la * la
-    b2 = lb * lb
-    c2 = lc * lc
-    alpha = ad.arccos((b2 + c2 - a2) / (2.0 * lb * lc))
-    beta = ad.arccos((c2 + a2 - b2) / (2.0 * lc * la))
-    gamma = ad.arccos((a2 + b2 - c2) / (2.0 * la * lb))
-    return alpha, beta, gamma
-
-
-def triangle_area(la, lb, lc):
-    """Heron's formula in Kahan's stable ordering; floats or TracedScalars."""
-    va, vb, vc = ad.value_of(la), ad.value_of(lb), ad.value_of(lc)
-    if not _feasible_strict(va, vb, vc):
-        raise InfeasibleMetricError(
-            f"side lengths ({va}, {vb}, {vc}) violate the strict triangle inequality"
-        )
-    # Sort descending by current value; the formula itself is symmetric,
-    # the ordering only controls cancellation.
-    trip = sorted(((va, la), (vb, lb), (vc, lc)), key=lambda t: -t[0])
-    a, b, c = trip[0][1], trip[1][1], trip[2][1]
-    return 0.25 * ad.sqrt(
-        (a + (b + c)) * (c - (a - b)) * ((c + (a - b)) * (a + (b - c)))
-    )
-
-
-# --------------------------------------------------------------------------
-# Vectorized reports
 
 
 def _face_lengths(mesh, metric: MetricField) -> np.ndarray:

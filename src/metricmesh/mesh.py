@@ -314,16 +314,16 @@ def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
         raise OFFParseError(
             f"expected {nv} vertex and {nf} face lines, found {len(lines) - pos}"
         )
-    coords = np.empty((nv, 3), dtype=np.float64)
-    for i in range(nv):
-        lineno, line = lines[pos + i]
+    rows = []
+    for lineno, line in lines[pos : pos + nv]:
         parts = line.split()
         if len(parts) != 3:
             raise OFFParseError(f"line {lineno}: vertex line must hold 3 coordinates")
         try:
-            coords[i] = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise OFFParseError(f"line {lineno}: bad vertex line {line!r}") from exc
+    coords = np.array(rows, dtype=np.float64)
     pos += nv
     faces = []
     for i in range(nf):

@@ -150,8 +150,8 @@ def _gradient(
     "Conformal equivalence of triangle meshes", 2008).
 
     Terms with zero weight are skipped, not multiplied by zero: with
-    lambda = mu_iso = 0 the length gradient is exactly zero. The
-    subgradient of |defect| at 0 is +1, as in :func:`autodiff.absolute`.
+    lambda = mu_iso = 0 the length gradient is exactly zero. At a zero
+    defect the subgradient of |defect| is taken to be +1.
     """
     if config.mu_volume > 0.0 and config.v_target is None:
         raise ValueError("mu_volume > 0 requires v_target")
@@ -322,8 +322,8 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.grad_tol < 0.0 or self.loss_tol < 0.0:
-            raise ValueError("tolerances must be >= 0")
+        if not (self.grad_tol >= 0.0 and self.loss_tol >= 0.0):
+            raise ValueError("tolerances must be >= 0 and not NaN")
 
 
 @dataclass(frozen=True)
@@ -489,7 +489,11 @@ def run_optimization(
                 cand_emb = embedding
             cand_proj = proj
             if dataset is not None and coords_free:
-                cand_proj = project_dataset_arrays(dataset.points, cand_emb, mesh)
+                try:
+                    cand_proj = project_dataset_arrays(dataset.points, cand_emb, mesh)
+                except ValueError:  # a squared distance overflows
+                    eta *= 0.5
+                    continue
             try:
                 cand_losses = total_loss(
                     mesh, cand_metric, cand_emb, dataset, config, projections=cand_proj

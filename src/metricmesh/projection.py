@@ -6,16 +6,18 @@ coordinates. Projecting a data point back onto the embedded surface is
 an exact closest-point computation per face (a two-variable quadratic
 over the barycentric simplex, solved in closed form by region
 decomposition) minimized over the faces; ties go to the lowest face
-index. The batch projection, :func:`project_points`, evaluates only the
-faces that a nearest-vertex bound cannot rule out, so its result is the
-same, bit for bit, as a scan over all faces.
+index.
+
+One array kernel computes the closest point on a triangle.
+:func:`project_points` runs it only on the faces that a nearest-vertex
+bound cannot rule out, so its result is the same, bit for bit, as a scan
+over all faces; :func:`closest_point_on_face` is its one-face case.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,106 +108,42 @@ class Dataset:
         return cls(data)
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Closest point on the embedded surface for one data point."""
-
-    point_id: int
-    face: int
-    barycentric: tuple[float, float, float]
-    sq_distance: float
-
-
 # --------------------------------------------------------------------------
-# Closest point on a triangle, single and batched over (point, face) pairs.
+# Closest point on a triangle, batched over (point, face) pairs.
 #
-# Classic region decomposition on the barycentric-coordinate plane. Works
-# in any ambient dimension since only dot products of edge vectors enter.
-# Degenerate (collinear) triangles fall back to the best edge projection.
+# Region decomposition on the barycentric-coordinate plane (Ericson,
+# Real-Time Collision Detection, 2005, 5.1.5). Works in any ambient
+# dimension since only dot products of edge vectors enter. Degenerate
+# (collinear) triangles fall back to the best edge projection.
 
 
-def _closest_point_single(p, a, b, c):
-    """Barycentric coordinates of the point on triangle abc closest to p."""
-    n = p.shape[0]
-    d1 = 0.0
-    d2 = 0.0
-    d3 = 0.0
-    d4 = 0.0
-    d5 = 0.0
-    d6 = 0.0
-    for k in range(n):
-        ab = b[k] - a[k]
-        ac = c[k] - a[k]
-        ap = p[k] - a[k]
-        bp = p[k] - b[k]
-        cp = p[k] - c[k]
-        d1 += ab * ap
-        d2 += ac * ap
-        d3 += ab * bp
-        d4 += ac * bp
-        d5 += ab * cp
-        d6 += ac * cp
-    if d1 <= 0.0 and d2 <= 0.0:
-        return 1.0, 0.0, 0.0
-    if d3 >= 0.0 and d4 <= d3:
-        return 0.0, 1.0, 0.0
-    vc = d1 * d4 - d3 * d2
-    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
-        v = d1 / (d1 - d3)
-        return 1.0 - v, v, 0.0
-    if d6 >= 0.0 and d5 <= d6:
-        return 0.0, 0.0, 1.0
-    vb = d5 * d2 - d1 * d6
-    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
-        w = d2 / (d2 - d6)
-        return 1.0 - w, 0.0, w
-    va = d3 * d6 - d4 * d5
-    if va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0:
-        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
-        return 0.0, 1.0 - w, w
-    denom = va + vb + vc
-    if denom > 0.0 and math.isfinite(denom):
-        v = vb / denom
-        w = vc / denom
-        return 1.0 - v - w, v, w
-    # Degenerate triangle: best of the three edge projections.
-    best_sq = math.inf
-    b0 = 1.0
-    b1 = 0.0
-    b2 = 0.0
-    for e in range(3):
-        if e == 0:
-            u0, u1 = a, b
-        elif e == 1:
-            u0, u1 = b, c
-        else:
-            u0, u1 = c, a
-        dd = 0.0
-        dn = 0.0
-        for k in range(n):
-            ev = u1[k] - u0[k]
-            dd += ev * ev
-            dn += ev * (p[k] - u0[k])
-        t = 0.0
-        if dd > 0.0:
-            t = dn / dd
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-        sq = 0.0
-        for k in range(n):
-            q = u0[k] + t * (u1[k] - u0[k])
-            r = p[k] - q
-            sq += r * r
-        if sq < best_sq:
-            best_sq = sq
-            if e == 0:
-                b0, b1, b2 = 1.0 - t, t, 0.0
-            elif e == 1:
-                b0, b1, b2 = 0.0, 1.0 - t, t
-            else:
-                b0, b1, b2 = t, 0.0, 1.0 - t
+def _best_edge_points(p, a, b, c):
+    """Barycentrics of the best of the clamped projections onto ab, bc, ca.
+
+    The fallback for rows whose interior denominator is zero or not
+    finite. Sums run coordinate by coordinate and the first minimum wins
+    in edge order ab, bc, ca; a row whose three distances are all NaN or
+    infinite keeps vertex a.
+    """
+    m = len(p)
+    best = np.full(m, np.inf)
+    b0, b1, b2 = np.ones(m), np.zeros(m), np.zeros(m)
+    for e, (u0, u1) in enumerate(((a, b), (b, c), (c, a))):
+        ev = u1 - u0
+        dd = dn = sq = 0.0
+        for k in range(p.shape[1]):
+            dd = dd + ev[:, k] * ev[:, k]
+            dn = dn + ev[:, k] * (p[:, k] - u0[:, k])
+        t = np.divide(dn, dd, out=np.zeros(m), where=dd > 0.0)
+        t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+        for k in range(p.shape[1]):
+            r = p[:, k] - (u0[:, k] + t * ev[:, k])
+            sq = sq + r * r
+        take = sq < best
+        best = np.where(take, sq, best)
+        # (b0, b1, b2) of the point u0 + t (u1 - u0) on edge e
+        on_edge = [(1.0 - t, t, 0.0), (0.0, 1.0 - t, t), (t, 0.0, 1.0 - t)][e]
+        b0, b1, b2 = (np.where(take, new, old) for new, old in zip(on_edge, (b0, b1, b2)))
     return b0, b1, b2
 
 
@@ -213,9 +151,9 @@ def _closest_points(p, a, b, c):
     """Closest point on triangle (a_i, b_i, c_i) to p_i for every row i.
 
     Takes (M, n) arrays and returns (barycentric (M, 3), squared distance
-    (M,)). Mirrors the branch order of ``_closest_point_single`` through a
-    first-true-wins select, and hands interior rows with a degenerate
-    denominator to it.
+    (M,)). The six vertex and edge regions are tested in a fixed order and
+    the first that holds wins; interior rows whose denominator is zero or
+    not finite take the best edge projection instead.
     """
     ab = b - a
     ac = c - a
@@ -254,8 +192,9 @@ def _closest_points(p, a, b, c):
     b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
     interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
     bad = interior & ~((denom > 0.0) & np.isfinite(denom))
-    for i in np.flatnonzero(bad):
-        b0[i], b1[i], b2[i] = _closest_point_single(p[i], a[i], b[i], c[i])
+    if bad.any():
+        i = np.flatnonzero(bad)
+        b0[i], b1[i], b2[i] = _best_edge_points(p[i], a[i], b[i], c[i])
     r = p - (b0[:, None] * a + b1[:, None] * b + b2[:, None] * c)
     return np.stack((b0, b1, b2), axis=1), np.einsum("ik,ik->i", r, r)
 
@@ -283,6 +222,8 @@ _BLOCK_PAIRS = 1 << 14
 _PRUNE_SLACK = 1e-6
 
 
+# Overflow shows up as a non-finite squared distance, which is reported.
+@np.errstate(over="ignore", invalid="ignore")
 def project_points(points, coords, faces):
     """Closest point on the triangle mesh ``coords[faces]`` for every point.
 
@@ -301,7 +242,12 @@ def project_points(points, coords, faces):
     coordinates do. Points and coordinates are therefore scaled by the
     power of two that brings the mesh to unit magnitude, which is exact,
     and the squared distances are scaled back.
+
+    Raises ValueError unless every point and coordinate is finite, and
+    when a squared distance is too large for a float.
     """
+    if not (np.isfinite(points).all() and np.isfinite(coords).all()):
+        raise ValueError("points and mesh coordinates must be finite")
     _, k = np.frexp(np.abs(coords).max(initial=0.0))
     points = np.ldexp(points, -k)
     coords = np.ldexp(coords, -k)
@@ -329,7 +275,11 @@ def project_points(points, coords, faces):
         out_face[rows] = fi[best]
         out_bary[rows] = bary[best]
         out_sq[rows] = sq[best]
-    return out_face, out_bary, np.ldexp(out_sq, 2 * k)
+    out_sq = np.ldexp(out_sq, 2 * k)
+    bad = np.flatnonzero(~np.isfinite(out_sq))
+    if bad.size:
+        raise ValueError(f"the squared distance of point {int(bad[0])} to the mesh overflows")
+    return out_face, out_bary, out_sq
 
 
 def decode(mesh, embedding: Embedding, face: int, barycentric) -> np.ndarray:
@@ -352,6 +302,9 @@ def decode(mesh, embedding: Embedding, face: int, barycentric) -> np.ndarray:
 def closest_point_on_face(point, triangle) -> tuple[np.ndarray, float]:
     """Exact closest point on one triangle, any ambient dimension.
 
+    The one-face case of :func:`project_points`, so it gets the same
+    power-of-two rescale and the same degenerate-triangle fallback.
+
     Args:
         point: (n,) query.
         triangle: (3, n) vertex coordinates.
@@ -360,12 +313,14 @@ def closest_point_on_face(point, triangle) -> tuple[np.ndarray, float]:
         (barycentric (3,), squared distance). Degenerate triangles fall
         back to the best edge or vertex projection.
     """
-    p = np.ascontiguousarray(point, dtype=np.float64)
-    tri = np.ascontiguousarray(triangle, dtype=np.float64)
-    b0, b1, b2 = _closest_point_single(p, tri[0], tri[1], tri[2])
-    q = b0 * tri[0] + b1 * tri[1] + b2 * tri[2]
-    r = p - q
-    return np.array([b0, b1, b2]), float(r @ r)
+    p = np.asarray(point, dtype=np.float64)
+    tri = np.asarray(triangle, dtype=np.float64)
+    if p.ndim != 1 or tri.shape != (3, p.shape[0]):
+        raise ValueError(
+            f"expected a point (n,) and a triangle (3, n), got {p.shape} and {tri.shape}"
+        )
+    _, bary, sq = project_points(p[None], tri, np.array([[0, 1, 2]]))
+    return bary[0], float(sq[0])
 
 
 def project_dataset_arrays(
@@ -374,39 +329,18 @@ def project_dataset_arrays(
     """Closest point on the embedded mesh for every point, as arrays.
 
     Returns (face index, barycentric, squared distance) arrays. Ties in
-    squared distance keep the lowest face index.
+    squared distance keep the lowest face index. Raises DatasetError for a
+    non-finite point or a dimension mismatch, and ValueError when a
+    squared distance overflows.
     """
     pts = np.ascontiguousarray(dataset_points, dtype=np.float64)
+    if not np.isfinite(pts).all():
+        raise DatasetError("dataset contains non-finite values")
     if pts.shape[1] != embedding.ambient_dim:
         raise DatasetError(
             f"dataset dimension {pts.shape[1]} != embedding dimension {embedding.ambient_dim}"
         )
     return project_points(pts, embedding.coords, mesh.faces)
-
-
-def project_dataset(dataset: Dataset, embedding: Embedding, mesh) -> list[ProjectionResult]:
-    """Closest point on the embedded mesh for every dataset point."""
-    faces, bary, sq = project_dataset_arrays(dataset.points, embedding, mesh)
-    return [
-        ProjectionResult(
-            point_id=i,
-            face=int(faces[i]),
-            barycentric=(float(bary[i, 0]), float(bary[i, 1]), float(bary[i, 2])),
-            sq_distance=float(sq[i]),
-        )
-        for i in range(dataset.size)
-    ]
-
-
-def data_fidelity(projections) -> float:
-    """Sum of squared point-to-surface distances.
-
-    Accepts a list of :class:`ProjectionResult` or a raw squared-distance
-    array. Empty input gives 0.
-    """
-    if isinstance(projections, np.ndarray):
-        return float(np.sum(projections))
-    return float(sum(p.sq_distance for p in projections))
 
 
 def isometry_coupling(mesh, metric, embedding: Embedding) -> float:

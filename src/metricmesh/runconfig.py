@@ -1,11 +1,11 @@
 """Run configuration files: flat key=value text, one setting per line.
 
 Blank lines are skipped and ``#`` starts a comment anywhere on a line.
-Unknown keys, duplicate keys, and out-of-range values are rejected with
-the offending line number. ``auto`` placeholders defer quantities that
-depend on the mesh and metric to run time: the feasibility margin and
-length floor scale with the mean edge length, and the volume target
-becomes the initial total area.
+Unknown keys, duplicate keys, non-finite numbers and out-of-range values
+are rejected with the offending line number. ``auto`` placeholders defer
+quantities that depend on the mesh and metric to run time: the
+feasibility margin and length floor scale with the mean edge length, and
+the volume target becomes the initial total area.
 
 Example::
 
@@ -19,6 +19,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -92,6 +93,8 @@ def _check_range(key: str, value, line: int) -> None:
     def fail(requirement: str):
         raise ConfigError(f"key '{key}' must be {requirement}, got {value}", line=line)
 
+    if isinstance(value, float) and not math.isfinite(value):
+        fail("finite")
     if key in ("lambda", "mu_dirichlet", "mu_volume", "mu_iso", "grad_tol", "loss_tol"):
         if value < 0.0:
             fail(">= 0")
@@ -104,7 +107,7 @@ def _check_range(key: str, value, line: int) -> None:
     elif key == "eta_init":
         if value <= 0.0:
             fail("positive")
-    elif key == "max_iters":
+    elif key in ("max_iters", "seed"):
         if value < 0:
             fail(">= 0")
     elif key == "jitter":

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import metricmesh as mm
 from metricmesh import autodiff as ad
 from metricmesh.autodiff import (
     Tape,
@@ -14,6 +13,7 @@ from metricmesh.autodiff import (
 from metricmesh.errors import TapeDomainError, TapeNonFiniteError
 
 from conftest import feasible_jittered
+from traced_geometry import interior_angles, triangle_area
 
 
 def grad_check(program, inputs, rel=1e-5, abs_tol=1e-8):
@@ -32,8 +32,8 @@ def record_curvature_energy(mesh, lengths):
     energy = tape.const(0.0)
     for e_ij, e_jk, e_ki in mesh.face_edges:
         l_ij, l_jk, l_ki = traced[e_ij], traced[e_jk], traced[e_ki]
-        alpha, beta, gamma = mm.interior_angles(l_jk, l_ki, l_ij)
-        area = mm.triangle_area(l_ij, l_jk, l_ki)
+        alpha, beta, gamma = interior_angles(l_jk, l_ki, l_ij)
+        area = triangle_area(l_ij, l_jk, l_ki)
         energy = energy + (alpha * alpha + beta * beta + gamma * gamma) / area
     return tape.program(energy)
 
@@ -230,6 +230,21 @@ class TestDomainAndFiniteness:
         x = tape.input(1e308)
         with pytest.raises(TapeNonFiniteError):
             x + x
+
+    def test_record_division_by_constant_zero(self):
+        tape = Tape()
+        with pytest.raises(TapeDomainError, match="division by zero"):
+            tape.input(1.0) / 0.0
+
+    def test_record_pow_overflow(self):
+        tape = Tape()
+        with pytest.raises(TapeNonFiniteError, match="pow overflowed"):
+            tape.input(1e200) ** 2.0
+
+    def test_record_exp_overflow(self):
+        tape = Tape()
+        with pytest.raises(TapeNonFiniteError, match="exp overflowed"):
+            ad.exp(tape.input(1000.0))
 
     def test_replay_overflow(self):
         tape = Tape()

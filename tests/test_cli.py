@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import metricmesh as mm
 from metricmesh import outputs
 from metricmesh.cli import main
+from metricmesh.runconfig import read_config
 
 
 def write_dataset(path, n=20, seed=4, radius=1.2):
@@ -128,6 +130,110 @@ class TestMalformedOFF:
             assert code in (0, 1), (case, text)
             if code == 1 and not out:
                 assert err.startswith("error: ") and err.count("\n") == 1, (case, text, err)
+
+
+# Values that malformed configs, datasets and lengths files are made of:
+# non-finite, overflowing, subnormal and huge numbers, non-numbers, key
+# names and separators.
+_FIELD_TOKENS = [
+    "nan", "inf", "-inf", "1e309", "-1e309", "1e308", "1e-320", "-1", "0", "-0",
+    "0.5", "2", "99999999999999999999", "auto", "x", "", ",", "=", "#", "true",
+    "seed", "lambda",
+]
+
+
+def _mutate_fields(text, rng, sep, keep=0):
+    """One random edit of ``text``, a file of ``sep``-separated fields.
+
+    The last ``keep`` lines are left alone.
+    """
+    lines = text.splitlines()
+    head, tail = lines[: len(lines) - keep], lines[len(lines) - keep :]
+    if not head:
+        return "\n".join([rng.choice(_FIELD_TOKENS)] + tail) + "\n"
+    kind = rng.choice((0, 0, 0, 0, 1, 2, 3, 4))  # mostly bad values in valid lines
+    i = rng.randrange(len(head))
+    if kind == 0:  # replace one field, often the last: a config value or a length
+        parts = head[i].split(sep)
+        j = rng.choice((-1, rng.randrange(len(parts))))
+        parts[j] = rng.choice(_FIELD_TOKENS)
+        head[i] = sep.join(parts)
+    elif kind == 1:  # insert a field
+        parts = head[i].split(sep)
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(_FIELD_TOKENS))
+        head[i] = sep.join(parts)
+    elif kind == 2:
+        del head[i]
+    elif kind == 3:
+        head.insert(i, head[rng.randrange(len(head))])
+    else:  # cut the head anywhere
+        joined = "\n".join(head)
+        head = joined[: rng.randrange(len(joined))].splitlines()
+    return "\n".join(head + tail) + "\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
+
+
+def _run_mutations(rng, cases, base, sep, path, argv, capsys, keep=0):
+    """Write ``cases`` mutations of ``base`` to ``path`` and run ``argv``.
+
+    Every run must end in exit 0, 1 or 2, a failure in one ``error:`` or
+    ``config error:`` line, and an optimize run in a strict-JSON manifest.
+    """
+    for case in range(cases):
+        text = base
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate_fields(text, rng, sep, keep)
+        path.write_text(text)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (case, text)
+        if code:
+            assert err.startswith(("error: ", "config error: ")), (case, text, err)
+            assert err.count("\n") == 1, (case, text, err)
+        elif argv[0] == "optimize":
+            outdir = Path(read_config(argv[2]).outdir)
+            json.loads((outdir / "manifest.json").read_text(), parse_constant=_reject_constant)
+
+
+class TestMalformedInputs:
+    # Each run optimizes icosphere(0) for at most two iterations: the config
+    # keeps its last line, max_iters = 2, out of reach of the mutations.
+    CONFIG = (
+        "mesh = icosphere(0)\ndataset = pts.csv\nlambda = 1e-3\np = 1.5\n"
+        "mu_iso = 1e-2\nmu_volume = 0.5\nmu_dirichlet = 0.1\nv_target = auto\n"
+        "feas_margin = auto\nmin_length = 1e-9\neta_init = 0.05\njitter = 0.1\n"
+        "seed = 3\ngrad_tol = 1e-12\nloss_tol = 0\nfreeze_embedding = no\n"
+        "outdir = out\nmax_iters = 2\n"
+    )
+
+    def test_config_mutations(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_dataset(tmp_path / "pts.csv", n=12)
+        cfg = tmp_path / "run.cfg"
+        _run_mutations(random.Random(20261019), 80, self.CONFIG, "=", cfg,
+                       ["optimize", "--config", str(cfg)], capsys, keep=1)
+
+    def test_dataset_mutations(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        base = write_dataset(tmp_path / "pts.csv", n=12).read_text()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIG)
+        _run_mutations(random.Random(20261020), 80, base, ",", tmp_path / "pts.csv",
+                       ["optimize", "--config", str(cfg)], capsys)
+
+    @pytest.mark.parametrize("command", ["curvature", "geodesic"])
+    def test_lengths_mutations(self, tmp_path, capsys, command):
+        mesh, emb = mm.make_icosphere(0)
+        base = outputs.lengths_csv_text(mesh, mm.MetricField.from_embedding(mesh, emb))
+        lengths = tmp_path / "lengths.csv"
+        argv = [command, "--mesh", "icosphere(0)", "--lengths", str(lengths),
+                "--outdir", str(tmp_path / "out")]
+        if command == "geodesic":
+            argv += ["--source", "0"]
+        _run_mutations(random.Random(20261021), 100, base, ",", lengths, argv, capsys)
 
 
 class TestCurvatureCommand:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricmesh as mm
-from metricmesh.autodiff import value_of
 from metricmesh.errors import InfeasibleMetricError
 
 from conftest import feasible_jittered
+from traced_geometry import interior_angles, triangle_area
 
 # Frozen reference values, derived independently (50-digit arithmetic for the
 # angle, closed forms for the rest) before the implementations were written.
@@ -43,31 +43,55 @@ def reference_area(a, b, c):
     return 0.5 * b * c * sin_a
 
 
+# One triangle as a mesh. Its edges, in lexicographic order, are (0,1),
+# (0,2), (1,2); the corner at vertex i is opposite the edge without i.
+ONE_FACE = mm.Mesh(3, np.array([[0, 1, 2]], dtype=np.int64))
+
+
+def one_face_metric(la, lb, lc):
+    """Metric whose corners 0, 1, 2 are opposite sides la, lb, lc."""
+    return mm.MetricField(np.array([lc, lb, la]))
+
+
+def angles(la, lb, lc):
+    """(alpha, beta, gamma) opposite (la, lb, lc) from ``face_corner_angles``."""
+    return [float(x) for x in mm.face_corner_angles(ONE_FACE, one_face_metric(la, lb, lc))[0]]
+
+
+def area(la, lb, lc):
+    return float(mm.face_areas(ONE_FACE, one_face_metric(la, lb, lc))[0])
+
+
 class TestAnglesAndAreas:
     def test_near_degenerate_angle(self):
-        alpha, beta, gamma = (value_of(x) for x in mm.interior_angles(3.998, 2.0, 2.0))
+        alpha, beta, gamma = angles(3.998, 2.0, 2.0)
         assert alpha == pytest.approx(ANGLE_OPP_3998, abs=1e-13)
         assert beta == gamma
         assert alpha + beta + gamma == pytest.approx(math.pi, abs=1e-12)
 
     def test_near_degenerate_area(self):
-        assert mm.triangle_area(2.0, 2.0, 3.998) == pytest.approx(AREA_2_2_3998, rel=1e-13)
+        assert area(2.0, 2.0, 3.998) == pytest.approx(AREA_2_2_3998, rel=1e-13)
 
     def test_equilateral(self):
-        assert mm.triangle_area(1.0, 1.0, 1.0) == pytest.approx(AREA_UNIT_EQUILATERAL, abs=1e-15)
-        angles = [value_of(x) for x in mm.interior_angles(1.0, 1.0, 1.0)]
-        for a in angles:
+        assert area(1.0, 1.0, 1.0) == pytest.approx(AREA_UNIT_EQUILATERAL, abs=1e-15)
+        for a in angles(1.0, 1.0, 1.0):
             assert a == pytest.approx(math.pi / 3, abs=1e-15)
 
     def test_right_triangle(self):
-        alpha, beta, gamma = (value_of(x) for x in mm.interior_angles(5.0, 3.0, 4.0))
+        alpha, beta, gamma = angles(5.0, 3.0, 4.0)
         assert alpha == pytest.approx(math.pi / 2, abs=1e-15)
-        assert mm.triangle_area(3.0, 4.0, 5.0) == pytest.approx(6.0, rel=1e-15)
+        assert area(3.0, 4.0, 5.0) == pytest.approx(6.0, rel=1e-15)
+        # every corner is on the boundary, so its defect is pi minus its angle
+        report = mm.curvature_report(ONE_FACE, one_face_metric(5.0, 3.0, 4.0))
+        np.testing.assert_allclose(report.defect, [math.pi / 2, math.pi - beta, math.pi - gamma],
+                                   rtol=0, atol=1e-15)
+        assert report.total_volume == pytest.approx(6.0, rel=1e-15)
+        np.testing.assert_allclose(report.vertex_area, 2.0, rtol=1e-15)
 
     def test_infeasible_rejected(self):
         for sides in ((1.0, 1.0, 2.5), (1.0, 1.0, 2.0), (0.3, 1.0, 0.5)):
             with pytest.raises(InfeasibleMetricError):
-                mm.interior_angles(*sides)
+                mm.curvature_report(ONE_FACE, one_face_metric(*sides))
 
     def test_area_permutation_invariant(self):
         rng = np.random.default_rng(7)
@@ -75,28 +99,28 @@ class TestAnglesAndAreas:
             a, b, c = rng.uniform(0.5, 2.0, size=3)
             if min(a + b - c, b + c - a, c + a - b) <= 1e-6:
                 continue
-            base = mm.triangle_area(a, b, c)
+            base = area(a, b, c)
             for perm in ((b, c, a), (c, a, b), (a, c, b), (b, a, c), (c, b, a)):
-                assert mm.triangle_area(*perm) == base  # sorting makes it exact
+                assert area(*perm) == base  # sorting makes it exact
 
     @given(feasible_triples())
     @settings(max_examples=200, deadline=None)
     def test_angle_sum_property(self, sides):
-        angles = [value_of(x) for x in mm.interior_angles(*sides)]
-        assert all(0.0 < a < math.pi for a in angles)
-        assert sum(angles) == pytest.approx(math.pi, rel=1e-10)
+        got = angles(*sides)
+        assert all(0.0 < a < math.pi for a in got)
+        assert sum(got) == pytest.approx(math.pi, rel=1e-10)
 
     @given(feasible_triples())
     @settings(max_examples=200, deadline=None)
     def test_area_against_reference(self, sides):
         a, b, c = sides
-        assert mm.triangle_area(a, b, c) == pytest.approx(reference_area(a, b, c), rel=1e-9)
+        assert area(a, b, c) == pytest.approx(reference_area(a, b, c), rel=1e-9)
 
     @given(feasible_triples())
     @settings(max_examples=100, deadline=None)
     def test_law_of_sines(self, sides):
         a, b, c = sides
-        alpha, beta, gamma = (value_of(x) for x in mm.interior_angles(a, b, c))
+        alpha, beta, gamma = angles(a, b, c)
         r = a / math.sin(alpha)
         assert b / math.sin(beta) == pytest.approx(r, rel=1e-9)
         assert c / math.sin(gamma) == pytest.approx(r, rel=1e-9)
@@ -108,14 +132,14 @@ class TestVectorizedAgreement:
         metric = feasible_jittered(mesh, emb, seed=3, amount=0.15)
         fl = np.asarray([[metric.lengths[e] for e in mesh.face_edges[f]]
                          for f in range(mesh.face_count)])
-        angles = mm.face_corner_angles(mesh, metric)
+        corner = mm.face_corner_angles(mesh, metric)
         areas = mm.face_areas(mesh, metric)
         for f in range(mesh.face_count):
             l_ij, l_jk, l_ki = fl[f]
             # corner j holds the angle at vertex faces[f, j]
-            expected = [value_of(x) for x in mm.interior_angles(l_jk, l_ki, l_ij)]
-            np.testing.assert_allclose(angles[f], expected, rtol=0, atol=1e-13)
-            assert areas[f] == pytest.approx(mm.triangle_area(l_ij, l_jk, l_ki), rel=1e-13)
+            expected = interior_angles(l_jk, l_ki, l_ij)
+            np.testing.assert_allclose(corner[f], expected, rtol=0, atol=1e-13)
+            assert areas[f] == pytest.approx(triangle_area(l_ij, l_jk, l_ki), rel=1e-13)
 
     def test_infeasible_face_named(self, icosphere0):
         mesh, emb = icosphere0

@@ -21,6 +21,7 @@ from metricmesh.optimize import (
 )
 
 from conftest import feasible_jittered
+from traced_geometry import interior_angles, triangle_area
 
 
 def sphere_dataset(n=12, seed=0, radius=1.1):
@@ -67,6 +68,11 @@ class TestLossConfig:
             StopRule(grad_tol=-1e-9)
         with pytest.raises(ValueError):
             StopRule(loss_tol=-1.0)
+        # NaN would silently switch off its stop test
+        with pytest.raises(ValueError):
+            StopRule(grad_tol=math.nan)
+        with pytest.raises(ValueError):
+            StopRule(loss_tol=math.nan)
 
 
 class TestTotalLoss:
@@ -215,9 +221,10 @@ class TestGradients:
 def tape_gradient(mesh, metric, emb, ds, cfg, freeze):
     """Gradient of the objective recorded term by term on the scalar tape.
 
-    The independent oracle for the closed form: scalar ``interior_angles``
-    and ``triangle_area`` per face, barycentric coordinates frozen at the
-    current projection, coordinates traced only for a free embedding.
+    The independent oracle for the closed form: the scalar
+    ``interior_angles`` and ``triangle_area`` of ``traced_geometry`` per
+    face, barycentric coordinates frozen at the current projection,
+    coordinates traced only for a free embedding.
     """
     faces, nd, ne, nv = mesh.faces, emb.ambient_dim, mesh.edge_count, mesh.vertex_count
     pf, bary, _ = mm.project_dataset_arrays(ds.points, emb, mesh)
@@ -239,8 +246,8 @@ def tape_gradient(mesh, metric, emb, ds, cfg, freeze):
         vertex_area = [0.0] * nv
         for f in range(mesh.face_count):
             l_ij, l_jk, l_ki = (ln[e] for e in mesh.face_edges[f])
-            area = mm.triangle_area(l_jk, l_ki, l_ij)
-            for c, angle in enumerate(mm.interior_angles(l_jk, l_ki, l_ij)):
+            area = triangle_area(l_jk, l_ki, l_ij)
+            for c, angle in enumerate(interior_angles(l_jk, l_ki, l_ij)):
                 angle_sum[faces[f, c]] = angle_sum[faces[f, c]] + angle
                 vertex_area[faces[f, c]] = vertex_area[faces[f, c]] + area / 3.0
             vol = vol + area
@@ -519,6 +526,29 @@ class TestRunOptimization:
                 stop=StopRule(max_iters=3), on_iteration=seen.append,
             )
         assert seen == []
+
+    def test_overflowing_candidate_projection_is_rejected(self, icosphere1, monkeypatch):
+        # a candidate embedding whose squared distances overflow is one more
+        # rejected step, not the end of the run
+        mesh, emb = icosphere1
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        ds = sphere_dataset()
+        first = mm.project_dataset_arrays(ds.points, emb, mesh)
+        calls = []
+
+        def project(points, embedding, mesh_):
+            calls.append(embedding)
+            if len(calls) > 1:
+                raise ValueError("the squared distance of point 0 to the mesh overflows")
+            return first
+
+        monkeypatch.setattr(optimize, "project_dataset_arrays", project)
+        res = run_optimization(
+            mesh, metric, emb, ds, LossConfig(lambda_=1e-3, mu_iso=1e-2),
+            stop=StopRule(max_iters=3, grad_tol=1e-12),
+        )
+        assert res.stop_reason == "stalled" and res.iterations == 0
+        assert len(calls) > 2
 
     def test_descent_trace_shape(self, icosphere1):
         mesh, emb, metric, cfg = self.geometry_setup(icosphere1)

@@ -1,4 +1,5 @@
 import io
+import math
 import zlib
 
 import numpy as np
@@ -25,63 +26,106 @@ def brute_force_sq(point, embedding, mesh, samples=60):
     return best
 
 
+def best_edge_point_single(p, a, b, c):
+    """Scalar reference for the kernel's degenerate-triangle fallback.
+
+    Barycentrics of the best of the clamped projections of p onto ab, bc,
+    ca, one coordinate at a time; the first minimum wins.
+    """
+    n = p.shape[0]
+    best_sq = math.inf
+    out = (1.0, 0.0, 0.0)
+    for e, (u0, u1) in enumerate(((a, b), (b, c), (c, a))):
+        dd = 0.0
+        dn = 0.0
+        for k in range(n):
+            ev = u1[k] - u0[k]
+            dd += ev * ev
+            dn += ev * (p[k] - u0[k])
+        t = 0.0
+        if dd > 0.0:
+            t = dn / dd
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+        sq = 0.0
+        for k in range(n):
+            r = p[k] - (u0[k] + t * (u1[k] - u0[k]))
+            sq += r * r
+        if sq < best_sq:
+            best_sq = sq
+            out = [(1.0 - t, t, 0.0), (0.0, 1.0 - t, t), (t, 0.0, 1.0 - t)][e]
+    return out
+
+
+def region_select(p, a, b, c):
+    """The array kernel's six-region select, written out as the test oracle.
+
+    Takes (M, n) rows (``p`` may broadcast) and returns b0, b1, b2 and the
+    mask of interior rows whose denominator is zero or not finite; their
+    barycentrics here are placeholders for the edge fallback.
+    """
+    ab = b - a
+    ac = c - a
+    ap = p - a
+    bp = p - b
+    cp = p - c
+    d1 = np.einsum("fk,fk->f", ab, ap)
+    d2 = np.einsum("fk,fk->f", ac, ap)
+    d3 = np.einsum("fk,fk->f", ab, bp)
+    d4 = np.einsum("fk,fk->f", ac, bp)
+    d5 = np.einsum("fk,fk->f", ab, cp)
+    d6 = np.einsum("fk,fk->f", ac, cp)
+    vc = d1 * d4 - d3 * d2
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d4 * d5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
+        w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
+        den_bc = (d4 - d3) + (d5 - d6)
+        w_bc = np.where(den_bc != 0.0, (d4 - d3) / den_bc, 0.0)
+        denom = va + vb + vc
+        v_in = np.where(denom != 0.0, vb / denom, 0.0)
+        w_in = np.where(denom != 0.0, vc / denom, 0.0)
+    conds = [
+        (d1 <= 0.0) & (d2 <= 0.0),
+        (d3 >= 0.0) & (d4 <= d3),
+        (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
+        (d6 >= 0.0) & (d5 <= d6),
+        (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+        (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
+    ]
+    ones = np.ones(len(ab))
+    zeros = np.zeros(len(ab))
+    b0 = np.select(conds, [ones, zeros, 1.0 - v_ab, zeros, 1.0 - w_ac, zeros], 1.0 - v_in - w_in)
+    b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
+    b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
+    interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
+    bad = interior & ~((denom > 0.0) & np.isfinite(denom))
+    return b0, b1, b2, bad
+
+
 def scan_all_faces(points, coords, faces):
     """Closest point per point by a scan over every face: the exact oracle.
 
-    Runs the region-select closest-point kernel against all faces for one
-    point at a time and keeps the first minimum, so ties go to the lowest
-    face index. The pruned ``projection.project_points`` must agree with it
-    bit for bit.
+    Runs the region select against all faces for one point at a time,
+    with the scalar edge fallback on degenerate rows, and keeps the first
+    minimum, so ties go to the lowest face index. The pruned
+    ``projection.project_points`` must agree with it bit for bit.
     """
     a = coords[faces[:, 0]]  # (F, n)
     b = coords[faces[:, 1]]
     c = coords[faces[:, 2]]
-    ab = b - a
-    ac = c - a
     npts = points.shape[0]
-    nf = faces.shape[0]
     out_face = np.empty(npts, dtype=np.int64)
     out_bary = np.empty((npts, 3), dtype=np.float64)
     out_sq = np.empty(npts, dtype=np.float64)
     for ip in range(npts):
         p = points[ip]
-        ap = p[None, :] - a
-        bp = p[None, :] - b
-        cp = p[None, :] - c
-        d1 = np.einsum("fk,fk->f", ab, ap)
-        d2 = np.einsum("fk,fk->f", ac, ap)
-        d3 = np.einsum("fk,fk->f", ab, bp)
-        d4 = np.einsum("fk,fk->f", ac, bp)
-        d5 = np.einsum("fk,fk->f", ab, cp)
-        d6 = np.einsum("fk,fk->f", ac, cp)
-        vc = d1 * d4 - d3 * d2
-        vb = d5 * d2 - d1 * d6
-        va = d3 * d6 - d4 * d5
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
-            w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
-            den_bc = (d4 - d3) + (d5 - d6)
-            w_bc = np.where(den_bc != 0.0, (d4 - d3) / den_bc, 0.0)
-            denom = va + vb + vc
-            v_in = np.where(denom != 0.0, vb / denom, 0.0)
-            w_in = np.where(denom != 0.0, vc / denom, 0.0)
-        conds = [
-            (d1 <= 0.0) & (d2 <= 0.0),
-            (d3 >= 0.0) & (d4 <= d3),
-            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
-            (d6 >= 0.0) & (d5 <= d6),
-            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
-            (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
-        ]
-        ones = np.ones(nf)
-        zeros = np.zeros(nf)
-        b0 = np.select(conds, [ones, zeros, 1.0 - v_ab, zeros, 1.0 - w_ac, zeros], 1.0 - v_in - w_in)
-        b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
-        b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
-        interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
-        bad = interior & ~((denom > 0.0) & np.isfinite(denom))
+        b0, b1, b2, bad = region_select(p[None, :], a, b, c)
         for f in np.flatnonzero(bad):
-            b0[f], b1[f], b2[f] = projection._closest_point_single(p, a[f], b[f], c[f])
+            b0[f], b1[f], b2[f] = best_edge_point_single(p, a[f], b[f], c[f])
         q = b0[:, None] * a + b1[:, None] * b + b2[:, None] * c
         sq = np.einsum("fk,fk->f", p[None, :] - q, p[None, :] - q)
         f_best = int(np.argmin(sq))
@@ -162,6 +206,31 @@ class TestPrunedProjectionMatchesScan:
             np.testing.assert_array_equal(g, w)
 
 
+def random_rows(rng, m, scale):
+    """m random (point, triangle) rows in 3-D at the given scale."""
+    return tuple(rng.normal(size=(m, 3)) * scale for _ in range(4))
+
+
+class TestEdgeFallback:
+    # Rows whose interior denominator is zero or not finite take the best
+    # clamped edge projection. Fed straight to the kernel, without the
+    # rescale of project_points, triangles at 1e77 and beyond overflow the
+    # fourth-degree products and reach that fallback in bulk. The kernel
+    # must give every row exactly what the region select plus the scalar
+    # edge projection gives.
+    @pytest.mark.parametrize("scale", [1e100, 1e77])
+    def test_bitwise_equal_to_scalar_oracle(self, scale):
+        rng = np.random.default_rng(41)
+        p, a, b, c = random_rows(rng, 4000, scale)
+        with np.errstate(all="ignore"):
+            bary, _ = projection._closest_points(p, a, b, c)
+            b0, b1, b2, bad = region_select(p, a, b, c)
+        assert bad.sum() > 1000
+        for i in np.flatnonzero(bad):
+            b0[i], b1[i], b2[i] = best_edge_point_single(p[i], a[i], b[i], c[i])
+        np.testing.assert_array_equal(bary, np.stack((b0, b1, b2), axis=1))
+
+
 class TestProjectionScale:
     # Unscaled, the kernel's fourth-degree products overflow for coordinates
     # beyond about 1e77 and underflow below about 1e-77. Scaling by a power
@@ -180,6 +249,33 @@ class TestProjectionScale:
 
 
 class TestClosestPoint:
+    def test_is_the_one_face_projection(self):
+        rng = np.random.default_rng(31)
+        for p, a, b, c in zip(*random_rows(rng, 200, 1.0)):
+            tri = np.stack((a, b, c))
+            bary, sq = closest_point_on_face(p, tri)
+            _, want_bary, want_sq = projection.project_points(p[None], tri, np.array([[0, 1, 2]]))
+            np.testing.assert_array_equal(bary, want_bary[0])
+            assert sq == want_sq[0]
+
+    @pytest.mark.parametrize("k", [330, -300])
+    def test_power_of_two_scale_is_exact(self, k):
+        rng = np.random.default_rng(32)
+        for p, a, b, c in zip(*random_rows(rng, 200, 1.0)):
+            tri = np.stack((a, b, c))
+            bary, sq = closest_point_on_face(p, tri)
+            got_bary, got_sq = closest_point_on_face(np.ldexp(p, k), np.ldexp(tri, k))
+            np.testing.assert_array_equal(got_bary, bary)
+            assert got_sq == np.ldexp(sq, 2 * k)
+
+    def test_non_finite_rejected(self):
+        tri = np.eye(3)
+        with pytest.raises(ValueError, match="finite"):
+            closest_point_on_face(np.array([np.nan, 0.0, 0.0]), tri)
+        tri[1, 2] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            closest_point_on_face(np.zeros(3), tri)
+
     def test_interior_projection(self):
         tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         bary, sq = closest_point_on_face(np.array([0.5, 0.5, 3.0]), tri)
@@ -271,18 +367,20 @@ class TestBatchProjection:
         with pytest.raises(DatasetError):
             project_dataset_arrays(np.zeros((4, 2)), emb, mesh)
 
-    def test_project_dataset_wrapper(self, icosphere0):
+    def test_overflowing_distance_rejected(self, icosphere0):
         mesh, emb = icosphere0
-        ds = mm.Dataset(np.array([[0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
-        results = mm.project_dataset(ds, emb, mesh)
-        assert [r.point_id for r in results] == [0, 1]
-        faces, bary, sq = project_dataset_arrays(ds.points, emb, mesh)
-        for r in results:
-            assert r.face == faces[r.point_id]
-            assert r.sq_distance == sq[r.point_id]
-        assert mm.data_fidelity(results) == pytest.approx(float(sq.sum()), rel=1e-15)
-        assert mm.data_fidelity(sq) == pytest.approx(float(sq.sum()), rel=1e-15)
-        assert mm.data_fidelity([]) == 0.0
+        pts = np.array([[0.0, 0.0, 2.0], [1e200, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="point 1 to the mesh overflows"):
+            project_dataset_arrays(pts, emb, mesh)
+
+    def test_non_finite_points_rejected(self, icosphere0):
+        mesh, emb = icosphere0
+        for bad in (np.nan, np.inf, -np.inf):
+            pts = np.array([[0.0, 0.0, 2.0], [bad, 0.0, 0.0]])
+            with pytest.raises(DatasetError, match="non-finite"):
+                project_dataset_arrays(pts, emb, mesh)
+            with pytest.raises(ValueError, match="finite"):
+                projection.project_points(pts, emb.coords, mesh.faces)
 
 
 class TestDecode:

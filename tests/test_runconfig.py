@@ -86,6 +86,16 @@ class TestParseConfig:
         ("mesh = m.off\neta_init = 0\n", 2),
         ("mesh = m.off\nv_target = -2\n", 2),
         ("mesh = m.off\nmax_iters = -1\n", 2),
+        ("mesh = m.off\ngrad_tol = nan\n", 2),
+        ("mesh = m.off\nloss_tol = nan\n", 2),
+        ("mesh = m.off\nlambda = inf\n", 2),
+        ("mesh = m.off\neta_init = nan\n", 2),
+        ("mesh = m.off\np = 1e309\n", 2),
+        ("mesh = m.off\nmu_iso = -inf\n", 2),
+        ("mesh = m.off\nv_target = nan\n", 2),
+        ("mesh = m.off\nfeas_margin = inf\n", 2),
+        ("mesh = m.off\njitter = nan\n", 2),
+        ("mesh = m.off\nseed = -1\n", 2),
     ])
     def test_errors_carry_line_numbers(self, body, line):
         with pytest.raises(ConfigError) as exc:
