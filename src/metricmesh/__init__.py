@@ -59,14 +59,6 @@ from .geometry import (
     max_feasibility_deficit,
     volume_penalty,
 )
-from .autodiff import (
-    GradientResult,
-    Tape,
-    TapeProgram,
-    TracedScalar,
-    evaluate_with_gradient,
-    finite_difference_gradient,
-)
 from .geodesic import (
     DistanceField,
     dijkstra_distances,
@@ -145,12 +137,6 @@ __all__ = [
     "face_slacks",
     "max_feasibility_deficit",
     "volume_penalty",
-    "GradientResult",
-    "Tape",
-    "TapeProgram",
-    "TracedScalar",
-    "evaluate_with_gradient",
-    "finite_difference_gradient",
     "DistanceField",
     "dijkstra_distances",
     "fast_marching",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 import numpy as np
@@ -34,6 +33,7 @@ from .optimize import (
     feasibility_projection,
     lambda_sweep,
     run_optimization,
+    sweep_weights,
 )
 from .projection import Dataset, Embedding
 from .runconfig import RunSettings, read_config
@@ -128,7 +128,7 @@ def _prepare_run(settings: RunSettings):
         metric = metric.with_jitter(rng, settings.jitter)
     loss = _resolved(settings.loss, metric)
     metric = feasibility_projection(mesh, metric, loss.feas_margin, loss.min_length)
-    if settings.v_target_auto and loss.mu_volume > 0.0:
+    if loss.v_target is None and loss.mu_volume > 0.0:
         vol = curvature_report(mesh, metric).total_volume
         loss = dataclasses.replace(loss, v_target=vol)
     return mesh, embedding, dataset, metric, loss
@@ -202,16 +202,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        lambdas = [float(t) for t in args.lambdas.split(",") if t.strip()]
-    except ValueError:
-        print("error: --lambdas expects a comma-separated list of numbers", file=sys.stderr)
-        return 2
-    if (
-        not lambdas
-        or not all(math.isfinite(l) and l >= 0.0 for l in lambdas)
-        or sorted(lambdas) != lambdas
-    ):
-        print("error: --lambdas must be finite, ascending and non-negative", file=sys.stderr)
+        lambdas = sweep_weights(t for t in args.lambdas.split(",") if t.strip())
+    except ValueError as exc:
+        print(f"error: --lambdas: {exc}", file=sys.stderr)
         return 2
     settings = read_config(args.config)
     mesh, embedding, dataset, metric, loss = _prepare_run(settings)

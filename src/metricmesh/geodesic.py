@@ -7,6 +7,10 @@ as locally linear across the supporting edge. Every two-point update is
 clamped by the one-point (edge-sum) fallback, so computed distances
 never exceed plain Dijkstra distances on the edge graph; on meshes with
 reasonably shaped triangles they are much closer to the true geodesics.
+
+Both solvers reject a metric that is not strictly feasible with the
+error :func:`~metricmesh.geometry.curvature_report` raises. Fast
+marching unfolds at unit scale, so any length scale gives the same bits.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleMetricError
-from .geometry import MetricField, check_feasible
+from .geometry import MetricField, _require_feasible
+from .projection import _unit_scaled
 
 
 def triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> float:
@@ -70,15 +74,10 @@ def _validated(mesh, metric: MetricField, source: int) -> None:
         raise ValueError(
             f"source vertex {source} out of range for {mesh.vertex_count} vertices"
         )
-    bad = check_feasible(mesh, metric)
-    if bad:
-        raise InfeasibleMetricError(
-            f"{len(bad)} faces violate the strict triangle inequality, "
-            f"first is face {bad[0][0]}",
-            faces=tuple(f for f, _ in bad[:16]),
-        )
+    _require_feasible(mesh, metric)
 
 
+@np.errstate(over="ignore")  # a distance past the float range comes out as inf
 def fast_marching(mesh, metric: MetricField, source: int) -> DistanceField:
     """Single-source geodesic distances by fast marching.
 
@@ -96,8 +95,9 @@ def fast_marching(mesh, metric: MetricField, source: int) -> DistanceField:
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
     faces = mesh.faces.tolist()
+    lengths, k = _unit_scaled(metric.lengths)  # the unfold squares lengths
     # Sides opposite each corner: corner 0 faces edge (j,k) etc.
-    opposite = metric.lengths[mesh.face_edges[:, (1, 2, 0)]].tolist()
+    opposite = lengths[mesh.face_edges[:, (1, 2, 0)]].tolist()
     offsets, rows = (a.tolist() for a in mesh.vertex_face_csr)
 
     while heap:
@@ -130,7 +130,7 @@ def fast_marching(mesh, metric: MetricField, source: int) -> DistanceField:
                 if cand < dist[c]:
                     dist[c] = cand
                     heapq.heappush(heap, (cand, c))
-    return DistanceField(source=source, distances=np.array(dist))
+    return DistanceField(source=source, distances=np.ldexp(np.array(dist), k))
 
 
 def dijkstra_distances(mesh, metric: MetricField, source: int) -> DistanceField:

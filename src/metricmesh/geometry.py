@@ -11,6 +11,9 @@ Every quantity has one implementation, vectorized over the faces:
 :func:`face_corner_angles`, :func:`face_areas` and
 :func:`curvature_report`. The optimizer differentiates them in closed
 form; a single triangle is the one-face case.
+
+Angles, areas and slacks run on lengths scaled to unit magnitude, so no
+square or sum in them overflows or underflows at any length scale.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleMetricError
-from .projection import Embedding
+from .projection import Embedding, _unit_scaled
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +82,7 @@ def face_corner_angles(mesh, metric: MetricField) -> np.ndarray:
     Face edges are ordered (i,j), (j,k), (k,i), so the corner at i is
     opposite edge (j,k), at j opposite (k,i), at k opposite (i,j).
     """
-    fl = _face_lengths(mesh, metric)
+    fl, _ = _unit_scaled(_face_lengths(mesh, metric))
     l_ij, l_jk, l_ki = fl[:, 0], fl[:, 1], fl[:, 2]
     sq_ij, sq_jk, sq_ki = l_ij**2, l_jk**2, l_ki**2
     angles = np.empty_like(fl)
@@ -90,13 +93,14 @@ def face_corner_angles(mesh, metric: MetricField) -> np.ndarray:
     return angles
 
 
+@np.errstate(over="ignore")  # an area past the float range comes out as inf
 def face_areas(mesh, metric: MetricField) -> np.ndarray:
     """Per-face Heron areas, Kahan ordering applied rowwise."""
-    fl = _face_lengths(mesh, metric)
+    fl, k = _unit_scaled(_face_lengths(mesh, metric))
     s = -np.sort(-fl, axis=1)
     a, b, c = s[:, 0], s[:, 1], s[:, 2]
     prod = (a + (b + c)) * (c - (a - b)) * ((c + (a - b)) * (a + (b - c)))
-    return 0.25 * np.sqrt(np.maximum(prod, 0.0))
+    return np.ldexp(0.25 * np.sqrt(np.maximum(prod, 0.0)), 2 * k)
 
 
 def _require_feasible(mesh, metric: MetricField) -> None:
@@ -130,12 +134,19 @@ class CurvatureReport:
 def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
     """Angle defects, vertex areas, face areas, and total volume.
 
-    Requires a strictly feasible metric. Reductions run in fixed index
-    order (bincount), so results are deterministic.
+    Requires a strictly feasible metric and areas in float range
+    (``ValueError`` otherwise). Reductions run in fixed index order
+    (bincount), so results are deterministic.
     """
     _require_feasible(mesh, metric)
     angles = face_corner_angles(mesh, metric)
     areas = face_areas(mesh, metric)
+    total = float(np.sum(areas))
+    if not (math.isfinite(total) and areas.min() > 0.0):
+        raise ValueError(
+            "face areas are out of float range at this length scale, longest edge "
+            f"{float(metric.lengths.max())!r}"
+        )
     v = mesh.vertex_count
     angle_sum = np.bincount(mesh.faces.ravel(), weights=angles.ravel(), minlength=v)
     base = np.where(mesh.boundary_vertex, math.pi, TWO_PI)
@@ -147,7 +158,7 @@ def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
         defect=defect,
         vertex_area=vertex_area,
         face_area=areas,
-        total_volume=float(np.sum(areas)),
+        total_volume=total,
     )
 
 
@@ -186,11 +197,12 @@ def volume_penalty(report: CurvatureReport, v_target: float) -> float:
 
 def face_slacks(mesh, metric: MetricField) -> np.ndarray:
     """Per-face minimum triangle-inequality slack min(a+b-c, b+c-a, c+a-b)."""
-    fl = _face_lengths(mesh, metric)
-    return np.minimum(
+    fl, k = _unit_scaled(_face_lengths(mesh, metric))
+    slack = np.minimum(
         np.minimum(fl[:, 0] + fl[:, 1] - fl[:, 2], fl[:, 1] + fl[:, 2] - fl[:, 0]),
         fl[:, 2] + fl[:, 0] - fl[:, 1],
     )
+    return np.ldexp(slack, k)
 
 
 def check_feasible(mesh, metric: MetricField, margin: float = 0.0) -> list[tuple[int, float]]:

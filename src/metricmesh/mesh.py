@@ -46,22 +46,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Largest vertex count n for which the edge key lo * n + hi fits in int64.
-_KEYED_VERTEX_LIMIT = math.isqrt(2**63 - 1)
-
-
 def _edge_table(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (lo, hi) pairs in lexicographic order, and each pair's row.
-
-    Sorting the 1-D key ``lo * n + hi`` gives the lexicographic order of
-    the pairs; when the key could overflow int64 the pairs are sorted with
-    ``np.lexsort`` instead.
-    """
-    n = int(hi.max()) + 1
-    if n <= _KEYED_VERTEX_LIMIT:
-        order = np.argsort(lo * n + hi, kind="stable")
-    else:
-        order = np.lexsort((hi, lo))
+    """Distinct (lo, hi) pairs in lexicographic order, and each pair's row."""
+    order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -452,9 +439,12 @@ def make_torus(nu: int, nv: int, major_radius: float, minor_radius: float) -> tu
     """
     if nu < 3 or nv < 3:
         raise ValueError(f"torus needs nu, nv >= 3, got ({nu}, {nv})")
-    if major_radius <= 0 or minor_radius <= 0 or minor_radius >= major_radius:
+    # Written so that NaN fails; the diameter bounds every coordinate difference.
+    diameter = 2.0 * (major_radius + minor_radius)
+    if not (0.0 < minor_radius < major_radius and math.isfinite(diameter)):
         raise ValueError(
-            f"torus radii must satisfy 0 < minor < major, got ({major_radius}, {minor_radius})"
+            f"torus radii must satisfy 0 < minor < major with a finite diameter, "
+            f"got ({major_radius}, {minor_radius})"
         )
     coords = np.empty((nu * nv, 3), dtype=np.float64)
     for i in range(nu):
@@ -491,8 +481,11 @@ def make_grid(nx: int, ny: int, spacing: float) -> tuple[Mesh, Embedding]:
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"grid needs nx, ny >= 2, got ({nx}, {ny})")
-    if spacing <= 0:
-        raise ValueError(f"grid spacing must be positive, got {spacing}")
+    # Written so that NaN fails; the diagonal bounds every coordinate difference.
+    if not (spacing > 0.0 and math.isfinite(math.hypot(nx - 1, ny - 1) * spacing)):
+        raise ValueError(
+            f"grid spacing must be positive with a finite diagonal, got {spacing}"
+        )
     xs = np.arange(nx, dtype=np.float64) * spacing
     ys = np.arange(ny, dtype=np.float64) * spacing
     coords = np.zeros((nx * ny, 3), dtype=np.float64)

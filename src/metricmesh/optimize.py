@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -494,13 +494,10 @@ def run_optimization(
                 except ValueError:  # a squared distance overflows
                     eta *= 0.5
                     continue
-            try:
-                cand_losses = total_loss(
-                    mesh, cand_metric, cand_emb, dataset, config, projections=cand_proj
-                )
-            except InfeasibleMetricError:
-                eta *= 0.5
-                continue
+            # cannot raise InfeasibleMetricError: every slack is >= feas_margin > 0
+            cand_losses = total_loss(
+                mesh, cand_metric, cand_emb, dataset, config, projections=cand_proj
+            )
             if cand_losses.total <= losses.total:
                 accepted = (cand_metric, cand_emb, cand_proj, cand_losses)
                 break
@@ -536,6 +533,14 @@ class SweepRecord:
     result: OptimizationResult | None
 
 
+def sweep_weights(lambdas: Iterable) -> list[float]:
+    """The weights as floats; ValueError unless non-empty, finite, >= 0, ascending."""
+    lam = [float(x) for x in lambdas]
+    if not lam or not all(math.isfinite(x) and x >= 0.0 for x in lam) or lam != sorted(lam):
+        raise ValueError(f"sweep weights must be finite, >= 0 and ascending, got {lam}")
+    return lam
+
+
 def lambda_sweep(
     mesh,
     metric: MetricField,
@@ -549,19 +554,12 @@ def lambda_sweep(
 ) -> list[SweepRecord]:
     """Optimize at each weight, warm-starting from the previous optimum.
 
-    Weights must be ascending and non-negative. An unset margin and floor
-    are derived once, from the starting metric, and shared by every run. A
-    failed run is recorded and the sweep continues from the last
+    The weights are checked by :func:`sweep_weights`. An unset margin and
+    floor are derived once, from the starting metric, and shared by every
+    run. A failed run is recorded and the sweep continues from the last
     successful state, so one bad weight does not void the rest.
     """
-    lam = [float(x) for x in lambdas]
-    if not lam:
-        raise ValueError("lambda sweep needs at least one weight")
-    if any(not math.isfinite(x) or x < 0.0 for x in lam):
-        raise ValueError(f"sweep weights must be finite and >= 0, got {lam}")
-    if any(b < a for a, b in zip(lam, lam[1:])):
-        raise ValueError(f"sweep weights must be ascending, got {lam}")
-
+    lam = sweep_weights(lambdas)
     config = _resolved(config, metric)
     records: list[SweepRecord] = []
     cur_metric, cur_emb = metric, embedding

@@ -18,11 +18,24 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DatasetError
+
+
+def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(``values * 2**-k``, k) with the largest magnitude in [0.5, 1).
+
+    The scaling is exact, so a formula of degree d run on the scaled
+    values and scaled back by ``np.ldexp(result, d * k)`` gives the bits
+    it gives at the original scale, without overflow or underflow between.
+    """
+    # math.frexp: np.frexp on a numpy scalar costs more than the rest together
+    _, k = math.frexp(float(np.abs(values).max(initial=0.0)))
+    return np.ldexp(values, -k), k
 
 
 @dataclass(frozen=True)
@@ -47,10 +60,12 @@ class Embedding:
     def ambient_dim(self) -> int:
         return int(self.coords.shape[1])
 
+    @np.errstate(over="ignore")  # a length past the float range comes out as inf
     def edge_lengths(self, mesh) -> np.ndarray:
         """Extrinsic length of every mesh edge under this embedding."""
-        d = self.coords[mesh.edges[:, 0]] - self.coords[mesh.edges[:, 1]]
-        return np.sqrt(np.einsum("ek,ek->e", d, d))
+        coords, k = _unit_scaled(self.coords)
+        d = coords[mesh.edges[:, 0]] - coords[mesh.edges[:, 1]]
+        return np.ldexp(np.sqrt(np.einsum("ek,ek->e", d, d)), k)
 
     def with_coords(self, coords: np.ndarray) -> "Embedding":
         return Embedding(coords)
@@ -248,9 +263,8 @@ def project_points(points, coords, faces):
     """
     if not (np.isfinite(points).all() and np.isfinite(coords).all()):
         raise ValueError("points and mesh coordinates must be finite")
-    _, k = np.frexp(np.abs(coords).max(initial=0.0))
+    coords, k = _unit_scaled(coords)
     points = np.ldexp(points, -k)
-    coords = np.ldexp(coords, -k)
     a = coords[faces[:, 0]]
     b = coords[faces[:, 1]]
     c = coords[faces[:, 2]]

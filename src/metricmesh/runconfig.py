@@ -63,7 +63,6 @@ class RunSettings:
     jitter: float
     freeze_embedding: bool
     eta_init: float
-    v_target_auto: bool
     loss: LossConfig
     stop: StopRule
 
@@ -142,14 +141,13 @@ def parse_config(text: str) -> RunSettings:
     if values["mesh"] is None:
         raise ConfigError("missing required key 'mesh'")
 
-    v_target = values["v_target"]
     loss = LossConfig(
         lambda_=values["lambda"],
         p=values["p"],
         mu_dirichlet=values["mu_dirichlet"],
         mu_volume=values["mu_volume"],
         mu_iso=values["mu_iso"],
-        v_target=None if v_target == "auto" else v_target,
+        v_target=None if values["v_target"] == "auto" else values["v_target"],
         feas_margin=None if values["feas_margin"] == "auto" else values["feas_margin"],
         min_length=None if values["min_length"] == "auto" else values["min_length"],
     )
@@ -166,7 +164,6 @@ def parse_config(text: str) -> RunSettings:
         jitter=values["jitter"],
         freeze_embedding=values["freeze_embedding"],
         eta_init=values["eta_init"],
-        v_target_auto=(v_target == "auto"),
         loss=loss,
         stop=stop,
     )

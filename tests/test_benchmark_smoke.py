@@ -1,8 +1,8 @@
 """The benchmark's workloads run to completion and check their outputs.
 
-Runs ``perfbench/run.py`` once per workload with no time budget (every
-instance gets one turn) and reads its closing JSON line. No timing is
-asserted, so the test cannot flake on a slow host.
+Runs ``perfbench/run.py`` once per workload, untraced and traced, with no
+time budget (every instance gets one turn) and reads its closing JSON
+line. No timing is asserted, so the test cannot flake on a slow host.
 """
 
 import json
@@ -15,14 +15,25 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["fit", "flow", "analyze"])
-def test_workload_runs_correct(workload):
+def _run_checked(workload, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "5", "--seconds", "0", "--trace", "0"],
+         "--seed", "5", "--seconds", "0", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True, proc.stderr
     assert summary["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["fit", "flow", "analyze"])
+def test_workload_runs_correct(workload):
+    _run_checked(workload, "0")
+
+
+@pytest.mark.parametrize("workload", ["fit", "flow", "analyze"])
+def test_workload_runs_traced(workload):
+    # --trace 1 wraps library entry points, the tape's among them, so it
+    # fails when one of them moves or disappears.
+    _run_checked(workload, "1")

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import metricmesh as mm
 from metricmesh import outputs
 from metricmesh.cli import main
+from metricmesh.optimize import sweep_weights
 from metricmesh.runconfig import read_config
 
 
@@ -140,6 +142,37 @@ _FIELD_TOKENS = [
     "0.5", "2", "99999999999999999999", "auto", "x", "", ",", "=", "#", "true",
     "seed", "lambda",
 ]
+
+
+# Numbers for generator specs: NaN, infinities, negative zero, spacings
+# and radii whose coordinates, sums or squares leave float range, and
+# subnormals. Sizes stay at 50 or less.
+_SPEC_SIZES = ["-1", "-0", "0", "2", "3", "50", "nan", "inf", "1.5", "1e308"]
+_SPEC_REALS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e-320", "1e-200", "0.5", "1",
+               "2.5", "1e200", "1e308"]
+# kind -> (valid arguments, how many lead with a size)
+_SPEC_BASES = {"icosphere": (["1"], 1), "torus": (["6", "4", "2.0", "0.7"], 2),
+               "grid": (["4", "3", "1.0"], 2)}
+
+
+class TestGeneratorSpecMutations:
+    def test_seeded_specs_end_in_exit_zero_or_an_error_line(self, tmp_path, capsys):
+        rng = random.Random(20261022)
+        for case in range(150):
+            kind = rng.choice(sorted(_SPEC_BASES))
+            args, n_sizes = _SPEC_BASES[kind]
+            args = list(args)
+            for i in rng.sample(range(len(args)), rng.randint(1, len(args))):
+                args[i] = rng.choice(_SPEC_SIZES if i < n_sizes else _SPEC_REALS)
+            spec = f"{kind}({','.join(args)})"
+            for argv in (["validate"], ["curvature", "--outdir", str(tmp_path / "o")]):
+                code = main([argv[0], "--mesh", spec, *argv[1:]])
+                err = capsys.readouterr().err
+                assert code in (0, 1), (case, spec, argv[0])
+                if code:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (case, spec, err)
+                else:
+                    assert err == "", (case, spec, err)
 
 
 def _mutate_fields(text, rng, sep, keep=0):
@@ -276,6 +309,20 @@ class TestCurvatureCommand:
         bad.write_text("edge,v0,v1,length\n0,0,1,1.0\n")  # too few rows
         assert main(["curvature", "--mesh", str(off), "--lengths", str(bad)]) == 1
 
+    @pytest.mark.parametrize("length", [1e200, 1e-200])
+    def test_unrepresentable_area_is_one_error_line(self, tmp_path, capsys, length):
+        # the angles are fine at any scale; the areas near 1e+-400 are not
+        mesh, _ = mm.make_icosphere(0)
+        lcsv = tmp_path / "lengths.csv"
+        outputs.write_text(lcsv, outputs.lengths_csv_text(mesh, mm.MetricField.uniform(mesh, length)))
+        outdir = tmp_path / "out"
+        argv = ["curvature", "--mesh", "icosphere(0)", "--lengths", str(lcsv), "--outdir", str(outdir)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: face areas are out of float range")
+        assert err.count("\n") == 1
+        assert not (outdir / "curvature.csv").exists()
+
 
 class TestGeodesicCommand:
     def test_fast_marching_output(self, tmp_path):
@@ -300,6 +347,19 @@ class TestGeodesicCommand:
         graph = np.array([float(x) for x in read_csv_column(graph_dir / "distances.csv", "distance")])
         assert (surf <= graph + 1e-12).all()
         assert (surf < graph - 1e-9).any()  # strictly better somewhere
+
+    @pytest.mark.parametrize("extra", [[], ["--graph-only"]])
+    def test_zero_slack_face_rejected_like_curvature(self, tmp_path, capsys, extra):
+        mesh, _ = mm.make_grid(2, 2, 1.0)
+        metric = mm.MetricField(np.array([1.0, 1.5, 2.0, 1.0, 1.5]))  # face 0: 1 + 1 = 2
+        lcsv = tmp_path / "lengths.csv"
+        outputs.write_text(lcsv, outputs.lengths_csv_text(mesh, metric))
+        common = ["--mesh", "grid(2,2,1.0)", "--lengths", str(lcsv), "--outdir", str(tmp_path / "o")]
+        assert main(["curvature", *common]) == 1
+        want = capsys.readouterr().err
+        assert "strict triangle inequality" in want
+        assert main(["geodesic", "--source", "0", *common, *extra]) == 1
+        assert capsys.readouterr().err == want
 
     def test_source_out_of_range(self, tmp_path, capsys):
         assert main([
@@ -412,6 +472,15 @@ class TestSweepCommand:
         cfg = write_config(tmp_path / "s.cfg", outdir=tmp_path / "o")
         assert main(["sweep", "--config", str(cfg), f"--lambdas={bad}"]) == 2
         assert "lambdas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.5], [-1.0], [math.nan], []])
+    def test_lambdas_checked_by_the_sweep_rule(self, tmp_path, capsys, bad):
+        # the library's rule and message, before the config is even read
+        with pytest.raises(ValueError) as rule:
+            sweep_weights(bad)
+        missing = tmp_path / "missing.cfg"
+        assert main(["sweep", "--config", str(missing), "--lambdas=" + ",".join(map(repr, bad))]) == 2
+        assert capsys.readouterr().err == f"error: --lambdas: {rule.value}\n"
 
 
 class TestParser:

@@ -165,6 +165,31 @@ class TestFastMarching:
         with pytest.raises(InfeasibleMetricError):
             mm.fast_marching(mesh, mm.MetricField(lengths), 0)
 
+    @pytest.mark.parametrize("solver", [mm.fast_marching, mm.dijkstra_distances])
+    def test_zero_slack_face_rejected_like_curvature(self, solver):
+        # face 0 of grid(2,2) has sides 1, 1 and 2: slack exactly 0, which
+        # the strict triangle inequality rejects everywhere alike
+        mesh, _ = mm.make_grid(2, 2, 1.0)
+        metric = mm.MetricField(np.array([1.0, 1.5, 2.0, 1.0, 1.5]))
+        with pytest.raises(InfeasibleMetricError) as want:
+            mm.curvature_report(mesh, metric)
+        with pytest.raises(InfeasibleMetricError) as got:
+            solver(mesh, metric, 0)
+        assert str(got.value) == str(want.value)
+        assert got.value.faces == want.value.faces == (0,)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_extreme_scale_is_exact(self, icosphere1, power):
+        # the unfold squares lengths: at 2**600 they overflow, at 2**-600
+        # they underflow, unless it runs at unit scale
+        mesh, emb = icosphere1
+        metric = feasible_jittered(mesh, emb, seed=2, amount=0.2)
+        base = mm.fast_marching(mesh, metric, 3).distances
+        scaled = mm.MetricField(np.ldexp(metric.lengths, power))
+        got = mm.fast_marching(mesh, scaled, 3).distances
+        np.testing.assert_array_equal(got, np.ldexp(base, power))
+        assert (got < mm.dijkstra_distances(mesh, scaled, 3).distances).any()
+
 
 def numpy_scalar_fast_marching(mesh, metric, source):
     """Reference fast marching on numpy arrays and scalars.

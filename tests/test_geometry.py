@@ -207,6 +207,41 @@ class TestCurvature:
             mm.curvature_energy(report, 0.5)
 
 
+class TestExtremeScale:
+    # Angles and areas square the lengths; at 2**500 the squares overflow
+    # and at 2**-500 they underflow unless both run at unit scale.
+    @pytest.mark.parametrize("power", [500, -500])
+    def test_angles_defects_and_areas(self, power):
+        for mesh, emb in (mm.make_icosphere(2), mm.make_torus(16, 8, 2.0, 0.7),
+                          mm.make_grid(12, 9, 1.0)):
+            metric = feasible_jittered(mesh, emb, seed=4, amount=0.2)
+            scaled = mm.MetricField(np.ldexp(metric.lengths, power))
+            np.testing.assert_array_equal(
+                mm.face_corner_angles(mesh, scaled), mm.face_corner_angles(mesh, metric)
+            )
+            base, got = mm.curvature_report(mesh, metric), mm.curvature_report(mesh, scaled)
+            np.testing.assert_array_equal(got.defect, base.defect)
+            np.testing.assert_array_equal(got.face_area, np.ldexp(base.face_area, 2 * power))
+            np.testing.assert_array_equal(got.vertex_area, np.ldexp(base.vertex_area, 2 * power))
+            assert got.total_volume == math.ldexp(base.total_volume, 2 * power)
+
+    @pytest.mark.parametrize("length", [1e200, 1e-200])
+    def test_unrepresentable_area_rejected(self, icosphere0, length):
+        mesh, _ = icosphere0
+        metric = mm.MetricField.uniform(mesh, length)
+        np.testing.assert_array_equal(
+            mm.face_corner_angles(mesh, metric), np.full((mesh.face_count, 3), math.pi / 3)
+        )
+        with pytest.raises(ValueError, match="out of float range"):
+            mm.curvature_report(mesh, metric)
+
+    def test_slacks_near_the_float_maximum(self, icosphere0):
+        # a + b - c overflows at 1.5e308 unless summed at unit scale
+        mesh, _ = icosphere0
+        metric = mm.MetricField.uniform(mesh, 1.5e308)
+        np.testing.assert_array_equal(mm.face_slacks(mesh, metric), 1.5e308)
+
+
 class TestRegularizers:
     def test_dirichlet_scale_invariant(self, icosphere1):
         mesh, emb = icosphere1

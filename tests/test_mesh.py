@@ -1,10 +1,11 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 import metricmesh as mm
-from metricmesh.mesh import _KEYED_VERTEX_LIMIT, Violation, _edge_table
+from metricmesh.mesh import Violation, _edge_table
 from metricmesh.errors import (
     FaceIndexError,
     MeshError,
@@ -263,10 +264,11 @@ class TestEdgeTable:
         np.testing.assert_array_equal(mesh.edges, edges)
         np.testing.assert_array_equal(mesh.face_edges, face_edges)
 
-    @pytest.mark.parametrize("top", [_KEYED_VERTEX_LIMIT - 1, _KEYED_VERTEX_LIMIT, 2**62, 2**63 - 1])
+    # 3037000499 = isqrt(2**63 - 1): past it a 1-D key lo * n + hi would
+    # wrap in int64.
+    @pytest.mark.parametrize("top", [3037000498, 3037000499, 2**62, 2**63 - 1])
     def test_huge_vertex_ids(self, top):
-        # Near the int64 limit the key lo * n + hi would wrap; the table
-        # must still come out in lexicographic order.
+        # Ids up to the int64 limit still come out in lexicographic order.
         rng = np.random.default_rng(top % 1000)
         ids = np.concatenate(([0, 1, top], top - rng.integers(1, 2**20, size=12)))
         faces = np.stack([np.roll(ids, k) for k in (0, 1, 3)], axis=1)
@@ -385,3 +387,16 @@ class TestGenerateMesh:
             mm.make_grid(1, 5, 1.0)
         with pytest.raises(ValueError):
             mm.make_grid(3, 3, 0.0)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, -0.0, 1e308])
+    def test_grid_rejects_bad_spacing(self, spacing):
+        # NaN passes a plain `spacing <= 0` test; 2 * 1e308 overflows
+        with pytest.raises(ValueError, match="grid spacing"):
+            mm.make_grid(3, 3, spacing)
+
+    @pytest.mark.parametrize("radii", [
+        (math.nan, 0.5), (2.0, math.nan), (math.inf, 0.5), (2.0, -0.0), (1e308, 1.0),
+    ])
+    def test_torus_rejects_bad_radii(self, radii):
+        with pytest.raises(ValueError, match="torus radii"):
+            mm.make_torus(6, 4, *radii)

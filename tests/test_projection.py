@@ -477,6 +477,15 @@ class TestEmbedding:
         d = emb.coords[mesh.edges[:, 0]] - emb.coords[mesh.edges[:, 1]]
         np.testing.assert_allclose(lengths, np.linalg.norm(d, axis=1), rtol=1e-15)
 
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_edge_lengths_at_extreme_scale(self, icosphere1, power):
+        # the squared differences leave float range unless scaled first
+        mesh, emb = icosphere1
+        scaled = emb.with_coords(np.ldexp(emb.coords, power))
+        np.testing.assert_array_equal(
+            scaled.edge_lengths(mesh), np.ldexp(emb.edge_lengths(mesh), power)
+        )
+
     def test_with_coords(self, icosphere0):
         _, emb = icosphere0
         emb2 = emb.with_coords(emb.coords * 2.0)

@@ -39,7 +39,6 @@ class TestParseConfig:
         assert s.outdir == "results/run1"
         assert (s.seed, s.jitter, s.freeze_embedding) == (7, 0.2, True)
         assert s.eta_init == 0.05
-        assert s.v_target_auto is False
         assert s.loss.lambda_ == 1e-3 and s.loss.p == 1.5
         assert s.loss.mu_dirichlet == 0.1 and s.loss.mu_volume == 1.0
         assert s.loss.v_target == 12.5
@@ -52,14 +51,13 @@ class TestParseConfig:
         assert s.dataset is None
         assert s.outdir == "out"
         assert s.loss.lambda_ == 1.0 and s.loss.p == 2.0
-        assert s.loss.v_target is None and s.v_target_auto is True
+        assert s.loss.v_target is None
         assert s.loss.feas_margin is None and s.loss.min_length is None
         assert s.stop.max_iters == 5000
         assert s.freeze_embedding is False
 
     def test_auto_placeholders(self):
         s = parse_config("mesh = m.off\nv_target = auto\nfeas_margin = AUTO\n")
-        assert s.v_target_auto is True
         assert s.loss.v_target is None
         assert s.loss.feas_margin is None
 
