@@ -35,7 +35,18 @@ def triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> 
     through C enters the triangle through the open interior of AB
     (causality); otherwise, and always as a floor, the edge-sum fallback
     min(d_a + lb, d_b + la) applies.
+
+    The unfold runs at unit scale (the finite arguments scaled by one power
+    of two), so any scale gives the same bits.
     """
+    args = np.array([d_a, d_b, la, lb, lc], dtype=np.float64)
+    _, k = _unit_scaled(args[np.isfinite(args)])
+    with np.errstate(over="ignore"):  # a distance past the float range comes out as inf
+        return float(np.ldexp(_triangle_update(*np.ldexp(args, -k).tolist()), k))
+
+
+def _triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> float:
+    """:func:`triangle_update` on arguments already near unit scale."""
     fallback = min(d_a + lb, d_b + la)
     if not (math.isfinite(d_a) and math.isfinite(d_b)):
         return fallback
@@ -119,7 +130,7 @@ def fast_marching(mesh, metric: MetricField, source: int) -> DistanceField:
                 # Edge (u, c) is the side opposite w.
                 cand = du + opp[pos_w]
                 if accepted[w]:
-                    two_point = triangle_update(
+                    two_point = _triangle_update(
                         du, dist[w],
                         la=opp[pos_u],   # |w c|, opposite u
                         lb=opp[pos_w],   # |u c|, opposite w

@@ -16,7 +16,9 @@ term contributes exactly zero gradient to the edge lengths.
 
 Every candidate step is pushed back into the feasible set (triangle
 inequality with margin, length floor) before it is evaluated, so every
-accepted iterate is strictly feasible.
+accepted iterate is strictly feasible. The start metric is repaired by
+cyclic projection onto the margin; candidates by an over-relaxed sweep,
+which converges in a few sweeps where cyclic projection may run out.
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ from .errors import (
     TapeNonFiniteError,
 )
 from .geometry import MetricField
-from .projection import Dataset, Embedding, isometry_coupling, project_dataset_arrays
+from .projection import (
+    Dataset,
+    Embedding,
+    _unit_scaled,
+    isometry_coupling,
+    project_dataset_arrays,
+)
 
 Projections = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -198,12 +206,20 @@ def _gradient(
         if config.mu_volume > 0.0:
             v_t = config.v_target
             w_area += config.mu_volume * 2.0 * (report.total_volume - v_t) / (v_t * v_t)
+        # The side product is formed at unit scale, the numerator and the
+        # area are divided by 2**(2k) to match. Power-of-two scaling is
+        # exact: the bits are the raw formula's wherever that one neither
+        # overflows nor underflows.
+        unit_sides, k = _unit_scaled(sides)
         g_face = (
-            w_angle
-            - np.roll(w_angle, -1, axis=1) * np.roll(cos, -2, axis=1)
-            - np.roll(w_angle, -2, axis=1) * np.roll(cos, -1, axis=1)
-            + 0.5 * (w_area * sides.prod(axis=1))[:, None] * cos
-        ) / (2.0 * report.face_area)[:, None]
+            np.ldexp(
+                w_angle
+                - np.roll(w_angle, -1, axis=1) * np.roll(cos, -2, axis=1)
+                - np.roll(w_angle, -2, axis=1) * np.roll(cos, -1, axis=1),
+                -2 * k,
+            )
+            + 0.5 * (w_area * np.ldexp(unit_sides.prod(axis=1), k))[:, None] * cos
+        ) / (2.0 * np.ldexp(report.face_area, -2 * k))[:, None]
         if config.mu_dirichlet > 0.0:
             logs = np.log(sides)
             spread = 3.0 * logs - logs.sum(axis=1, keepdims=True)
@@ -248,31 +264,47 @@ def feasibility_projection(
     feas_margin: float,
     min_length: float,
     max_sweeps: int = 50,
+    *,
+    relaxation: float = 1.0,
 ) -> MetricField:
     """Push a metric into the feasible set by local triangle repairs.
 
     Sweeps faces in index order; a face whose worst triangle inequality
     falls short of the margin has its two short sides raised and its long
-    side lowered by a third of the deficit each, slightly overshot so
-    repeated visits cannot ping-pong below the margin, plus an absolute
-    floor of a few ulps so that even deficits too small to register in one
-    addition still make progress. Each repair sees the lengths the faces
-    before it left, so the order is part of the result; an oracle test pins
-    it bit for bit. Lengths never drop below ``min_length``. Already
-    feasible input is returned unchanged (the same object). A margin or
-    floor that is not finite and positive raises ``ValueError``.
+    side lowered by a third of ``relaxation`` times the deficit each,
+    slightly overshot so repeated visits cannot ping-pong below the margin,
+    plus an absolute floor of a few ulps so that even deficits too small to
+    register in one addition still make progress. Each repair sees the
+    lengths the faces before it left, so the order is part of the result;
+    an oracle test pins it bit for bit. Lengths never drop below
+    ``min_length``. Already feasible input is returned unchanged (the same
+    object). A margin or floor that is not finite and positive, or a
+    relaxation outside [1, 2), raises ``ValueError``.
+
+    ``relaxation`` = 1 is cyclic projection: each face step lands exactly
+    on the margin, so a neighbour's next step can push it back below, and
+    the sweep count grows with the starting deficit (convergence is only
+    linear). Over-relaxing (1 < relaxation < 2) carries each face past the
+    margin into the interior, which converges in far fewer sweeps but moves
+    the lengths further than needed. :func:`run_optimization` repairs its
+    start metric at 1, which moves it least, and its line-search candidates
+    at 1.5, where a cheap repair matters more than a minimal one.
     """
     # plain floats: a numpy-scalar argument would slow the sweep or round in float32
     feas_margin, min_length = float(feas_margin), float(min_length)
+    relaxation = float(relaxation)
     for name, value in (("feas_margin", feas_margin), ("min_length", min_length)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not 1.0 <= relaxation < 2.0:
+        raise ValueError(f"relaxation must be in [1, 2), got {relaxation}")
     slacks = geometry.face_slacks(mesh, metric)
     if (slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
         return metric
 
     lengths = np.maximum(metric.lengths, min_length).tolist()
     face_edges = mesh.face_edges.tolist()
+    overshoot = relaxation * (1.0 + 1e-9)  # one multiply per repair, as at relaxation 1
     for _ in range(max_sweeps):
         changed = False
         for e0, e1, e2 in face_edges:
@@ -289,7 +321,7 @@ def feasibility_projection(
             deficit = feas_margin - smin
             if deficit <= 0.0:
                 continue
-            step = max(deficit * (1.0 + 1e-9), 8.0 * math.ulp(max(x0, x1, x2))) / 3.0
+            step = max(deficit * overshoot, 8.0 * math.ulp(max(x0, x1, x2))) / 3.0
             lengths[lo_a] += step
             lengths[lo_b] += step
             lengths[hi] = max(lengths[hi] - step, min_length)
@@ -390,6 +422,11 @@ def _resolved(config: LossConfig, metric: MetricField) -> LossConfig:
 # spans about six orders of magnitude from the warm-started step.
 _MAX_BACKTRACKS = 20
 
+# Over-relaxation of the line-search candidates' repair. At 1 (cyclic
+# projection) a candidate far outside the feasible set often runs out of
+# sweeps; at 1.5 it is repaired in a few.
+_CANDIDATE_RELAXATION = 1.5
+
 
 def run_optimization(
     mesh,
@@ -408,7 +445,10 @@ def run_optimization(
     trace is already a feasible point. Each iteration takes one gradient,
     then tries steps eta, eta/2, ... until the candidate (after its own
     feasibility projection) does not increase the true loss; the accepted
-    step is doubled as the next iteration's first try. Stop reasons:
+    step is doubled as the next iteration's first try. The start metric is
+    repaired at relaxation 1 and candidates at 1.5 (see
+    :func:`feasibility_projection`); a candidate whose repair fails is one
+    more halving of the step. Stop reasons:
     ``grad_tol``, ``loss_tol``, ``max_iters``, ``stalled``. A mesh with a
     vertex that belongs to no face raises :class:`IsolatedVertexError`.
     """
@@ -473,7 +513,8 @@ def run_optimization(
             cand_lengths = np.maximum(metric.lengths - eta * g_len, config.min_length)
             try:
                 cand_metric = feasibility_projection(
-                    mesh, MetricField(cand_lengths), config.feas_margin, config.min_length
+                    mesh, MetricField(cand_lengths), config.feas_margin, config.min_length,
+                    relaxation=_CANDIDATE_RELAXATION,
                 )
             except (ValueError, FeasibilityProjectionError):
                 eta *= 0.5

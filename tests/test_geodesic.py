@@ -50,6 +50,18 @@ class TestTriangleUpdate:
         assert got == pytest.approx(expected, rel=1e-15)
         assert got <= min(0.0 + 3.0, 0.5 + 4.0)
 
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_far_from_unit_scale(self, exponent):
+        # the unfold squares the sides, which at 2**600 overflows and at
+        # 2**-600 underflows; the distance itself scales with the lengths
+        cases = [(0.0, 0.0, 1.0, 1.0, 1.0), (0.0, 0.5, 4.0, 3.0, 5.0), (0.3, 0.1, 1.1, 0.9, 1.3)]
+        for args in cases:
+            base = mm.triangle_update(*args)
+            got = mm.triangle_update(*(math.ldexp(x, exponent) for x in args))
+            assert got == math.ldexp(base, exponent), args
+        assert mm.triangle_update(0.0, 0.0, 1e200, 1e200, 1e200) == pytest.approx(SQRT3 / 2 * 1e200)
+        assert mm.triangle_update(0.0, math.inf, 1e-200, 1e-200, 1e-200) == 1e-200
+
     @given(
         st.floats(0.0, 5.0),
         st.floats(0.0, 5.0),

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metricmesh as mm
 from metricmesh import autodiff as ad
@@ -322,6 +325,25 @@ class TestClosedFormGradient:
         got = closed_form_gradient(mesh, metric, emb, ds, cfg, True)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("exponent", [400, -400])
+    @pytest.mark.parametrize("mu_dirichlet", [0.0, 0.1])
+    def test_far_from_unit_scale(self, exponent, mu_dirichlet):
+        # the area term multiplies three sides, which at 2**400 overflows
+        # and at 2**-400 underflows; the gradient itself scales as 1/length
+        mesh, emb = mm.make_icosphere(1)
+        metric = feasible_jittered(mesh, emb, seed=2, amount=0.2)
+        cfg = LossConfig(lambda_=1.0, p=1.0, mu_dirichlet=mu_dirichlet)
+        base = closed_form_gradient(mesh, metric, emb, None, cfg, True)
+        scaled = mm.MetricField(np.ldexp(metric.lengths, exponent))
+        with np.errstate(all="raise"):
+            got = closed_form_gradient(mesh, scaled, emb, None, cfg, True)
+        want = np.ldexp(base, -exponent)
+        if mu_dirichlet == 0.0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            # log(2**400 * l) rounds differently from log(l) + 400 log(2)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_non_finite_gradient_raises(self, icosphere0):
         mesh, emb = icosphere0
         metric = mm.MetricField.from_embedding(mesh, emb)
@@ -372,6 +394,9 @@ class TestFeasibilityProjection:
             feasibility_projection(mesh, metric, 0.0, 1e-9)
         with pytest.raises(ValueError):
             feasibility_projection(mesh, metric, 1e-6, 0.0)
+        for bad in (math.nan, math.inf, 0.5, 2.0):
+            with pytest.raises(ValueError, match="relaxation must be in"):
+                feasibility_projection(mesh, metric, 1e-6, 1e-9, relaxation=bad)
         # a non-finite margin or floor is named up front, before any sweep
         # (a NaN margin used to run every sweep and then blame the lengths)
         for bad in (math.nan, math.inf, -math.inf):
@@ -389,12 +414,13 @@ class TestFeasibilityProjection:
         assert mm.check_feasible(mesh, out, 1e-12) == []
 
 
-def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50):
+def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50, relaxation=1.0):
     """The repair sweep on numpy scalars, as it first shipped: the oracle.
 
     Visits faces in index order and indexes the length array once per
     read, so each repair sees what the faces before it wrote. The library
     runs the same arithmetic on plain floats and must agree bit for bit.
+    ``relaxation`` scales each face step, as the library's keyword does.
     """
     lengths = metric.lengths.copy()
     np.maximum(lengths, min_length, out=lengths)
@@ -417,7 +443,7 @@ def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50):
             if deficit <= 0.0:
                 continue
             step = max(
-                deficit * (1.0 + 1e-9), 8.0 * np.spacing(max(x0, x1, x2))
+                deficit * (relaxation * (1.0 + 1e-9)), 8.0 * np.spacing(max(x0, x1, x2))
             ) / 3.0
             lengths[lo_a] += step
             lengths[lo_b] += step
@@ -436,10 +462,11 @@ def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50):
     return result
 
 
-def repair_outcome(repair, mesh, lengths, margin, floor, max_sweeps=50):
+def repair_outcome(repair, mesh, lengths, margin, floor, max_sweeps=50, relaxation=1.0):
     """Repaired lengths, or the failure's (message, faces)."""
     try:
-        return repair(mesh, mm.MetricField(lengths), margin, floor, max_sweeps).lengths
+        metric = mm.MetricField(lengths)
+        return repair(mesh, metric, margin, floor, max_sweeps, relaxation=relaxation).lengths
     except FeasibilityProjectionError as exc:
         return str(exc), exc.faces
 
@@ -483,24 +510,60 @@ REPAIR_CASES = [
 ] + ["min_length clamp", "three-way ties", "sub-ulp deficit"]
 
 
+# A case that still runs out of sweeps at 1 and 3 sweeps under each
+# relaxation: over-relaxed, the jittered icosphere converges in 2.
+SWEEP_LIMIT_CASES = {1.0: "icosphere(2) jitter 0.9", 1.5: "three-way ties"}
+
+
 class TestRepairMatchesNumpyScalarSweep:
+    @pytest.mark.parametrize("relaxation", [1.0, 1.5])
     @pytest.mark.parametrize("name", REPAIR_CASES)
-    def test_bitwise_equal_to_oracle(self, name):
+    def test_bitwise_equal_to_oracle(self, name, relaxation):
         mesh, lengths, margin, floor = repair_case(name)
-        got = repair_outcome(feasibility_projection, mesh, lengths, margin, floor)
-        want = repair_outcome(numpy_scalar_repair, mesh, lengths, margin, floor)
+        args = (mesh, lengths, margin, floor, 50, relaxation)
+        got = repair_outcome(feasibility_projection, *args)
+        want = repair_outcome(numpy_scalar_repair, *args)
         if isinstance(want, tuple):
             assert got == want
         else:
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("relaxation", [1.0, 1.5])
     @pytest.mark.parametrize("max_sweeps", [1, 3])
-    def test_same_failure_when_sweeps_run_out(self, max_sweeps):
-        mesh, lengths, margin, floor = jittered_case("icosphere(2)", 0.9)
-        got = repair_outcome(feasibility_projection, mesh, lengths, margin, floor, max_sweeps)
-        want = repair_outcome(numpy_scalar_repair, mesh, lengths, margin, floor, max_sweeps)
+    def test_same_failure_when_sweeps_run_out(self, max_sweeps, relaxation):
+        mesh, lengths, margin, floor = repair_case(SWEEP_LIMIT_CASES[relaxation])
+        args = (mesh, lengths, margin, floor, max_sweeps, relaxation)
+        got = repair_outcome(feasibility_projection, *args)
+        want = repair_outcome(numpy_scalar_repair, *args)
         assert isinstance(want, tuple), "the case must run out of sweeps"
         assert got == want
+
+
+@functools.cache
+def repair_mesh(kind):
+    return mm.generate_mesh(kind)
+
+
+class TestOverRelaxedRepair:
+    @given(
+        kind=st.sampled_from(
+            ["icosphere(1)", "torus(8,4,2.0,0.7)", "grid(5,4,1.0)", "grid(2,2,1.0)"]
+        ),
+        amount=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+        margin_scale=st.floats(1e-6, 1e-2),
+        floor_scale=st.floats(1e-9, 1e-3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_output_meets_margin_and_floor(self, kind, amount, seed, margin_scale, floor_scale):
+        mesh, emb = repair_mesh(kind)
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        metric = metric.with_jitter(np.random.default_rng(seed), amount)
+        mean = float(np.mean(metric.lengths))
+        margin, floor = margin_scale * mean, floor_scale * mean
+        out = feasibility_projection(mesh, metric, margin, floor, relaxation=1.5)
+        assert mm.check_feasible(mesh, out, margin) == []
+        assert (out.lengths >= floor).all()
 
 
 class TestRunOptimization:
@@ -685,6 +748,37 @@ class TestRunOptimization:
         assert res.rows[-1].l_data < 0.5 * res.rows[0].l_data
         totals = [r.l_total for r in res.rows]
         assert all(b <= a for a, b in zip(totals, totals[1:]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_flow_candidates_repair_without_failure(self, monkeypatch, seed):
+        # Curvature flow from a heavily jittered start. Repaired by plain
+        # cyclic projection, 4-5 line-search candidates per solve ran all
+        # 50 sweeps and failed; over-relaxed, none does.
+        mesh, emb = mm.make_icosphere(2)
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        metric = metric.with_jitter(np.random.default_rng(seed), 0.5)
+        cfg = optimize._resolved(
+            LossConfig(lambda_=1.0, p=1.5, mu_dirichlet=0.1, mu_volume=1.0), metric
+        )
+        metric = feasibility_projection(mesh, metric, cfg.feas_margin, cfg.min_length)
+        cfg = dataclasses.replace(cfg, v_target=mm.curvature_report(mesh, metric).total_volume)
+        real = optimize.feasibility_projection
+        failures = []
+
+        def counting(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except FeasibilityProjectionError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(optimize, "feasibility_projection", counting)
+        res = run_optimization(
+            mesh, metric, emb, None, cfg,
+            stop=StopRule(max_iters=6, grad_tol=0.0), freeze_embedding=True,
+        )
+        assert failures == []
+        assert res.stop_reason == "max_iters"
 
     def test_eta_validation(self, icosphere0):
         mesh, emb = icosphere0
