@@ -204,8 +204,10 @@ def _gradient(
         w_angle = -d_defect[mesh.faces] * sides
         w_area = d_vertex_area[mesh.faces].sum(axis=1) / 3.0
         if config.mu_volume > 0.0:
-            v_t = config.v_target
-            w_area += config.mu_volume * 2.0 * (report.total_volume - v_t) / (v_t * v_t)
+            # formed at unit scale like the side product below: v_t * v_t
+            # leaves the float range long before v_t does
+            (vol, v_t), j = _unit_scaled(np.array([report.total_volume, config.v_target]))
+            w_area += np.ldexp(config.mu_volume * 2.0 * (vol - v_t) / (v_t * v_t), -j)
         # The side product is formed at unit scale, the numerator and the
         # area are divided by 2**(2k) to match. Power-of-two scaling is
         # exact: the bits are the raw formula's wherever that one neither

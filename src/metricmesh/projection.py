@@ -9,9 +9,11 @@ decomposition) minimized over the faces; ties go to the lowest face
 index.
 
 One array kernel computes the closest point on a triangle.
-:func:`project_points` runs it only on the faces that a nearest-vertex
-bound cannot rule out, so its result is the same, bit for bit, as a scan
-over all faces; :func:`closest_point_on_face` is its one-face case.
+:func:`project_points` runs it only on the faces that a vertex-distance
+bound cannot rule out. The bound is evaluated in expanded form, one matrix
+product per block of points, with a margin above its rounding error, so
+the result is the same, bit for bit, as a scan over all faces;
+:func:`closest_point_on_face` is its one-face case.
 """
 
 from __future__ import annotations
@@ -227,9 +229,11 @@ def _sq_distances(x, y):
     return total
 
 
-# Points go through the bound stage in blocks of about this many point x
-# face (or point x vertex) distances, which keeps the temporaries small.
+# Points go through the bound stage in blocks of about _BLOCK_PAIRS point
+# x face (or point x vertex) entries, which keeps the temporaries small; the
+# pairs that pass go to the kernel once whole blocks hold _KERNEL_PAIRS.
 _BLOCK_PAIRS = 1 << 14
+_KERNEL_PAIRS = 1 << 11
 
 # Relative slack on the pruning bound. It is far above the rounding in
 # the distances that enter the bound, so a face that can win (or tie) is
@@ -246,11 +250,21 @@ def project_points(points, coords, faces):
     the same arrays, bit for bit, as running ``_closest_points`` over every
     face and taking the first minimum: ties go to the lowest face index.
 
-    Exact pruning: the distance ``reach`` from a point to the nearest
-    vertex that some face uses bounds its distance to the closest face, so
-    a face can win only if its bounding sphere (centroid, farthest corner
-    ``r``) comes within ``reach`` of the point, ``|p - c| <= reach + r``.
-    The kernel runs only on the (point, face) pairs that pass.
+    Exact pruning: the distance ``reach`` from a point to any vertex that
+    some face uses bounds its distance to the closest face, so a face can
+    win only if its bounding sphere (centroid ``c``, farthest corner ``r``)
+    comes within ``reach`` of the point, ``|p - c| <= reach + r``. Per block
+    of points the vertex is the argmin of ``|v|^2 - 2 p.v``, and the test,
+    squared and expanded with ``S = (1 + _PRUNE_SLACK)^2``, is one matrix
+    product against a row term plus a column term:
+
+        2 (p.c + S reach r) >= [(1-d) |p|^2 - S reach^2] + [(1-d) |c|^2 - S r^2]
+
+    In ambient dimension n the expanded form is computed to within about
+    ``(n + 2) eps (|p|^2 + |c|^2)`` in any order of summation, which
+    ``d = max(64, 4 n) eps`` covers; the slack covers the relative rounding
+    of ``reach``, ``r`` and the kernel. A point whose row term is not
+    finite keeps every face, so its overflow is reported.
 
     The kernel's products are of fourth degree in the coordinates, so at
     large or small scale they overflow or underflow long before the
@@ -271,24 +285,40 @@ def project_points(points, coords, faces):
     # an isolated vertex is on no face, so it bounds nothing
     used = coords[np.bincount(faces.ravel(), minlength=coords.shape[0]) > 0]
     centroid = (a + b + c) / 3.0
-    radius = np.sqrt(np.maximum.reduce([_sq_distances(x, centroid) for x in (a, b, c)]))
-    npts = points.shape[0]
+    radius_sq = np.maximum.reduce([_sq_distances(x, centroid) for x in (a, b, c)])
+    npts, dim = points.shape
+    shrink = 1.0 - max(64, 4 * dim) * np.finfo(np.float64).eps
+    stretch = (1.0 + _PRUNE_SLACK) ** 2
+    to_vertex = np.vstack((-2.0 * used.T, np.einsum("vk,vk->v", used, used)))
+    to_face = 2.0 * np.vstack((centroid.T, np.sqrt(radius_sq)))
+    col = shrink * np.einsum("fk,fk->f", centroid, centroid) - stretch * radius_sq
     out_face = np.empty(npts, dtype=np.int64)
     out_bary = np.empty((npts, 3), dtype=np.float64)
     out_sq = np.empty(npts, dtype=np.float64)
     step = max(1, _BLOCK_PAIRS // max(faces.shape[0], used.shape[0]))
+    pending, first = [], 0
     for start in range(0, npts, step):
         block = points[start : start + step]
-        reach = np.sqrt(_sq_distances(block[:, None], used).min(axis=1))
-        bound = (reach[:, None] + radius[None, :]) * (1.0 + _PRUNE_SLACK)
-        pi, fi = np.nonzero(np.sqrt(_sq_distances(block[:, None], centroid)) <= bound)
-        bary, sq = _closest_points(block[pi], a[fi], b[fi], c[fi])
+        lifted = np.hstack((block, np.ones((len(block), 1))))
+        reach_sq = _sq_distances(block, used[np.argmin(lifted @ to_vertex, axis=1)])
+        lifted[:, dim] = stretch * np.sqrt(reach_sq)
+        row = shrink * np.einsum("ik,ik->i", block, block) - stretch * reach_sq
+        keep = lifted @ to_face >= row[:, None] + col
+        keep[~np.isfinite(row)] = True
+        pi, fi = np.nonzero(keep)
+        pending.append((pi + start, fi))
+        stop = start + len(block)
+        if sum(x.size for x, _ in pending) < _KERNEL_PAIRS and stop < npts:
+            continue
+        pi, fi = map(np.concatenate, zip(*pending))
+        bary, sq = _closest_points(points[pi], a[fi], b[fi], c[fi])
         order = np.lexsort((fi, sq, pi))
         best = order[np.flatnonzero(np.diff(pi[order], prepend=-1))]
-        rows = slice(start, start + block.shape[0])
+        rows = slice(first, stop)
         out_face[rows] = fi[best]
         out_bary[rows] = bary[best]
         out_sq[rows] = sq[best]
+        pending, first = [], stop
     out_sq = np.ldexp(out_sq, 2 * k)
     bad = np.flatnonzero(~np.isfinite(out_sq))
     if bad.size:

@@ -11,14 +11,31 @@ import metricmesh as mm
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_does_not_load_the_tape():
-    # The tape is a test oracle; neither the package nor the CLI needs it.
+def run_python(code):
+    """Standard output of ``code`` run in a fresh interpreter on this source tree."""
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    code = "import sys, metricmesh, metricmesh.cli; print('metricmesh.autodiff' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_the_tape():
+    # The tape is a test oracle; neither the package nor the CLI needs it.
+    code = "import sys, metricmesh, metricmesh.cli; print('metricmesh.autodiff' in sys.modules)"
+    assert run_python(code) == "False"
+
+
+def test_projection_does_not_load_scipy():
+    # scipy.spatial's KD-tree would prune the projection too, but importing
+    # it adds tens of MB to the peak resident set of every run
+    code = (
+        "import sys, numpy as np, metricmesh as mm\n"
+        "mesh, emb = mm.make_icosphere(1)\n"
+        "mm.projection.project_points(np.ones((5, 3)), emb.coords, mesh.faces)\n"
+        "print('scipy' in sys.modules)"
+    )
+    assert run_python(code) == "False"
 
 
 def test_all_names_resolve():

@@ -344,6 +344,21 @@ class TestClosedFormGradient:
             # log(2**400 * l) rounds differently from log(l) + 400 log(2)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("exponent", [400, -400])
+    def test_volume_term_far_from_unit_scale(self, exponent):
+        # the volume term divides by v_target squared, which at 2**-400
+        # underflows and at 2**400 overflows unless formed at unit scale
+        mesh, emb = mm.make_icosphere(1)
+        metric = feasible_jittered(mesh, emb, seed=2, amount=0.2)
+        v_target = 1.1 * mm.curvature_report(mesh, metric).total_volume
+        cfg = LossConfig(lambda_=1.0, p=1.0, mu_volume=1.0, v_target=v_target)
+        base = closed_form_gradient(mesh, metric, emb, None, cfg, True)
+        scaled = mm.MetricField(np.ldexp(metric.lengths, exponent))
+        cfg = dataclasses.replace(cfg, v_target=math.ldexp(v_target, 2 * exponent))
+        with np.errstate(all="raise"):
+            got = closed_form_gradient(mesh, scaled, emb, None, cfg, True)
+        np.testing.assert_array_equal(got, np.ldexp(base, -exponent))
+
     def test_non_finite_gradient_raises(self, icosphere0):
         mesh, emb = icosphere0
         metric = mm.MetricField.from_embedding(mesh, emb)

@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metricmesh as mm
 from metricmesh import projection
@@ -197,13 +199,89 @@ class TestPrunedProjectionMatchesScan:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
-    def test_blocks_do_not_change_the_result(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"_BLOCK_PAIRS": 1}, {"_KERNEL_PAIRS": 1}, {"_BLOCK_PAIRS": 1, "_KERNEL_PAIRS": 1}],
+    )
+    def test_blocks_do_not_change_the_result(self, monkeypatch, sizes):
         points, coords, faces = oracle_case("torus(16,8,2.0,0.7)")
         want = projection.project_points(points, coords, faces)
-        monkeypatch.setattr(projection, "_BLOCK_PAIRS", 1)
+        for name, value in sizes.items():
+            monkeypatch.setattr(projection, name, value)
         got = projection.project_points(points, coords, faces)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("kernel_pairs", [1, 1 << 11, 1 << 30])
+    def test_far_points_between_near_ones_match_the_scan(self, monkeypatch, kernel_pairs):
+        # a far point keeps every face, so it fills a kernel batch by itself;
+        # every row, far or near, must still be the scan's
+        points, coords, faces = oracle_case("icosphere(2)")
+        rng = np.random.default_rng(7)
+        far = rng.normal(size=(20, 3)) * 10.0 ** rng.uniform(100, 150, size=(20, 1))
+        points = np.insert(points, rng.integers(0, len(points), 20), far, axis=0)
+        monkeypatch.setattr(projection, "_KERNEL_PAIRS", kernel_pairs)
+        got = projection.project_points(points, coords, faces)
+        for g, w in zip(got, scan_all_faces(points, coords, faces)):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("block_pairs", [1, 1 << 14])
+    def test_overflow_reported_for_the_right_point(self, monkeypatch, block_pairs):
+        points, coords, faces = oracle_case("icosphere(2)")
+        points = np.insert(points, [150, 170], [[1e200, 0.0, 0.0], [0.0, -1e250, 0.0]], axis=0)
+        monkeypatch.setattr(projection, "_BLOCK_PAIRS", block_pairs)
+        with pytest.raises(ValueError, match="point 150 to the mesh overflows"):
+            projection.project_points(points, coords, faces)
+
+
+def hard_case(seed, dim, far):
+    """(points, coords, faces) that stress the pruning bound.
+
+    icosphere(1) mapped linearly into ``dim`` dimensions plus three tiny,
+    nearly collinear faces; points exactly on vertices, edge midpoints and
+    centroids, points above vertices (equidistant from the faces around
+    them), a random cloud and, if ``far``, points 1e100 to 1e150 away.
+    """
+    rng = np.random.default_rng(seed)
+    mesh, emb = mm.make_icosphere(1)
+    coords = emb.coords @ rng.normal(size=(3, dim))
+    corner = coords[rng.integers(0, len(coords), 3), None] + 0.1 * rng.normal(size=(3, 1, dim))
+    edge, off = 1e-8 * rng.normal(size=(2, 3, 1, dim))
+    slivers = np.concatenate([corner, corner + edge, corner + 0.5 * edge + 1e-9 * off], axis=1)
+    faces = np.vstack([mesh.faces, len(coords) + np.arange(9).reshape(3, 3)])
+    coords = np.vstack([coords, slivers.reshape(9, dim)])
+    tri = coords[faces]
+    edges = mesh.edges[rng.integers(0, mesh.edge_count, 10)]
+    points = [
+        coords[rng.integers(0, len(coords), 15)],
+        0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]]),
+        tri[rng.integers(0, len(faces), 12)].sum(axis=1) / 3.0,
+        1.7 * coords[rng.integers(0, len(coords), 10)],
+        rng.normal(size=(10, dim)),
+    ]
+    if far:
+        points.append(rng.normal(size=(5, dim)) * 10.0 ** rng.uniform(100, 150, size=(5, 1)))
+    return np.vstack(points), coords, faces
+
+
+class TestPruningBoundProperty:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        power=st.sampled_from([0, 300, -300]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_equal_to_scan(self, seed, dim, power):
+        # at 2**300 a point 1e100 away has a squared distance past the
+        # float range, so far points are checked at 2**0 and 2**-300
+        points, coords, faces = hard_case(seed, dim, far=power <= 0)
+        face, bary, sq = projection.project_points(
+            np.ldexp(points, power), np.ldexp(coords, power), faces
+        )
+        want_face, want_bary, want_sq = scan_all_faces(points, coords, faces)
+        np.testing.assert_array_equal(face, want_face)
+        np.testing.assert_array_equal(bary, want_bary)
+        np.testing.assert_array_equal(sq, np.ldexp(want_sq, 2 * power))
 
 
 def random_rows(rng, m, scale):
