@@ -27,16 +27,9 @@ from .errors import ConfigError, MetricMeshError
 from .geodesic import dijkstra_distances, fast_marching
 from .geometry import MetricField, curvature_report
 from .mesh import euler_characteristic, generate_mesh, read_off, save_off, validate_manifold
-from .optimize import (
-    LossConfig,
-    _resolved,
-    feasibility_projection,
-    lambda_sweep,
-    run_optimization,
-    sweep_weights,
-)
+from .optimize import _start, lambda_sweep, run_optimization, sweep_weights
 from .projection import Dataset, Embedding
-from .runconfig import RunSettings, read_config
+from .runconfig import RunSettings, read_config, settings_echo
 
 TWO_PI = 2.0 * np.pi
 
@@ -115,10 +108,10 @@ def _cmd_geodesic(args) -> int:
 
 
 def _prepare_run(settings: RunSettings):
-    """Shared setup for optimize and sweep: mesh, data, initial metric.
+    """Shared setup for optimize and sweep: mesh, data, start metric.
 
-    Resolves every 'auto' in the configuration to a concrete number so
-    the manifest records exactly what the run used.
+    The returned settings have every 'auto' resolved to a concrete
+    number, so the manifest records exactly what the run used.
     """
     mesh, embedding = _load_mesh(settings.mesh)
     dataset = Dataset.from_csv(settings.dataset) if settings.dataset else None
@@ -126,46 +119,19 @@ def _prepare_run(settings: RunSettings):
     if settings.jitter > 0.0:
         rng = np.random.default_rng(settings.seed)
         metric = metric.with_jitter(rng, settings.jitter)
-    loss = _resolved(settings.loss, metric)
-    metric = feasibility_projection(mesh, metric, loss.feas_margin, loss.min_length)
-    if loss.v_target is None and loss.mu_volume > 0.0:
-        vol = curvature_report(mesh, metric).total_volume
-        loss = dataclasses.replace(loss, v_target=vol)
-    return mesh, embedding, dataset, metric, loss
-
-
-def _settings_echo(settings: RunSettings, loss: LossConfig) -> dict:
-    return {
-        "mesh": settings.mesh,
-        "dataset": settings.dataset,
-        "outdir": settings.outdir,
-        "seed": settings.seed,
-        "jitter": settings.jitter,
-        "freeze_embedding": settings.freeze_embedding,
-        "eta_init": settings.eta_init,
-        "lambda": loss.lambda_,
-        "p": loss.p,
-        "mu_dirichlet": loss.mu_dirichlet,
-        "mu_volume": loss.mu_volume,
-        "mu_iso": loss.mu_iso,
-        "v_target": loss.v_target,
-        "feas_margin": loss.feas_margin,
-        "min_length": loss.min_length,
-        "max_iters": settings.stop.max_iters,
-        "grad_tol": settings.stop.grad_tol,
-        "loss_tol": settings.stop.loss_tol,
-    }
+    metric, loss = _start(mesh, metric, settings.loss)
+    return mesh, embedding, dataset, metric, dataclasses.replace(settings, loss=loss)
 
 
 def _cmd_optimize(args) -> int:
     settings = read_config(args.config)
-    mesh, embedding, dataset, metric, loss = _prepare_run(settings)
+    mesh, embedding, dataset, metric, settings = _prepare_run(settings)
     result = run_optimization(
         mesh,
         metric,
         embedding,
         dataset,
-        loss,
+        settings.loss,
         stop=settings.stop,
         eta_init=settings.eta_init,
         freeze_embedding=settings.freeze_embedding,
@@ -182,7 +148,7 @@ def _cmd_optimize(args) -> int:
     manifest = {
         "command": "optimize",
         "backend": backend_name(),
-        "settings": _settings_echo(settings, loss),
+        "settings": settings_echo(settings),
         "result": {
             "iterations": result.iterations,
             "stop_reason": result.stop_reason,
@@ -207,13 +173,13 @@ def _cmd_sweep(args) -> int:
         print(f"error: --lambdas: {exc}", file=sys.stderr)
         return 2
     settings = read_config(args.config)
-    mesh, embedding, dataset, metric, loss = _prepare_run(settings)
+    mesh, embedding, dataset, metric, settings = _prepare_run(settings)
     records = lambda_sweep(
         mesh,
         metric,
         embedding,
         dataset,
-        loss,
+        settings.loss,
         lambdas,
         stop=settings.stop,
         eta_init=settings.eta_init,
@@ -232,7 +198,7 @@ def _cmd_sweep(args) -> int:
     manifest = {
         "command": "sweep",
         "backend": backend_name(),
-        "settings": _settings_echo(settings, loss),
+        "settings": settings_echo(settings),
         "lambdas": lambdas,
         "records": [
             {"lambda": rec.lambda_, "status": rec.status, "detail": rec.detail}

@@ -54,11 +54,13 @@ Projections = tuple[np.ndarray, np.ndarray, np.ndarray]
 class LossConfig:
     """Weights and feasibility parameters of the objective.
 
-    ``feas_margin`` and ``min_length`` default to None, meaning "derive
-    from the initial metric" (1e-4 and 1e-6 times the mean edge length);
-    :func:`run_optimization` resolves them. ``v_target`` is required only
-    when ``mu_volume`` is positive; when present, the volume column is
-    reported even at zero weight.
+    ``feas_margin``, ``min_length`` and ``v_target`` default to None,
+    meaning "derive from the start metric": :func:`run_optimization`
+    sets the margin and floor to 1e-4 and 1e-6 times its mean edge length
+    and, when ``mu_volume`` is positive, the volume target to its repaired
+    total area. :func:`total_loss` needs ``v_target`` when ``mu_volume``
+    is positive; when present, the volume column is reported even at
+    zero weight.
     """
 
     lambda_: float = 1.0
@@ -82,7 +84,7 @@ class LossConfig:
         for name in ("v_target", "feas_margin", "min_length"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive when given, got {v}")
+                raise ValueError(f"{name} must be finite and positive when given, got {v}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,11 @@ def total_loss(
     ``projections`` takes the (faces, barycentric, squared distance)
     tuple of :func:`project_dataset_arrays` to reuse a projection pass;
     when omitted and a dataset is present, points are reprojected, which
-    is what makes the reported loss the true one.
+    is what makes the reported loss the true one. A positive
+    ``mu_volume`` without a ``v_target`` raises ``ValueError``.
     """
+    if config.mu_volume > 0.0 and config.v_target is None:
+        raise ValueError("mu_volume > 0 requires v_target")
     report = geometry.curvature_report(mesh, metric)
     curv = geometry.curvature_energy(report, config.p)
     diri = geometry.dirichlet_energy(mesh, metric)
@@ -161,8 +166,6 @@ def _gradient(
     lambda = mu_iso = 0 the length gradient is exactly zero. At a zero
     defect the subgradient of |defect| is taken to be +1.
     """
-    if config.mu_volume > 0.0 and config.v_target is None:
-        raise ValueError("mu_volume > 0 requires v_target")
     coords = embedding.coords
     ndim = coords.shape[1]
     g_len = np.zeros(metric.edge_count)
@@ -251,8 +254,8 @@ def loss_gradient(
     proj = None
     if dataset is not None:
         proj = project_dataset_arrays(dataset.points, embedding, mesh)
-    g_len, g_coord = _gradient(mesh, metric, embedding, dataset, config, proj, freeze_embedding)
     value = total_loss(mesh, metric, embedding, dataset, config, projections=proj).total
+    g_len, g_coord = _gradient(mesh, metric, embedding, dataset, config, proj, freeze_embedding)
     return value, g_len, g_coord
 
 
@@ -356,8 +359,10 @@ class StopRule:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not (self.grad_tol >= 0.0 and self.loss_tol >= 0.0):
-            raise ValueError("tolerances must be >= 0 and not NaN")
+        for name in ("grad_tol", "loss_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -408,16 +413,25 @@ class OptimizationResult:
         return self.rows[-1]
 
 
-def _resolved(config: LossConfig, metric: MetricField) -> LossConfig:
-    """Fill an unset margin and floor from ``metric``'s mean edge length."""
-    if config.feas_margin is not None and config.min_length is not None:
-        return config
-    mean = float(np.mean(metric.lengths))
-    return dataclasses.replace(
-        config,
-        feas_margin=config.feas_margin if config.feas_margin is not None else 1e-4 * mean,
-        min_length=config.min_length if config.min_length is not None else 1e-6 * mean,
-    )
+def _start(mesh, metric: MetricField, config: LossConfig) -> tuple[MetricField, LossConfig]:
+    """The descent's start: ``metric`` repaired, every unset setting resolved.
+
+    An unset margin and floor are 1e-4 and 1e-6 times ``metric``'s mean
+    edge length. The metric is repaired at relaxation 1; an unset volume
+    target with a positive ``mu_volume`` is the repaired metric's total area.
+    """
+    if config.feas_margin is None or config.min_length is None:
+        mean = float(np.mean(metric.lengths))
+        config = dataclasses.replace(
+            config,
+            feas_margin=config.feas_margin if config.feas_margin is not None else 1e-4 * mean,
+            min_length=config.min_length if config.min_length is not None else 1e-6 * mean,
+        )
+    metric = feasibility_projection(mesh, metric, config.feas_margin, config.min_length)
+    if config.mu_volume > 0.0 and config.v_target is None:
+        volume = geometry.curvature_report(mesh, metric).total_volume
+        config = dataclasses.replace(config, v_target=volume)
+    return metric, config
 
 
 # Backtracking halves the step this many times before giving up, which
@@ -443,11 +457,15 @@ def run_optimization(
 ) -> OptimizationResult:
     """Projected gradient descent with backtracking line search.
 
-    The initial metric is projected to feasibility first, so row 0 of the
-    trace is already a feasible point. Each iteration takes one gradient,
-    then tries steps eta, eta/2, ... until the candidate (after its own
-    feasibility projection) does not increase the true loss; the accepted
-    step is doubled as the next iteration's first try. The start metric is
+    An unset margin and floor in ``config`` are derived from the initial
+    metric's mean edge length (1e-4 and 1e-6 times it). The initial
+    metric is then projected to feasibility, so row 0 of the trace is
+    already a feasible point, and an unset volume target with a positive
+    ``mu_volume`` becomes its total area; ``result.config`` holds the
+    values used. Each iteration takes one gradient, then tries steps eta,
+    eta/2, ... until the candidate (after its own feasibility projection)
+    does not increase the true loss; the accepted step is doubled as the
+    next iteration's first try. The start metric is
     repaired at relaxation 1 and candidates at 1.5 (see
     :func:`feasibility_projection`); a candidate whose repair fails is one
     more halving of the step. Stop reasons:
@@ -463,9 +481,7 @@ def run_optimization(
             f"vertex {int(isolated[0])} belongs to no face, so its curvature density "
             f"is undefined ({isolated.size} isolated vertices in the mesh)"
         )
-    config = _resolved(config, metric)
-    metric = feasibility_projection(mesh, metric, config.feas_margin, config.min_length)
-    coords_free = not freeze_embedding
+    metric, config = _start(mesh, metric, config)
 
     proj = None
     if dataset is not None:
@@ -521,7 +537,7 @@ def run_optimization(
             except (ValueError, FeasibilityProjectionError):
                 eta *= 0.5
                 continue
-            if coords_free and g_coord is not None:
+            if g_coord is not None:
                 new_coords = embedding.coords - eta * g_coord.reshape(embedding.coords.shape)
                 try:
                     cand_emb = embedding.with_coords(new_coords)
@@ -531,7 +547,7 @@ def run_optimization(
             else:
                 cand_emb = embedding
             cand_proj = proj
-            if dataset is not None and coords_free:
+            if dataset is not None and g_coord is not None:
                 try:
                     cand_proj = project_dataset_arrays(dataset.points, cand_emb, mesh)
                 except ValueError:  # a squared distance overflows
@@ -597,13 +613,16 @@ def lambda_sweep(
 ) -> list[SweepRecord]:
     """Optimize at each weight, warm-starting from the previous optimum.
 
-    The weights are checked by :func:`sweep_weights`. An unset margin and
-    floor are derived once, from the starting metric, and shared by every
-    run. A failed run is recorded and the sweep continues from the last
+    The weights are checked by :func:`sweep_weights`. The start is
+    prepared once, as :func:`run_optimization` prepares it: the unset
+    margin, floor and volume target are derived from the starting metric
+    and shared by every run, and a starting metric that cannot be repaired
+    raises :class:`FeasibilityProjectionError` before the first weight. A
+    failed run is recorded and the sweep continues from the last
     successful state, so one bad weight does not void the rest.
     """
     lam = sweep_weights(lambdas)
-    config = _resolved(config, metric)
+    metric, config = _start(mesh, metric, config)
     records: list[SweepRecord] = []
     cur_metric, cur_emb = metric, embedding
     for lv in lam:

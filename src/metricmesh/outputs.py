@@ -35,13 +35,10 @@ def write_text(path, text: str) -> None:
 
 
 def trace_csv_text(rows: list[TraceRow]) -> str:
+    floats = TraceRow.fields()[1:]  # every column after the iteration number
     lines = [TRACE_HEADER]
     for r in rows:
-        lines.append(
-            f"{r.iteration},{fmt(r.eta)},{fmt(r.l_data)},{fmt(r.l_curv)},"
-            f"{fmt(r.l_dirichlet)},{fmt(r.l_vol)},{fmt(r.l_iso)},{fmt(r.l_total)},"
-            f"{fmt(r.max_deficit)},{fmt(r.grad_norm)}"
-        )
+        lines.append(",".join([str(r.iteration), *(fmt(getattr(r, f)) for f in floats)]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,15 @@
 """Run configuration files: flat key=value text, one setting per line.
 
 Blank lines are skipped and ``#`` starts a comment anywhere on a line.
-Unknown keys, duplicate keys, non-finite numbers and out-of-range values
-are rejected with the offending line number. ``auto`` placeholders defer
-quantities that depend on the mesh and metric to run time: the
-feasibility margin and length floor scale with the mean edge length, and
-the volume target becomes the initial total area.
+Unknown keys, duplicate keys, malformed values and values out of range
+are rejected with the offending line number. This module holds only the
+file syntax: each key names one field of
+:class:`~metricmesh.optimize.LossConfig`,
+:class:`~metricmesh.optimize.StopRule` or :class:`RunSettings`, and those
+classes own every default and every range. ``auto`` leaves the
+feasibility margin, the length floor or the volume target unset;
+:func:`~metricmesh.optimize.run_optimization` derives it from the start
+metric.
 
 Example::
 
@@ -19,8 +23,10 @@ Example::
 
 from __future__ import annotations
 
+import dataclasses
+import keyword
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .optimize import LossConfig, StopRule
@@ -28,43 +34,57 @@ from .optimize import LossConfig, StopRule
 _TRUE = frozenset(("true", "1", "yes", "on"))
 _FALSE = frozenset(("false", "0", "no", "off"))
 
-# key -> (parser kind, default). "auto or float" keys keep the string
-# "auto" as their default and resolve later.
-_KEYS: dict[str, tuple[str, object]] = {
-    "mesh": ("str", None),
-    "dataset": ("str", None),
-    "lambda": ("float", 1.0),
-    "p": ("float", 2.0),
-    "mu_dirichlet": ("float", 0.0),
-    "mu_volume": ("float", 0.0),
-    "mu_iso": ("float", 0.0),
-    "v_target": ("auto_float", "auto"),
-    "feas_margin": ("auto_float", "auto"),
-    "min_length": ("auto_float", "auto"),
-    "eta_init": ("float", 1e-2),
-    "max_iters": ("int", 5000),
-    "grad_tol": ("float", 1e-6),
-    "loss_tol": ("float", 0.0),
-    "seed": ("int", 0),
-    "jitter": ("float", 0.0),
-    "freeze_embedding": ("bool", False),
-    "outdir": ("str", "out"),
-}
-
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Parsed and range-checked configuration for one optimization run."""
+    """Configuration for one optimization run; the CLI requires ``mesh``."""
 
-    mesh: str
-    dataset: str | None
-    outdir: str
-    seed: int
-    jitter: float
-    freeze_embedding: bool
-    eta_init: float
-    loss: LossConfig
-    stop: StopRule
+    mesh: str | None = None
+    dataset: str | None = None
+    outdir: str = "out"
+    seed: int = 0
+    jitter: float = 0.0
+    freeze_embedding: bool = False
+    eta_init: float = 1e-2
+    loss: LossConfig = field(default_factory=LossConfig)
+    stop: StopRule = field(default_factory=StopRule)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.jitter < 1.0:
+            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
+        if not (math.isfinite(self.eta_init) and self.eta_init > 0.0):
+            raise ValueError(f"eta_init must be finite and positive, got {self.eta_init}")
+
+
+# key -> (parser kind, owning class). The field is the key, with a
+# trailing underscore where the key is a Python keyword. "auto_float"
+# keys read "auto" as None.
+_KEYS: dict[str, tuple[str, type]] = {
+    "mesh": ("str", RunSettings),
+    "dataset": ("str", RunSettings),
+    "lambda": ("float", LossConfig),
+    "p": ("float", LossConfig),
+    "mu_dirichlet": ("float", LossConfig),
+    "mu_volume": ("float", LossConfig),
+    "mu_iso": ("float", LossConfig),
+    "v_target": ("auto_float", LossConfig),
+    "feas_margin": ("auto_float", LossConfig),
+    "min_length": ("auto_float", LossConfig),
+    "eta_init": ("float", RunSettings),
+    "max_iters": ("int", StopRule),
+    "grad_tol": ("float", StopRule),
+    "loss_tol": ("float", StopRule),
+    "seed": ("int", RunSettings),
+    "jitter": ("float", RunSettings),
+    "freeze_embedding": ("bool", RunSettings),
+    "outdir": ("str", RunSettings),
+}
+
+
+def _field(key: str) -> str:
+    return key + "_" if keyword.iskeyword(key) else key
 
 
 def _convert(kind: str, key: str, raw: str, line: int):
@@ -78,7 +98,7 @@ def _convert(kind: str, key: str, raw: str, line: int):
             return False
         raise ConfigError(f"key '{key}' expects a boolean, got {raw!r}", line=line)
     if kind == "auto_float" and raw.lower() == "auto":
-        return "auto"
+        return None
     try:
         if kind == "int":
             return int(raw)
@@ -88,35 +108,9 @@ def _convert(kind: str, key: str, raw: str, line: int):
         raise ConfigError(f"key '{key}' expects {noun}, got {raw!r}", line=line) from None
 
 
-def _check_range(key: str, value, line: int) -> None:
-    def fail(requirement: str):
-        raise ConfigError(f"key '{key}' must be {requirement}, got {value}", line=line)
-
-    if isinstance(value, float) and not math.isfinite(value):
-        fail("finite")
-    if key in ("lambda", "mu_dirichlet", "mu_volume", "mu_iso", "grad_tol", "loss_tol"):
-        if value < 0.0:
-            fail(">= 0")
-    elif key == "p":
-        if value < 1.0:
-            fail(">= 1")
-    elif key in ("v_target", "feas_margin", "min_length"):
-        if value != "auto" and value <= 0.0:
-            fail("positive or 'auto'")
-    elif key == "eta_init":
-        if value <= 0.0:
-            fail("positive")
-    elif key in ("max_iters", "seed"):
-        if value < 0:
-            fail(">= 0")
-    elif key == "jitter":
-        if not 0.0 <= value < 1.0:
-            fail("in [0, 1)")
-
-
 def parse_config(text: str) -> RunSettings:
     """Parse configuration text; see the module docstring for the format."""
-    values: dict[str, object] = {k: d for k, (_, d) in _KEYS.items()}
+    given: dict[type, dict[str, object]] = {LossConfig: {}, StopRule: {}, RunSettings: {}}
     seen: set[str] = set()
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -134,41 +128,29 @@ def parse_config(text: str) -> RunSettings:
         seen.add(key)
         if not raw:
             raise ConfigError(f"key '{key}' has an empty value", line=lineno)
-        value = _convert(_KEYS[key][0], key, raw, lineno)
-        _check_range(key, value, lineno)
-        values[key] = value
+        kind, owner = _KEYS[key]
+        value = {_field(key): _convert(kind, key, raw, lineno)}
+        try:
+            owner(**value)
+        except ValueError as exc:
+            raise ConfigError(f"key '{key}': {exc}", line=lineno) from None
+        given[owner].update(value)
 
-    if values["mesh"] is None:
+    if "mesh" not in seen:
         raise ConfigError("missing required key 'mesh'")
-
-    loss = LossConfig(
-        lambda_=values["lambda"],
-        p=values["p"],
-        mu_dirichlet=values["mu_dirichlet"],
-        mu_volume=values["mu_volume"],
-        mu_iso=values["mu_iso"],
-        v_target=None if values["v_target"] == "auto" else values["v_target"],
-        feas_margin=None if values["feas_margin"] == "auto" else values["feas_margin"],
-        min_length=None if values["min_length"] == "auto" else values["min_length"],
-    )
-    stop = StopRule(
-        max_iters=values["max_iters"],
-        grad_tol=values["grad_tol"],
-        loss_tol=values["loss_tol"],
-    )
     return RunSettings(
-        mesh=values["mesh"],
-        dataset=values["dataset"],
-        outdir=values["outdir"],
-        seed=values["seed"],
-        jitter=values["jitter"],
-        freeze_embedding=values["freeze_embedding"],
-        eta_init=values["eta_init"],
-        loss=loss,
-        stop=stop,
+        **given[RunSettings], loss=LossConfig(**given[LossConfig]), stop=StopRule(**given[StopRule])
     )
 
 
 def read_config(path) -> RunSettings:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
+
+
+def settings_echo(settings: RunSettings) -> dict:
+    """Every setting by its config key, as a manifest records it."""
+    flat = dataclasses.asdict(settings)
+    for part in ("loss", "stop"):
+        flat.update(flat.pop(part))
+    return {name.rstrip("_"): value for name, value in flat.items()}

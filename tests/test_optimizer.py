@@ -103,6 +103,13 @@ class TestTotalLoss:
         b = total_loss(mesh, metric, emb, None, LossConfig(v_target=1.0))
         assert b.volume > 0.0
 
+    def test_volume_weight_without_target_raises(self, icosphere0):
+        # reporting volume 0 would hide that the term was never evaluated
+        mesh, emb = icosphere0
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        with pytest.raises(ValueError, match="requires v_target"):
+            total_loss(mesh, metric, emb, None, LossConfig(mu_volume=1.0))
+
     def test_infeasible_raises(self, icosphere0):
         mesh, emb = icosphere0
         lengths = mm.MetricField.from_embedding(mesh, emb).lengths.copy()
@@ -487,12 +494,12 @@ def repair_outcome(repair, mesh, lengths, margin, floor, max_sweeps=50, relaxati
 
 
 def jittered_case(kind, amount):
-    """Jittered extrinsic lengths with the auto margin and floor."""
+    """Jittered extrinsic lengths, unrepaired, with the auto margin and floor."""
     mesh, emb = mm.generate_mesh(kind)
     metric = mm.MetricField.from_embedding(mesh, emb)
     metric = metric.with_jitter(np.random.default_rng(int(amount * 10)), amount)
-    cfg = optimize._resolved(LossConfig(), metric)
-    return mesh, metric.lengths, cfg.feas_margin, cfg.min_length
+    mean = float(np.mean(metric.lengths))
+    return mesh, metric.lengths, 1e-4 * mean, 1e-6 * mean
 
 
 def repair_case(name):
@@ -579,6 +586,14 @@ class TestOverRelaxedRepair:
         out = feasibility_projection(mesh, metric, margin, floor, relaxation=1.5)
         assert mm.check_feasible(mesh, out, margin) == []
         assert (out.lengths >= floor).all()
+
+
+def jittered_start(mesh, emb):
+    """A start metric below the auto margin, and its repair at the auto settings."""
+    metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(np.random.default_rng(0), 0.3)
+    mean = float(np.mean(metric.lengths))
+    assert mm.check_feasible(mesh, metric, 1e-4 * mean)
+    return metric, feasibility_projection(mesh, metric, 1e-4 * mean, 1e-6 * mean)
 
 
 class TestRunOptimization:
@@ -772,11 +787,9 @@ class TestRunOptimization:
         mesh, emb = mm.make_icosphere(2)
         metric = mm.MetricField.from_embedding(mesh, emb)
         metric = metric.with_jitter(np.random.default_rng(seed), 0.5)
-        cfg = optimize._resolved(
-            LossConfig(lambda_=1.0, p=1.5, mu_dirichlet=0.1, mu_volume=1.0), metric
+        metric, cfg = optimize._start(
+            mesh, metric, LossConfig(lambda_=1.0, p=1.5, mu_dirichlet=0.1, mu_volume=1.0)
         )
-        metric = feasibility_projection(mesh, metric, cfg.feas_margin, cfg.min_length)
-        cfg = dataclasses.replace(cfg, v_target=mm.curvature_report(mesh, metric).total_volume)
         real = optimize.feasibility_projection
         failures = []
 
@@ -793,6 +806,17 @@ class TestRunOptimization:
             stop=StopRule(max_iters=6, grad_tol=0.0), freeze_embedding=True,
         )
         assert failures == []
+        assert res.stop_reason == "max_iters"
+
+    def test_volume_target_resolved_from_repaired_start(self, icosphere1):
+        mesh, emb = icosphere1
+        metric, repaired = jittered_start(mesh, emb)
+        res = run_optimization(
+            mesh, metric, emb, None, LossConfig(mu_volume=1.0),
+            stop=StopRule(max_iters=2, grad_tol=0.0), freeze_embedding=True,
+        )
+        assert res.config.v_target == mm.curvature_report(mesh, repaired).total_volume
+        assert res.rows[0].l_vol == 0.0
         assert res.stop_reason == "max_iters"
 
     def test_eta_validation(self, icosphere0):
@@ -863,6 +887,27 @@ class TestLambdaSweep:
         for r in records:
             assert r.result.config.feas_margin == 1e-4 * mean
             assert r.result.config.min_length == 1e-6 * mean
+
+    def test_volume_target_resolved_once_from_start(self, icosphere1):
+        mesh, emb = icosphere1
+        metric, repaired = jittered_start(mesh, emb)
+        records = lambda_sweep(
+            mesh, metric, emb, None, LossConfig(mu_volume=1.0), [0.1, 1.0],
+            stop=StopRule(max_iters=2, grad_tol=0.0), freeze_embedding=True,
+        )
+        volume = mm.curvature_report(mesh, repaired).total_volume
+        assert [r.status for r in records] == ["ok", "ok"]
+        assert [r.result.config.v_target for r in records] == [volume, volume]
+
+    def test_unrepairable_start_raises_before_first_weight(self, icosphere1, monkeypatch):
+        # log-normal lengths (sigma 3): cyclic projection runs out of sweeps
+        mesh, emb = icosphere1
+        lengths = np.exp(np.random.default_rng(0).normal(0.0, 3.0, mesh.edge_count))
+        calls = []
+        monkeypatch.setattr(optimize, "run_optimization", lambda *a, **k: calls.append(a))
+        with pytest.raises(FeasibilityProjectionError):
+            lambda_sweep(mesh, mm.MetricField(lengths), emb, None, LossConfig(), [0.1, 1.0])
+        assert calls == []
 
     def test_warm_start_chains(self, icosphere1):
         mesh, emb = icosphere1

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ import metricmesh as mm
 from metricmesh import outputs
 from metricmesh.errors import ConfigError
 from metricmesh.optimize import OptimizationResult, SweepRecord, TraceRow
-from metricmesh.runconfig import parse_config, read_config
+from metricmesh.optimize import LossConfig, StopRule
+from metricmesh.runconfig import _KEYS, RunSettings, _field, parse_config, read_config, settings_echo
 
 
 FULL_CONFIG = """\
@@ -94,6 +98,7 @@ class TestParseConfig:
         ("mesh = m.off\nfeas_margin = inf\n", 2),
         ("mesh = m.off\njitter = nan\n", 2),
         ("mesh = m.off\nseed = -1\n", 2),
+        ("mesh = m.off\ngrad_tol = inf\n", 2),
     ])
     def test_errors_carry_line_numbers(self, body, line):
         with pytest.raises(ConfigError) as exc:
@@ -110,6 +115,28 @@ class TestParseConfig:
         path.write_text("mesh = icosphere(0)\nseed = 3\n")
         assert read_config(path).seed == 3
 
+    def test_every_key_names_a_field_of_its_owner(self):
+        for key, (_, owner) in _KEYS.items():
+            assert _field(key) in {f.name for f in dataclasses.fields(owner)}, key
+
+    def test_every_setting_has_a_key(self):
+        keyed = {(owner, _field(key)) for key, (_, owner) in _KEYS.items()}
+        for owner in (LossConfig, StopRule, RunSettings):
+            for f in dataclasses.fields(owner):
+                if f.name not in ("loss", "stop"):
+                    assert (owner, f.name) in keyed, f.name
+
+    def test_echo_parses_back_to_the_same_settings(self):
+        settings = parse_config(FULL_CONFIG)
+        text = "".join(f"{key} = {value}\n" for key, value in settings_echo(settings).items())
+        assert parse_config(text) == settings
+
+    def test_stop_rule_rejects_infinite_tolerance(self):
+        # an infinite grad_tol would stop every run at row 0
+        for name in ("grad_tol", "loss_tol"):
+            with pytest.raises(ValueError, match=name):
+                StopRule(**{name: math.inf})
+
 
 class TestOutputs:
     def test_trace_round_trip(self):
@@ -125,6 +152,9 @@ class TestOutputs:
         assert [float(x) for x in parsed[1:]] == [
             0.0, 1.0, 2.0, 0.5, 0.0, 0.25, 3.75, -1e-6, 0.125
         ]
+
+    def test_trace_header_has_one_column_per_field(self):
+        assert len(outputs.TRACE_HEADER.split(",")) == len(TraceRow.fields())
 
     def test_fmt_round_trips_exactly(self):
         for x in (0.1, 1e-300, 2.3243932834975496, -0.0, float("inf")):
