@@ -50,7 +50,7 @@ class TapeNonFiniteError(TapeError):
 
 
 class FeasibilityProjectionError(MetricMeshError):
-    """Cyclic feasibility sweeps did not converge within the sweep budget."""
+    """Feasibility repair sweeps did not converge within the sweep budget."""
 
     def __init__(self, message: str, faces: tuple = ()):
         super().__init__(message)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleMetricError
+from .errors import InfeasibleMetricError, IsolatedVertexError
 from .projection import Embedding, _unit_scaled
 
 TWO_PI = 2.0 * math.pi
@@ -134,10 +134,18 @@ class CurvatureReport:
 def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
     """Angle defects, vertex areas, face areas, and total volume.
 
-    Requires a strictly feasible metric and areas in float range
+    Requires every vertex on a face (:class:`IsolatedVertexError`
+    otherwise: an isolated vertex has no area, so its density is
+    undefined), a strictly feasible metric and areas in float range
     (``ValueError`` otherwise). Reductions run in fixed index order
     (bincount), so results are deterministic.
     """
+    isolated = np.flatnonzero(np.diff(mesh.vertex_face_csr[0]) == 0)
+    if isolated.size:
+        raise IsolatedVertexError(
+            f"vertex {int(isolated[0])} belongs to no face, so its curvature density "
+            f"is undefined ({isolated.size} isolated vertices in the mesh)"
+        )
     _require_feasible(mesh, metric)
     angles = face_corner_angles(mesh, metric)
     areas = face_areas(mesh, metric)

@@ -14,11 +14,10 @@ faces and barycentric coordinates fixed, the envelope treatment of the
 inner closest-point minimization. A consequence worth testing: the data
 term contributes exactly zero gradient to the edge lengths.
 
-Every candidate step is pushed back into the feasible set (triangle
-inequality with margin, length floor) before it is evaluated, so every
-accepted iterate is strictly feasible. The start metric is repaired by
-cyclic projection onto the margin; candidates by an over-relaxed sweep,
-which converges in a few sweeps where cyclic projection may run out.
+The start metric and every candidate step are pushed into the feasible
+set (triangle inequality with margin, length floor) by one over-relaxed
+repair sweep before they are evaluated, so every accepted iterate is
+strictly feasible.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from . import geometry
 from .errors import (
     FeasibilityProjectionError,
     InfeasibleMetricError,
-    IsolatedVertexError,
     TapeError,
     TapeNonFiniteError,
 )
@@ -263,54 +261,49 @@ def loss_gradient(
 # Feasibility projection
 
 
+# Every face repair over-relaxes its step by 1.5. Relaxed projection onto
+# linear inequalities converges for any factor in (0, 2) (Agmon 1954;
+# Motzkin & Schoenberg 1954); at 1 each face lands exactly on the margin,
+# where a neighbour's step can push it back below, and a metric far from
+# the feasible set can run out of sweeps. The factor 1 + 1e-9 keeps
+# repeated visits from ping-ponging below the margin; the product is
+# formed once, so every repair multiplies by the same bits.
+_OVERSHOOT = 1.5 * (1.0 + 1e-9)
+_MAX_SWEEPS = 50
+
+
 def feasibility_projection(
     mesh,
     metric: MetricField,
     feas_margin: float,
     min_length: float,
-    max_sweeps: int = 50,
-    *,
-    relaxation: float = 1.0,
 ) -> MetricField:
     """Push a metric into the feasible set by local triangle repairs.
 
-    Sweeps faces in index order; a face whose worst triangle inequality
-    falls short of the margin has its two short sides raised and its long
-    side lowered by a third of ``relaxation`` times the deficit each,
-    slightly overshot so repeated visits cannot ping-pong below the margin,
-    plus an absolute floor of a few ulps so that even deficits too small to
-    register in one addition still make progress. Each repair sees the
-    lengths the faces before it left, so the order is part of the result;
-    an oracle test pins it bit for bit. Lengths never drop below
-    ``min_length``. Already feasible input is returned unchanged (the same
-    object). A margin or floor that is not finite and positive, or a
-    relaxation outside [1, 2), raises ``ValueError``.
-
-    ``relaxation`` = 1 is cyclic projection: each face step lands exactly
-    on the margin, so a neighbour's next step can push it back below, and
-    the sweep count grows with the starting deficit (convergence is only
-    linear). Over-relaxing (1 < relaxation < 2) carries each face past the
-    margin into the interior, which converges in far fewer sweeps but moves
-    the lengths further than needed. :func:`run_optimization` repairs its
-    start metric at 1, which moves it least, and its line-search candidates
-    at 1.5, where a cheap repair matters more than a minimal one.
+    Sweeps faces in index order, at most ``_MAX_SWEEPS`` times; a face
+    whose worst triangle inequality falls short of the margin has its two
+    short sides raised and its long side lowered by a third of 1.5 times
+    the deficit each, plus an absolute floor of a few ulps so that even
+    deficits too small to register in one addition still make progress.
+    Each repair sees the lengths the faces before it left, so the order is
+    part of the result; an oracle test pins it bit for bit. Lengths never
+    drop below ``min_length``. Already feasible input is returned unchanged
+    (the same object). A margin or floor that is not finite and positive
+    raises ``ValueError``; sweeps that run out raise
+    :class:`FeasibilityProjectionError`.
     """
     # plain floats: a numpy-scalar argument would slow the sweep or round in float32
     feas_margin, min_length = float(feas_margin), float(min_length)
-    relaxation = float(relaxation)
     for name, value in (("feas_margin", feas_margin), ("min_length", min_length)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if not 1.0 <= relaxation < 2.0:
-        raise ValueError(f"relaxation must be in [1, 2), got {relaxation}")
     slacks = geometry.face_slacks(mesh, metric)
     if (slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
         return metric
 
     lengths = np.maximum(metric.lengths, min_length).tolist()
     face_edges = mesh.face_edges.tolist()
-    overshoot = relaxation * (1.0 + 1e-9)  # one multiply per repair, as at relaxation 1
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         changed = False
         for e0, e1, e2 in face_edges:
             x0, x1, x2 = lengths[e0], lengths[e1], lengths[e2]
@@ -326,7 +319,7 @@ def feasibility_projection(
             deficit = feas_margin - smin
             if deficit <= 0.0:
                 continue
-            step = max(deficit * overshoot, 8.0 * math.ulp(max(x0, x1, x2))) / 3.0
+            step = max(deficit * _OVERSHOOT, 8.0 * math.ulp(max(x0, x1, x2))) / 3.0
             lengths[lo_a] += step
             lengths[lo_b] += step
             lengths[hi] = max(lengths[hi] - step, min_length)
@@ -338,7 +331,7 @@ def feasibility_projection(
     if bad:
         raise FeasibilityProjectionError(
             f"{len(bad)} faces still below margin {feas_margin} after "
-            f"{max_sweeps} sweeps, worst deficit {max(d for _, d in bad)}",
+            f"{_MAX_SWEEPS} sweeps, worst deficit {max(d for _, d in bad)}",
             faces=tuple(f for f, _ in bad[:16]),
         )
     return result
@@ -417,7 +410,8 @@ def _start(mesh, metric: MetricField, config: LossConfig) -> tuple[MetricField, 
     """The descent's start: ``metric`` repaired, every unset setting resolved.
 
     An unset margin and floor are 1e-4 and 1e-6 times ``metric``'s mean
-    edge length. The metric is repaired at relaxation 1; an unset volume
+    edge length. The metric is repaired by :func:`feasibility_projection`,
+    the rule every line-search candidate goes through; an unset volume
     target with a positive ``mu_volume`` is the repaired metric's total area.
     """
     if config.feas_margin is None or config.min_length is None:
@@ -437,11 +431,6 @@ def _start(mesh, metric: MetricField, config: LossConfig) -> tuple[MetricField, 
 # Backtracking halves the step this many times before giving up, which
 # spans about six orders of magnitude from the warm-started step.
 _MAX_BACKTRACKS = 20
-
-# Over-relaxation of the line-search candidates' repair. At 1 (cyclic
-# projection) a candidate far outside the feasible set often runs out of
-# sweeps; at 1.5 it is repaired in a few.
-_CANDIDATE_RELAXATION = 1.5
 
 
 def run_optimization(
@@ -465,22 +454,16 @@ def run_optimization(
     values used. Each iteration takes one gradient, then tries steps eta,
     eta/2, ... until the candidate (after its own feasibility projection)
     does not increase the true loss; the accepted step is doubled as the
-    next iteration's first try. The start metric is
-    repaired at relaxation 1 and candidates at 1.5 (see
-    :func:`feasibility_projection`); a candidate whose repair fails is one
-    more halving of the step. Stop reasons:
+    next iteration's first try. The start metric and the candidates are
+    repaired by the same :func:`feasibility_projection`; a candidate whose
+    repair fails is one more halving of the step. Stop reasons:
     ``grad_tol``, ``loss_tol``, ``max_iters``, ``stalled``. A mesh with a
-    vertex that belongs to no face raises :class:`IsolatedVertexError`.
+    vertex that belongs to no face raises :class:`IsolatedVertexError`
+    before row 0, from the first curvature report.
     """
     if eta_init <= 0.0 or not math.isfinite(eta_init):
         raise ValueError(f"eta_init must be positive and finite, got {eta_init}")
     stop = stop if stop is not None else StopRule()
-    isolated = np.flatnonzero(np.bincount(mesh.faces.ravel(), minlength=mesh.vertex_count) == 0)
-    if isolated.size:
-        raise IsolatedVertexError(
-            f"vertex {int(isolated[0])} belongs to no face, so its curvature density "
-            f"is undefined ({isolated.size} isolated vertices in the mesh)"
-        )
     metric, config = _start(mesh, metric, config)
 
     proj = None
@@ -531,8 +514,7 @@ def run_optimization(
             cand_lengths = np.maximum(metric.lengths - eta * g_len, config.min_length)
             try:
                 cand_metric = feasibility_projection(
-                    mesh, MetricField(cand_lengths), config.feas_margin, config.min_length,
-                    relaxation=_CANDIDATE_RELAXATION,
+                    mesh, MetricField(cand_lengths), config.feas_margin, config.min_length
                 )
             except (ValueError, FeasibilityProjectionError):
                 eta *= 0.5

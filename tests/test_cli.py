@@ -323,6 +323,17 @@ class TestCurvatureCommand:
         assert err.count("\n") == 1
         assert not (outdir / "curvature.csv").exists()
 
+    def test_isolated_vertex_exits_one(self, tmp_path, capsys):
+        # vertex 3 has no area: its density would be a division by zero
+        off = tmp_path / "stray.off"
+        off.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 5\n3 0 1 2\n")
+        outdir = tmp_path / "out"
+        assert main(["curvature", "--mesh", str(off), "--outdir", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertex 3 belongs to no face")
+        assert err.count("\n") == 1
+        assert not (outdir / "curvature.csv").exists()
+
 
 class TestGeodesicCommand:
     def test_fast_marching_output(self, tmp_path):

@@ -397,15 +397,17 @@ class TestFeasibilityProjection:
         assert (out.lengths >= 1e-3).all()
         assert mm.check_feasible(mesh, out, 1e-6) == []
 
-    def test_sweep_budget(self):
+    def test_sweep_budget(self, monkeypatch):
         # face 0 starts barely feasible; repairing face 1 shortens their
         # shared edge and re-breaks face 0, which needs a second sweep
         mesh = mm.Mesh(4, np.array([[0, 1, 2], [1, 2, 3]]))
         # edges sorted: (0,1), (0,2), (1,2), (1,3), (2,3)
         lengths = np.array([1.0, 0.50001, 0.5, 0.2, 0.2])
         metric = mm.MetricField(lengths)
-        with pytest.raises(FeasibilityProjectionError):
-            feasibility_projection(mesh, metric, 1e-6, 1e-9, max_sweeps=1)
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_MAX_SWEEPS", 1)
+            with pytest.raises(FeasibilityProjectionError):
+                feasibility_projection(mesh, metric, 1e-6, 1e-9)
         out = feasibility_projection(mesh, metric, 1e-6, 1e-9)
         assert mm.check_feasible(mesh, out, 1e-6) == []
 
@@ -416,9 +418,6 @@ class TestFeasibilityProjection:
             feasibility_projection(mesh, metric, 0.0, 1e-9)
         with pytest.raises(ValueError):
             feasibility_projection(mesh, metric, 1e-6, 0.0)
-        for bad in (math.nan, math.inf, 0.5, 2.0):
-            with pytest.raises(ValueError, match="relaxation must be in"):
-                feasibility_projection(mesh, metric, 1e-6, 1e-9, relaxation=bad)
         # a non-finite margin or floor is named up front, before any sweep
         # (a NaN margin used to run every sweep and then blame the lengths)
         for bad in (math.nan, math.inf, -math.inf):
@@ -436,13 +435,13 @@ class TestFeasibilityProjection:
         assert mm.check_feasible(mesh, out, 1e-12) == []
 
 
-def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50, relaxation=1.0):
+def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50):
     """The repair sweep on numpy scalars, as it first shipped: the oracle.
 
     Visits faces in index order and indexes the length array once per
-    read, so each repair sees what the faces before it wrote. The library
-    runs the same arithmetic on plain floats and must agree bit for bit.
-    ``relaxation`` scales each face step, as the library's keyword does.
+    read, so each repair sees what the faces before it wrote, and
+    over-relaxes each face step by 1.5. The library runs the same
+    arithmetic on plain floats and must agree bit for bit.
     """
     lengths = metric.lengths.copy()
     np.maximum(lengths, min_length, out=lengths)
@@ -465,7 +464,7 @@ def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50, re
             if deficit <= 0.0:
                 continue
             step = max(
-                deficit * (relaxation * (1.0 + 1e-9)), 8.0 * np.spacing(max(x0, x1, x2))
+                deficit * (1.5 * (1.0 + 1e-9)), 8.0 * np.spacing(max(x0, x1, x2))
             ) / 3.0
             lengths[lo_a] += step
             lengths[lo_b] += step
@@ -484,11 +483,10 @@ def numpy_scalar_repair(mesh, metric, feas_margin, min_length, max_sweeps=50, re
     return result
 
 
-def repair_outcome(repair, mesh, lengths, margin, floor, max_sweeps=50, relaxation=1.0):
+def repair_outcome(repair, mesh, lengths, margin, floor):
     """Repaired lengths, or the failure's (message, faces)."""
     try:
-        metric = mm.MetricField(lengths)
-        return repair(mesh, metric, margin, floor, max_sweeps, relaxation=relaxation).lengths
+        return repair(mesh, mm.MetricField(lengths), margin, floor).lengths
     except FeasibilityProjectionError as exc:
         return str(exc), exc.faces
 
@@ -523,26 +521,22 @@ def repair_case(name):
     return jittered_case(kind, float(amount))
 
 
+REPAIR_KINDS = [
+    "icosphere(1)", "icosphere(2)", "icosphere(3)", "torus(16,8,2.0,0.7)", "grid(10,10,1.0)"
+]
 REPAIR_CASES = [
-    f"{kind} jitter {amount}"
-    for kind in (
-        "icosphere(1)", "icosphere(2)", "icosphere(3)", "torus(16,8,2.0,0.7)", "grid(10,10,1.0)"
-    )
-    for amount in (0.1, 0.5, 0.9)
+    f"{kind} jitter {amount}" for kind in REPAIR_KINDS for amount in (0.1, 0.5, 0.9)
 ] + ["min_length clamp", "three-way ties", "sub-ulp deficit"]
 
 
-# A case that still runs out of sweeps at 1 and 3 sweeps under each
-# relaxation: over-relaxed, the jittered icosphere converges in 2.
-SWEEP_LIMIT_CASES = {1.0: "icosphere(2) jitter 0.9", 1.5: "three-way ties"}
+# A case that still runs out of sweeps at 1 and at 3 sweeps.
+SWEEP_LIMIT_CASE = "three-way ties"
 
 
 class TestRepairMatchesNumpyScalarSweep:
-    @pytest.mark.parametrize("relaxation", [1.0, 1.5])
     @pytest.mark.parametrize("name", REPAIR_CASES)
-    def test_bitwise_equal_to_oracle(self, name, relaxation):
-        mesh, lengths, margin, floor = repair_case(name)
-        args = (mesh, lengths, margin, floor, 50, relaxation)
+    def test_bitwise_equal_to_oracle(self, name):
+        args = repair_case(name)
         got = repair_outcome(feasibility_projection, *args)
         want = repair_outcome(numpy_scalar_repair, *args)
         if isinstance(want, tuple):
@@ -550,15 +544,32 @@ class TestRepairMatchesNumpyScalarSweep:
         else:
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("relaxation", [1.0, 1.5])
+    @pytest.mark.parametrize("name", REPAIR_CASES)
+    def test_repaired_metric_needs_no_second_repair(self, name):
+        # the vectorised early exit agrees with the sweep's own stopping
+        # rule: whatever one repair returns, a second returns untouched
+        mesh, lengths, margin, floor = repair_case(name)
+        once = feasibility_projection(mesh, mm.MetricField(lengths), margin, floor)
+        assert feasibility_projection(mesh, once, margin, floor) is once
+
     @pytest.mark.parametrize("max_sweeps", [1, 3])
-    def test_same_failure_when_sweeps_run_out(self, max_sweeps, relaxation):
-        mesh, lengths, margin, floor = repair_case(SWEEP_LIMIT_CASES[relaxation])
-        args = (mesh, lengths, margin, floor, max_sweeps, relaxation)
+    def test_same_failure_when_sweeps_run_out(self, max_sweeps, monkeypatch):
+        args = repair_case(SWEEP_LIMIT_CASE)
+        monkeypatch.setattr(optimize, "_MAX_SWEEPS", max_sweeps)
         got = repair_outcome(feasibility_projection, *args)
-        want = repair_outcome(numpy_scalar_repair, *args)
+        oracle = functools.partial(numpy_scalar_repair, max_sweeps=max_sweeps)
+        want = repair_outcome(oracle, *args)
         assert isinstance(want, tuple), "the case must run out of sweeps"
         assert got == want
+
+    @pytest.mark.parametrize("kind", REPAIR_KINDS)
+    def test_start_repaired_like_a_candidate(self, kind):
+        # the descent's start goes through the same repair rule, at the
+        # auto margin and floor that ``jittered_case`` also derives
+        mesh, lengths, margin, floor = jittered_case(kind, 0.9)
+        got = optimize._start(mesh, mm.MetricField(lengths), LossConfig())[0].lengths
+        want = numpy_scalar_repair(mesh, mm.MetricField(lengths), margin, floor).lengths
+        np.testing.assert_array_equal(got, want)
 
 
 @functools.cache
@@ -583,7 +594,7 @@ class TestOverRelaxedRepair:
         metric = metric.with_jitter(np.random.default_rng(seed), amount)
         mean = float(np.mean(metric.lengths))
         margin, floor = margin_scale * mean, floor_scale * mean
-        out = feasibility_projection(mesh, metric, margin, floor, relaxation=1.5)
+        out = feasibility_projection(mesh, metric, margin, floor)
         assert mm.check_feasible(mesh, out, margin) == []
         assert (out.lengths >= floor).all()
 
@@ -900,9 +911,10 @@ class TestLambdaSweep:
         assert [r.result.config.v_target for r in records] == [volume, volume]
 
     def test_unrepairable_start_raises_before_first_weight(self, icosphere1, monkeypatch):
-        # log-normal lengths (sigma 3): cyclic projection runs out of sweeps
+        # log-normal lengths (sigma 3) need 3 sweeps; the budget is 2
         mesh, emb = icosphere1
         lengths = np.exp(np.random.default_rng(0).normal(0.0, 3.0, mesh.edge_count))
+        monkeypatch.setattr(optimize, "_MAX_SWEEPS", 2)
         calls = []
         monkeypatch.setattr(optimize, "run_optimization", lambda *a, **k: calls.append(a))
         with pytest.raises(FeasibilityProjectionError):
