@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MetricField, _require_feasible
+from .geometry import MetricField, _require_feasible, face_slacks
 from .projection import _unit_scaled
 
 
@@ -85,7 +85,7 @@ def _validated(mesh, metric: MetricField, source: int) -> None:
         raise ValueError(
             f"source vertex {source} out of range for {mesh.vertex_count} vertices"
         )
-    _require_feasible(mesh, metric)
+    _require_feasible(mesh, metric, face_slacks(mesh, metric))
 
 
 @np.errstate(over="ignore")  # a distance past the float range comes out as inf

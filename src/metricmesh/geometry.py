@@ -8,9 +8,12 @@ boundary, which makes the total defect a topological invariant
 (Gauss-Bonnet) regardless of the metric.
 
 Every quantity has one implementation, vectorized over the faces:
-:func:`face_corner_angles`, :func:`face_areas` and
+:func:`face_corner_angles`, :func:`face_areas`, :func:`face_slacks` and
 :func:`curvature_report`. The optimizer differentiates them in closed
-form; a single triangle is the one-face case.
+form; a single triangle is the one-face case. The report computes an
+iterate's slacks, angles and areas from one gather of its face lengths
+and carries them, so the optimizer computes an iterate's geometry once:
+its loss, gradient and trace row all read the same report.
 
 Angles, areas and slacks run on lengths scaled to unit magnitude, so no
 square or sum in them overflows or underflows at any length scale.
@@ -76,13 +79,12 @@ def _face_lengths(mesh, metric: MetricField) -> np.ndarray:
     return metric.lengths[mesh.face_edges]
 
 
-def face_corner_angles(mesh, metric: MetricField) -> np.ndarray:
-    """Angles of shape (F, 3); column j is the angle at vertex faces[f, j].
+# The per-face formulas below take the face lengths scaled to unit
+# magnitude, (fl, k) from one ``_unit_scaled`` gather, so that
+# :func:`curvature_report` can feed all three from a single gather.
 
-    Face edges are ordered (i,j), (j,k), (k,i), so the corner at i is
-    opposite edge (j,k), at j opposite (k,i), at k opposite (i,j).
-    """
-    fl, _ = _unit_scaled(_face_lengths(mesh, metric))
+
+def _corner_angles(fl: np.ndarray) -> np.ndarray:
     l_ij, l_jk, l_ki = fl[:, 0], fl[:, 1], fl[:, 2]
     sq_ij, sq_jk, sq_ki = l_ij**2, l_jk**2, l_ki**2
     angles = np.empty_like(fl)
@@ -94,17 +96,44 @@ def face_corner_angles(mesh, metric: MetricField) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # an area past the float range comes out as inf
-def face_areas(mesh, metric: MetricField) -> np.ndarray:
-    """Per-face Heron areas, Kahan ordering applied rowwise."""
-    fl, k = _unit_scaled(_face_lengths(mesh, metric))
+def _areas(fl: np.ndarray, k: int) -> np.ndarray:
     s = -np.sort(-fl, axis=1)
     a, b, c = s[:, 0], s[:, 1], s[:, 2]
     prod = (a + (b + c)) * (c - (a - b)) * ((c + (a - b)) * (a + (b - c)))
     return np.ldexp(0.25 * np.sqrt(np.maximum(prod, 0.0)), 2 * k)
 
 
-def _require_feasible(mesh, metric: MetricField) -> None:
-    bad = np.flatnonzero(face_slacks(mesh, metric) <= 0.0)
+def _slacks(fl: np.ndarray, k: int) -> np.ndarray:
+    slack = np.minimum(
+        np.minimum(fl[:, 0] + fl[:, 1] - fl[:, 2], fl[:, 1] + fl[:, 2] - fl[:, 0]),
+        fl[:, 2] + fl[:, 0] - fl[:, 1],
+    )
+    return np.ldexp(slack, k)
+
+
+def face_corner_angles(mesh, metric: MetricField) -> np.ndarray:
+    """Angles of shape (F, 3); column j is the angle at vertex faces[f, j].
+
+    Face edges are ordered (i,j), (j,k), (k,i), so the corner at i is
+    opposite edge (j,k), at j opposite (k,i), at k opposite (i,j).
+    """
+    fl, _ = _unit_scaled(_face_lengths(mesh, metric))
+    return _corner_angles(fl)
+
+
+def face_areas(mesh, metric: MetricField) -> np.ndarray:
+    """Per-face Heron areas, Kahan ordering applied rowwise."""
+    return _areas(*_unit_scaled(_face_lengths(mesh, metric)))
+
+
+def face_slacks(mesh, metric: MetricField) -> np.ndarray:
+    """Per-face minimum triangle-inequality slack min(a+b-c, b+c-a, c+a-b)."""
+    return _slacks(*_unit_scaled(_face_lengths(mesh, metric)))
+
+
+def _require_feasible(mesh, metric: MetricField, slacks: np.ndarray) -> None:
+    """Raise unless every face slack of ``metric`` is positive."""
+    bad = np.flatnonzero(slacks <= 0.0)
     if bad.size:
         f = int(bad[0])
         raise InfeasibleMetricError(
@@ -122,6 +151,8 @@ class CurvatureReport:
     vertex_area: np.ndarray  # (V,) one third of the incident face areas
     face_area: np.ndarray    # (F,)
     total_volume: float      # sum of face areas
+    corner_angle: np.ndarray  # (F, 3) as face_corner_angles
+    face_slack: np.ndarray    # (F,) as face_slacks
 
     @property
     def defect_density(self) -> np.ndarray:
@@ -132,9 +163,12 @@ class CurvatureReport:
 
 
 def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
-    """Angle defects, vertex areas, face areas, and total volume.
+    """Angle defects, vertex areas, face areas, total volume, corner angles and slacks.
 
-    Requires every vertex on a face (:class:`IsolatedVertexError`
+    The slacks (the feasibility check), corner angles and face areas come
+    from one gather of the face lengths, bit for bit what
+    :func:`face_slacks`, :func:`face_corner_angles` and :func:`face_areas`
+    return. Requires every vertex on a face (:class:`IsolatedVertexError`
     otherwise: an isolated vertex has no area, so its density is
     undefined), a strictly feasible metric and areas in float range
     (``ValueError`` otherwise). Reductions run in fixed index order
@@ -146,9 +180,11 @@ def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
             f"vertex {int(isolated[0])} belongs to no face, so its curvature density "
             f"is undefined ({isolated.size} isolated vertices in the mesh)"
         )
-    _require_feasible(mesh, metric)
-    angles = face_corner_angles(mesh, metric)
-    areas = face_areas(mesh, metric)
+    fl, k = _unit_scaled(_face_lengths(mesh, metric))
+    slacks = _slacks(fl, k)
+    _require_feasible(mesh, metric, slacks)
+    angles = _corner_angles(fl)
+    areas = _areas(fl, k)
     total = float(np.sum(areas))
     if not (math.isfinite(total) and areas.min() > 0.0):
         raise ValueError(
@@ -167,6 +203,8 @@ def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
         vertex_area=vertex_area,
         face_area=areas,
         total_volume=total,
+        corner_angle=angles,
+        face_slack=slacks,
     )
 
 
@@ -203,16 +241,6 @@ def volume_penalty(report: CurvatureReport, v_target: float) -> float:
     return r * r
 
 
-def face_slacks(mesh, metric: MetricField) -> np.ndarray:
-    """Per-face minimum triangle-inequality slack min(a+b-c, b+c-a, c+a-b)."""
-    fl, k = _unit_scaled(_face_lengths(mesh, metric))
-    slack = np.minimum(
-        np.minimum(fl[:, 0] + fl[:, 1] - fl[:, 2], fl[:, 1] + fl[:, 2] - fl[:, 0]),
-        fl[:, 2] + fl[:, 0] - fl[:, 1],
-    )
-    return np.ldexp(slack, k)
-
-
 def check_feasible(mesh, metric: MetricField, margin: float = 0.0) -> list[tuple[int, float]]:
     """Faces whose worst triangle inequality falls short of ``margin``.
 
@@ -225,6 +253,10 @@ def check_feasible(mesh, metric: MetricField, margin: float = 0.0) -> list[tuple
     return [(int(f), float(deficit[f])) for f in bad]
 
 
+def _max_deficit(slacks: np.ndarray, margin: float) -> float:
+    return float(np.max(margin - slacks))
+
+
 def max_feasibility_deficit(mesh, metric: MetricField, margin: float) -> float:
     """Largest deficit at ``margin`` over all faces; negative means slack."""
-    return float(np.max(margin - face_slacks(mesh, metric)))
+    return _max_deficit(face_slacks(mesh, metric), margin)

@@ -18,13 +18,19 @@ The start metric and every candidate step are pushed into the feasible
 set (triangle inequality with margin, length floor) by one over-relaxed
 repair sweep before they are evaluated, so every accepted iterate is
 strictly feasible.
+
+Each iterate's geometry is computed once and carried: the loss that
+evaluates a candidate returns its curvature report (angles, areas,
+defects, slacks) and extrinsic edge lengths, and once the candidate is
+accepted its gradient and trace row read them instead of recomputing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -87,7 +93,13 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Unweighted term values plus the weighted total."""
+    """Unweighted term values plus the weighted total.
+
+    ``report`` and ``ext`` are the curvature report and the extrinsic edge
+    lengths the terms were computed from; they take no part in equality
+    or ``repr``. The descent carries them to the gradient and trace row
+    of the iterate it accepts.
+    """
 
     data: float
     curvature: float
@@ -95,6 +107,8 @@ class LossBreakdown:
     volume: float
     iso: float
     total: float
+    report: geometry.CurvatureReport | None = field(default=None, compare=False, repr=False)
+    ext: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def total_loss(
@@ -124,6 +138,7 @@ def total_loss(
         else 0.0
     )
     iso = isometry_coupling(mesh, metric, embedding)
+    ext = embedding.edge_lengths(mesh)  # memoized: the array isometry_coupling used
     if dataset is None:
         data = 0.0
     else:
@@ -134,7 +149,14 @@ def total_loss(
         curv + config.mu_dirichlet * diri + config.mu_volume * vol
     )
     return LossBreakdown(
-        data=data, curvature=curv, dirichlet=diri, volume=vol, iso=iso, total=total
+        data=data,
+        curvature=curv,
+        dirichlet=diri,
+        volume=vol,
+        iso=iso,
+        total=total,
+        report=report,
+        ext=ext,
     )
 
 
@@ -149,12 +171,15 @@ def _gradient(
     dataset: Dataset | None,
     config: LossConfig,
     projections: Projections | None,
+    losses: LossBreakdown,
     freeze_embedding: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(length gradient, flattened coordinate gradient or None if frozen).
 
     Closed form of the gradient of :func:`total_loss` with the faces and
-    barycentric coordinates of ``projections`` held fixed. Corner angles
+    barycentric coordinates of ``projections`` held fixed. ``losses`` is
+    :func:`total_loss` at the same point: its curvature report and
+    extrinsic lengths are read, not computed again. Corner angles
     and face areas are differentiated with the edge-length identities
     d(theta_i)/d(l_i) = l_i / (2A), d(theta_i)/d(l_j) = -l_i cos(theta_k) / (2A)
     and dA/d(l_i) = l_i cot(theta_i) / 2 (Springborn, Schroeder & Pinkall,
@@ -181,7 +206,7 @@ def _gradient(
         g_coord += scatter(corners, 2.0 * bary[:, :, None] * resid[:, None, :])
 
     if config.mu_iso > 0.0:
-        ext = embedding.edge_lengths(mesh)
+        ext = losses.ext
         gap = 2.0 * config.mu_iso * (ext - metric.lengths)
         g_len -= gap
         if g_coord is not None:
@@ -192,7 +217,7 @@ def _gradient(
             g_coord += scatter(edges, np.stack((pull, -pull), axis=1))
 
     if config.lambda_ > 0.0:
-        report = geometry.curvature_report(mesh, metric)
+        report = losses.report
         p = config.p
         mag = np.abs(report.defect)
         sign = np.where(report.defect >= 0.0, 1.0, -1.0)
@@ -201,7 +226,7 @@ def _gradient(
         # Column c of ``opp`` is the edge opposite the corner at faces[f, c].
         opp = mesh.face_edges[:, [1, 2, 0]]
         sides = metric.lengths[opp]
-        cos = np.cos(geometry.face_corner_angles(mesh, metric))
+        cos = np.cos(report.corner_angle)
         w_angle = -d_defect[mesh.faces] * sides
         w_area = d_vertex_area[mesh.faces].sum(axis=1) / 3.0
         if config.mu_volume > 0.0:
@@ -252,9 +277,11 @@ def loss_gradient(
     proj = None
     if dataset is not None:
         proj = project_dataset_arrays(dataset.points, embedding, mesh)
-    value = total_loss(mesh, metric, embedding, dataset, config, projections=proj).total
-    g_len, g_coord = _gradient(mesh, metric, embedding, dataset, config, proj, freeze_embedding)
-    return value, g_len, g_coord
+    losses = total_loss(mesh, metric, embedding, dataset, config, projections=proj)
+    g_len, g_coord = _gradient(
+        mesh, metric, embedding, dataset, config, proj, losses, freeze_embedding
+    )
+    return losses.total, g_len, g_coord
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +377,12 @@ class StopRule:
     loss_tol: float = 0.0
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not (
+            isinstance(self.max_iters, numbers.Integral)
+            and not isinstance(self.max_iters, bool)
+            and self.max_iters >= 0
+        ):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         for name in ("grad_tol", "loss_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
@@ -477,7 +508,7 @@ def run_optimization(
     k = 0
     while True:
         g_len, g_coord = _gradient(
-            mesh, metric, embedding, dataset, config, proj, freeze_embedding
+            mesh, metric, embedding, dataset, config, proj, losses, freeze_embedding
         )
         sq = float(g_len @ g_len)
         if g_coord is not None:
@@ -492,7 +523,7 @@ def run_optimization(
             l_vol=losses.volume,
             l_iso=losses.iso,
             l_total=losses.total,
-            max_deficit=geometry.max_feasibility_deficit(mesh, metric, config.feas_margin),
+            max_deficit=geometry._max_deficit(losses.report.face_slack, config.feas_margin),
             grad_norm=grad_norm,
         )
         rows.append(row)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,16 +42,26 @@ def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Per-vertex coordinates in data space, shape (V, n)."""
+    """Per-vertex coordinates in data space, shape (V, n).
+
+    ``coords`` is a read-only copy of the given array, so the extrinsic
+    edge lengths are computed once per embedding and mesh: a descent with
+    a frozen embedding computes them once per run.
+    """
 
     coords: np.ndarray
+    # (mesh.edges, the read-only lengths) of the last edge_lengths call:
+    # keyed on the edge array, all the lengths depend on besides coords,
+    # so a kept embedding does not keep its whole mesh alive
+    _edge_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = np.ascontiguousarray(self.coords, dtype=np.float64)
+        coords = np.array(self.coords, dtype=np.float64, order="C")
         if coords.ndim != 2 or coords.shape[0] == 0 or coords.shape[1] == 0:
             raise ValueError(f"embedding coords must have shape (V, n), got {coords.shape}")
         if not np.isfinite(coords).all():
             raise ValueError("embedding coords must be finite")
+        coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -64,10 +74,15 @@ class Embedding:
 
     @np.errstate(over="ignore")  # a length past the float range comes out as inf
     def edge_lengths(self, mesh) -> np.ndarray:
-        """Extrinsic length of every mesh edge under this embedding."""
+        """Extrinsic length of every mesh edge under this embedding (read-only)."""
+        if self._edge_memo is not None and self._edge_memo[0] is mesh.edges:
+            return self._edge_memo[1]
         coords, k = _unit_scaled(self.coords)
         d = coords[mesh.edges[:, 0]] - coords[mesh.edges[:, 1]]
-        return np.ldexp(np.sqrt(np.einsum("ek,ek->e", d, d)), k)
+        lengths = np.ldexp(np.sqrt(np.einsum("ek,ek->e", d, d)), k)
+        lengths.setflags(write=False)
+        object.__setattr__(self, "_edge_memo", (mesh.edges, lengths))
+        return lengths
 
     def with_coords(self, coords: np.ndarray) -> "Embedding":
         return Embedding(coords)

@@ -76,6 +76,11 @@ class TestLossConfig:
             StopRule(grad_tol=math.nan)
         with pytest.raises(ValueError):
             StopRule(loss_tol=math.nan)
+        # NaN switches off the iteration cap (k >= nan is never true); a
+        # fractional or infinite cap is no iteration count either
+        for bad in (math.nan, math.inf, 2.5):
+            with pytest.raises(ValueError, match=f"max_iters must be an integer >= 0, got {bad!r}"):
+                StopRule(max_iters=bad)
 
 
 class TestTotalLoss:

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 import zlib
 
 import numpy as np
@@ -563,6 +564,33 @@ class TestEmbedding:
         np.testing.assert_array_equal(
             scaled.edge_lengths(mesh), np.ldexp(emb.edge_lengths(mesh), power)
         )
+
+    def test_coords_are_a_read_only_copy(self):
+        source = np.eye(3)
+        emb = mm.Embedding(source)
+        source[0, 0] = 5.0
+        assert emb.coords[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            emb.coords[0, 0] = 2.0
+
+    def test_edge_lengths_computed_once_per_mesh(self, icosphere0):
+        mesh, emb = icosphere0
+        emb = mm.Embedding(emb.coords)
+        first = emb.edge_lengths(mesh)
+        assert emb.edge_lengths(mesh) is first
+        assert not first.flags.writeable
+        other = mm.Mesh(mesh.vertex_count, mesh.faces)
+        again = emb.edge_lengths(other)
+        assert again is not first
+        np.testing.assert_array_equal(again, first)
+
+    def test_pickles_after_edge_lengths(self, icosphere0):
+        mesh, emb = icosphere0
+        emb = mm.Embedding(emb.coords)
+        emb.edge_lengths(mesh)
+        back = pickle.loads(pickle.dumps(emb))
+        np.testing.assert_array_equal(back.coords, emb.coords)
+        np.testing.assert_array_equal(back.edge_lengths(mesh), emb.edge_lengths(mesh))
 
     def test_with_coords(self, icosphere0):
         _, emb = icosphere0
