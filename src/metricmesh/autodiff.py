@@ -1,19 +1,27 @@
-"""Reverse-mode scalar autodiff on an explicit operation tape.
+"""Reverse-mode scalar autodiff on a tape of recorded partials.
 
-Recording builds the computational graph eagerly: every arithmetic
-operation on a :class:`TracedScalar` appends one node (opcode, parent
-indices, constant payload, value) to its :class:`Tape`. A frozen
-:class:`TapeProgram` can then be replayed at fresh inputs and swept
-backward for the gradient by the two interpreters in this module, which
-are the only code that reads the tape format. The optimizer does not use
-the tape, and only the package ``__init__`` imports this module; it
-serves as a public API and as the reference that the closed-form
-gradient in :mod:`.optimize` is tested against.
+Recording is eager: every operation on a :class:`TracedScalar` appends
+one node to its :class:`Tape`, holding the indices of the node's parents
+and its local partial derivative with respect to each, computed from the
+recorded values on the spot. :meth:`Tape.program` freezes the record and
+:meth:`TapeProgram.value_and_grad` sweeps it once in reverse, for the
+gradient at the recorded point. To differentiate at another point,
+record again.
+
+No module of the package imports this one, and ``import metricmesh``
+does not load it. It is the reference that the tests check the
+closed-form gradient in :mod:`.optimize` against.
+
+Recording raises :class:`TapeDomainError` for an argument outside an
+operation's domain and :class:`TapeNonFiniteError` for a value that
+overflows. A partial with a pole at the recorded point, such as that of
+``sqrt`` at 0, is recorded as ``inf``; the sweep then raises
+:class:`TapeNonFiniteError` for the gradient it reaches.
 
 Derivative conventions at non-smooth points are fixed and deterministic:
-min/max ties route the adjoint to the first argument, and the arccos
-derivative at a clamped argument uses the one-sided value at magnitude
-``1 - 1e-12``.
+min/max ties route the adjoint to the first argument, |x| takes the
+subgradient +1 at 0, and the arccos derivative at a clamped argument
+uses the one-sided value at magnitude ``1 - 1e-12``.
 """
 
 from __future__ import annotations
@@ -25,45 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TapeDomainError, TapeNonFiniteError
-
-# Tape opcodes. The recorder below emits them and the interpreters replay
-# them. Codes are stable within a process, never serialized.
-
-OP_CONST = 0
-OP_INPUT = 1
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_DIV = 5
-OP_NEG = 6
-OP_SQRT = 7
-OP_LOG = 8
-OP_EXP = 9
-OP_POWC = 10
-OP_ACOS = 11
-OP_MIN = 12
-OP_MAX = 13
-OP_ADDC = 14
-OP_MULC = 15
-
-OP_NAMES = (
-    "const",
-    "input",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "sqrt",
-    "log",
-    "exp",
-    "pow",
-    "arccos",
-    "min",
-    "max",
-    "add",
-    "mul",
-)
 
 # arccos derivative is evaluated at arguments clamped to this magnitude so
 # the one-sided value at the boundary stays finite.
@@ -77,51 +46,44 @@ ACOS_INPUT_SLACK = 1e-8
 class Tape:
     """Append-only record of scalar operations, grown during tracing."""
 
-    __slots__ = ("_op", "_a", "_b", "_aux", "_val", "n_inputs")
+    __slots__ = ("_parents", "_partials", "_inputs")
 
     def __init__(self):
-        self._op: list[int] = []
-        self._a: list[int] = []
-        self._b: list[int] = []
-        self._aux: list[float] = []
-        self._val: list[float] = []
-        self.n_inputs = 0
+        self._parents: list[tuple[int, ...]] = []
+        self._partials: list[tuple[float, ...]] = []
+        self._inputs: list[int] = []
 
     def __len__(self) -> int:
-        return len(self._op)
+        return len(self._parents)
 
     def input(self, value: float) -> "TracedScalar":
         """Register the next input slot, initialized with ``value``."""
-        slot = self.n_inputs
-        self.n_inputs += 1
-        return self._emit(OP_INPUT, slot, -1, 0.0, float(value))
+        x = self._emit("input", float(value))
+        self._inputs.append(x.index)
+        return x
 
     def const(self, value: float) -> "TracedScalar":
-        return self._emit(OP_CONST, -1, -1, float(value), float(value))
+        return self._emit("const", float(value))
 
-    def _emit(self, op: int, a: int, b: int, aux: float, value: float) -> "TracedScalar":
+    def _emit(self, name: str, value: float, parents=(), partials=()) -> "TracedScalar":
         if not math.isfinite(value):
             raise TapeNonFiniteError(
-                f"operation '{OP_NAMES[op]}' produced {value!r} at tape node {len(self._op)}"
+                f"operation '{name}' produced {value!r} at tape node {len(self)}"
             )
-        self._op.append(op)
-        self._a.append(a)
-        self._b.append(b)
-        self._aux.append(aux)
-        self._val.append(value)
-        return TracedScalar(self, len(self._op) - 1, value)
+        self._parents.append(parents)
+        self._partials.append(partials)
+        return TracedScalar(self, len(self._parents) - 1, value)
 
     def program(self, root: "TracedScalar") -> "TapeProgram":
-        """Freeze the tape into a replayable program rooted at ``root``."""
+        """Freeze the record, to be differentiated at ``root``."""
         if root.tape is not self:
             raise ValueError("root was recorded on a different tape")
         return TapeProgram(
-            ops=np.asarray(self._op, dtype=np.int64),
-            arg1=np.asarray(self._a, dtype=np.int64),
-            arg2=np.asarray(self._b, dtype=np.int64),
-            aux=np.asarray(self._aux, dtype=np.float64),
-            n_inputs=self.n_inputs,
+            parents=tuple(self._parents),
+            partials=tuple(self._partials),
+            input_nodes=tuple(self._inputs),
             root=root.index,
+            value=root.value,
         )
 
 
@@ -138,56 +100,53 @@ class TracedScalar:
     def __repr__(self) -> str:
         return f"TracedScalar(node={self.index}, value={self.value!r})"
 
-    # -- binary arithmetic --------------------------------------------------
+    def _unary(self, name: str, value: float, partial: float) -> "TracedScalar":
+        return self.tape._emit(name, value, (self.index,), (partial,))
+
+    def _binary(self, name, other, value, partial, other_partial) -> "TracedScalar":
+        return self.tape._emit(
+            name, value, (self.index, other.index), (partial, other_partial)
+        )
+
+    # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        t = self.tape
         if isinstance(other, TracedScalar):
-            return t._emit(OP_ADD, self.index, other.index, 0.0, self.value + other.value)
-        c = float(other)
-        return t._emit(OP_ADDC, self.index, -1, c, self.value + c)
+            return self._binary("add", other, self.value + other.value, 1.0, 1.0)
+        return self._unary("add", self.value + float(other), 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        t = self.tape
         if isinstance(other, TracedScalar):
-            return t._emit(OP_SUB, self.index, other.index, 0.0, self.value - other.value)
-        c = float(other)
-        return t._emit(OP_ADDC, self.index, -1, -c, self.value - c)
+            return self._binary("sub", other, self.value - other.value, 1.0, -1.0)
+        return self._unary("sub", self.value - float(other), 1.0)
 
     def __rsub__(self, other):
-        neg = self.__neg__()
-        c = float(other)
-        return self.tape._emit(OP_ADDC, neg.index, -1, c, c + neg.value)
+        return self._unary("sub", float(other) - self.value, -1.0)
 
     def __mul__(self, other):
-        t = self.tape
         if isinstance(other, TracedScalar):
-            return t._emit(OP_MUL, self.index, other.index, 0.0, self.value * other.value)
+            return self._binary("mul", other, self.value * other.value, other.value, self.value)
         c = float(other)
-        return t._emit(OP_MULC, self.index, -1, c, self.value * c)
+        return self._unary("mul", self.value * c, c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        t = self.tape
+        b = value_of(other)
+        if b == 0.0:
+            raise TapeDomainError(f"division by zero at tape node {len(self.tape)}")
+        value = self.value / b
         if isinstance(other, TracedScalar):
-            if other.value == 0.0:
-                raise TapeDomainError(
-                    f"division by zero at tape node {len(t._op)}"
-                )
-            return t._emit(OP_DIV, self.index, other.index, 0.0, self.value / other.value)
-        c = float(other)
-        if c == 0.0:
-            raise TapeDomainError(f"division by zero at tape node {len(t._op)}")
-        return t._emit(OP_MULC, self.index, -1, 1.0 / c, self.value / c)
+            return self._binary("div", other, value, 1.0 / b, -value / b)
+        return self._unary("div", value, 1.0 / b)
 
     def __rtruediv__(self, other):
-        num = self.tape.const(float(other))
         if self.value == 0.0:
-            raise TapeDomainError(f"division by zero at tape node {len(self.tape._op)}")
-        return self.tape._emit(OP_DIV, num.index, self.index, 0.0, num.value / self.value)
+            raise TapeDomainError(f"division by zero at tape node {len(self.tape)}")
+        value = float(other) / self.value
+        return self._unary("div", value, -value / self.value)
 
     def __pow__(self, exponent):
         if isinstance(exponent, TracedScalar):
@@ -204,185 +163,54 @@ class TracedScalar:
             value = v**c
         except OverflowError:
             raise TapeNonFiniteError(f"pow overflowed at tape node {len(self.tape)}") from None
-        return self.tape._emit(OP_POWC, self.index, -1, c, value)
+        try:
+            partial = c * v ** (c - 1.0)
+        except (ZeroDivisionError, OverflowError):  # a pole, as of x**0.5 at 0
+            partial = math.inf
+        return self._unary("pow", value, partial)
 
     def __neg__(self):
-        return self.tape._emit(OP_NEG, self.index, -1, 0.0, -self.value)
+        return self._unary("neg", -self.value, -1.0)
 
     def __float__(self) -> float:
         return self.value
 
 
-def _tape_forward(ops, arg1, arg2, aux, inputs, values):
-    """Replay a recorded tape front to back, filling ``values``."""
-    n = ops.shape[0]
-    for i in range(n):
-        op = ops[i]
-        if op == OP_INPUT:
-            v = inputs[arg1[i]]
-        elif op == OP_CONST:
-            v = aux[i]
-        elif op == OP_ADD:
-            v = values[arg1[i]] + values[arg2[i]]
-        elif op == OP_SUB:
-            v = values[arg1[i]] - values[arg2[i]]
-        elif op == OP_MUL:
-            v = values[arg1[i]] * values[arg2[i]]
-        elif op == OP_DIV:
-            v = values[arg1[i]] / values[arg2[i]]
-        elif op == OP_NEG:
-            v = -values[arg1[i]]
-        elif op == OP_SQRT:
-            # IEEE results instead of the raising math-module semantics:
-            # replay never raises mid-sweep, and TapeProgram scans the
-            # values afterwards to report the first non-finite node
-            u = values[arg1[i]]
-            v = math.sqrt(u) if u >= 0.0 else math.nan
-        elif op == OP_LOG:
-            u = values[arg1[i]]
-            if u > 0.0:
-                v = math.log(u)
-            elif u == 0.0:
-                v = -math.inf
-            else:
-                v = math.nan
-        elif op == OP_EXP:
-            u = values[arg1[i]]
-            v = math.inf if u > 709.782712893384 else math.exp(u)
-        elif op == OP_POWC:
-            v = values[arg1[i]] ** aux[i]
-        elif op == OP_ACOS:
-            u = values[arg1[i]]
-            if u > 1.0:
-                u = 1.0
-            elif u < -1.0:
-                u = -1.0
-            v = math.acos(u)
-        elif op == OP_MIN:
-            va = values[arg1[i]]
-            vb = values[arg2[i]]
-            v = va if va <= vb else vb
-        elif op == OP_MAX:
-            va = values[arg1[i]]
-            vb = values[arg2[i]]
-            v = va if va >= vb else vb
-        elif op == OP_ADDC:
-            v = values[arg1[i]] + aux[i]
-        else:  # OP_MULC
-            v = values[arg1[i]] * aux[i]
-        values[i] = v
-
-
-def _tape_backward(ops, arg1, arg2, aux, values, adj):
-    """Reverse sweep accumulating adjoints; ``adj`` arrives seeded.
-
-    Local partials are recomputed from the forward values, so the same
-    tape can be replayed at fresh inputs before differentiating. Ties in
-    min/max route the whole adjoint to the first argument.
-    """
-    n = ops.shape[0]
-    for i in range(n - 1, -1, -1):
-        g = adj[i]
-        if g == 0.0:
-            continue
-        op = ops[i]
-        if op == OP_ADD:
-            adj[arg1[i]] += g
-            adj[arg2[i]] += g
-        elif op == OP_SUB:
-            adj[arg1[i]] += g
-            adj[arg2[i]] -= g
-        elif op == OP_MUL:
-            adj[arg1[i]] += g * values[arg2[i]]
-            adj[arg2[i]] += g * values[arg1[i]]
-        elif op == OP_DIV:
-            vb = values[arg2[i]]
-            adj[arg1[i]] += g / vb
-            adj[arg2[i]] -= g * values[i] / vb
-        elif op == OP_NEG:
-            adj[arg1[i]] -= g
-        elif op == OP_SQRT:
-            adj[arg1[i]] += g * 0.5 / values[i]
-        elif op == OP_LOG:
-            adj[arg1[i]] += g / values[arg1[i]]
-        elif op == OP_EXP:
-            adj[arg1[i]] += g * values[i]
-        elif op == OP_POWC:
-            c = aux[i]
-            adj[arg1[i]] += g * c * values[arg1[i]] ** (c - 1.0)
-        elif op == OP_ACOS:
-            u = values[arg1[i]]
-            if u > ACOS_DERIV_CLAMP:
-                u = ACOS_DERIV_CLAMP
-            elif u < -ACOS_DERIV_CLAMP:
-                u = -ACOS_DERIV_CLAMP
-            adj[arg1[i]] -= g / math.sqrt(1.0 - u * u)
-        elif op == OP_MIN:
-            if values[arg1[i]] <= values[arg2[i]]:
-                adj[arg1[i]] += g
-            else:
-                adj[arg2[i]] += g
-        elif op == OP_MAX:
-            if values[arg1[i]] >= values[arg2[i]]:
-                adj[arg1[i]] += g
-            else:
-                adj[arg2[i]] += g
-        elif op == OP_ADDC:
-            adj[arg1[i]] += g
-        elif op == OP_MULC:
-            adj[arg1[i]] += g * aux[i]
-        # OP_CONST / OP_INPUT have no parents.
-
-
 @dataclass(frozen=True)
 class TapeProgram:
-    """Frozen tape, replayable at fresh inputs via the interpreters above."""
+    """A frozen record: each node's parents and partials, and the root's value."""
 
-    ops: np.ndarray
-    arg1: np.ndarray
-    arg2: np.ndarray
-    aux: np.ndarray
-    n_inputs: int
+    parents: tuple[tuple[int, ...], ...]
+    partials: tuple[tuple[float, ...], ...]
+    input_nodes: tuple[int, ...]
     root: int
+    value: float
 
     def __len__(self) -> int:
-        return int(self.ops.shape[0])
+        return len(self.parents)
 
-    def _forward(self, inputs: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(inputs, dtype=np.float64)
-        if x.shape != (self.n_inputs,):
-            raise ValueError(f"expected {self.n_inputs} inputs, got shape {x.shape}")
-        values = np.empty(len(self), dtype=np.float64)
-        with np.errstate(all="ignore"):  # non-finites are scanned and raised below
-            _tape_forward(self.ops, self.arg1, self.arg2, self.aux, x, values)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            i = int(bad[0])
-            raise TapeNonFiniteError(
-                f"operation '{OP_NAMES[self.ops[i]]}' produced a non-finite value "
-                f"at tape node {i} during replay"
-            )
-        return values
+    @property
+    def n_inputs(self) -> int:
+        return len(self.input_nodes)
 
-    def value(self, inputs: np.ndarray) -> float:
-        return float(self._forward(inputs)[self.root])
+    def value_and_grad(self) -> tuple[float, np.ndarray]:
+        """Root value and its gradient per input slot, by one reverse sweep.
 
-    def value_and_grad(self, inputs: np.ndarray) -> tuple[float, np.ndarray]:
-        """Forward replay then reverse sweep; gradient is per input slot."""
-        values = self._forward(inputs)
-        adj = np.zeros(len(self), dtype=np.float64)
+        Raises TapeNonFiniteError when a gradient component is not finite,
+        as when the sweep reaches a partial recorded at its pole.
+        """
+        adj = [0.0] * len(self.parents)
         adj[self.root] = 1.0
-        with np.errstate(all="ignore"):
-            _tape_backward(self.ops, self.arg1, self.arg2, self.aux, values, adj)
-        input_nodes = np.flatnonzero(self.ops == OP_INPUT)
-        grad = np.zeros(self.n_inputs, dtype=np.float64)
-        grad[self.arg1[input_nodes]] = adj[input_nodes]
-        if not np.isfinite(grad).all():
-            slot = int(np.flatnonzero(~np.isfinite(grad))[0])
-            raise TapeNonFiniteError(
-                f"gradient is non-finite at input slot {slot}"
-            )
-        return float(values[self.root]), grad
+        for i in range(self.root, -1, -1):
+            g = adj[i]
+            if g != 0.0:
+                for j, d in zip(self.parents[i], self.partials[i]):
+                    adj[j] += g * d
+        grad = np.array([adj[i] for i in self.input_nodes], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            raise TapeNonFiniteError(f"gradient is non-finite at input slot {int(bad[0])}")
+        return self.value, grad
 
 
 @dataclass(frozen=True)
@@ -404,13 +232,10 @@ def evaluate_with_gradient(
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     tape = Tape()
-    traced = [tape.input(v) for v in x]
-    out = program(traced)
+    out = program([tape.input(v) for v in x])
     if not isinstance(out, TracedScalar):
         return GradientResult(float(out), np.zeros(x.shape[0], dtype=np.float64))
-    prog = tape.program(out)
-    value, grad = prog.value_and_grad(x)
-    return GradientResult(value, grad)
+    return GradientResult(*tape.program(out).value_and_grad())
 
 
 def finite_difference_gradient(
@@ -456,7 +281,8 @@ def sqrt(x):
     if isinstance(x, TracedScalar):
         if x.value < 0.0:
             raise TapeDomainError(f"sqrt of negative value {x.value!r}")
-        return x.tape._emit(OP_SQRT, x.index, -1, 0.0, math.sqrt(x.value))
+        value = math.sqrt(x.value)
+        return x._unary("sqrt", value, 0.5 / value if value else math.inf)
     return math.sqrt(x)
 
 
@@ -464,7 +290,7 @@ def log(x):
     if isinstance(x, TracedScalar):
         if x.value <= 0.0:
             raise TapeDomainError(f"log of non-positive value {x.value!r}")
-        return x.tape._emit(OP_LOG, x.index, -1, 0.0, math.log(x.value))
+        return x._unary("log", math.log(x.value), 1.0 / x.value)
     return math.log(x)
 
 
@@ -474,7 +300,7 @@ def exp(x):
             value = math.exp(x.value)
         except OverflowError:
             raise TapeNonFiniteError(f"exp overflowed at tape node {len(x.tape)}") from None
-        return x.tape._emit(OP_EXP, x.index, -1, 0.0, value)
+        return x._unary("exp", value, value)
     return math.exp(x)
 
 
@@ -490,34 +316,30 @@ def arccos(x):
         if abs(u) > 1.0 + ACOS_INPUT_SLACK:
             raise TapeDomainError(f"arccos argument {u!r} outside clamp slack")
         u = min(1.0, max(-1.0, u))
-        return x.tape._emit(OP_ACOS, x.index, -1, 0.0, math.acos(u))
+        w = min(ACOS_DERIV_CLAMP, max(-ACOS_DERIV_CLAMP, u))
+        return x._unary("arccos", math.acos(u), -1.0 / math.sqrt(1.0 - w * w))
     return math.acos(min(1.0, max(-1.0, x)))
 
 
-def _promote_pair(a, b):
-    if isinstance(a, TracedScalar) and not isinstance(b, TracedScalar):
-        return a, a.tape.const(float(b))
-    if isinstance(b, TracedScalar) and not isinstance(a, TracedScalar):
-        return b.tape.const(float(a)), b
-    return a, b
+def _pick(chosen, other):
+    """The chosen operand of min/max, which takes the whole adjoint.
+
+    A plain number chosen over a traced one becomes a constant on its
+    tape, so a traced operand always gives a traced result.
+    """
+    if isinstance(other, TracedScalar) and not isinstance(chosen, TracedScalar):
+        return other.tape.const(float(chosen))
+    return chosen
 
 
 def minimum(a, b):
-    """min(a, b); on the traced path ties take the first argument."""
-    a, b = _promote_pair(a, b)
-    if isinstance(a, TracedScalar):
-        v = a.value if a.value <= b.value else b.value
-        return a.tape._emit(OP_MIN, a.index, b.index, 0.0, v)
-    return a if a <= b else b
+    """min(a, b); ties take the first argument."""
+    return _pick(a, b) if value_of(a) <= value_of(b) else _pick(b, a)
 
 
 def maximum(a, b):
-    """max(a, b); on the traced path ties take the first argument."""
-    a, b = _promote_pair(a, b)
-    if isinstance(a, TracedScalar):
-        v = a.value if a.value >= b.value else b.value
-        return a.tape._emit(OP_MAX, a.index, b.index, 0.0, v)
-    return a if a >= b else b
+    """max(a, b); ties take the first argument."""
+    return _pick(a, b) if value_of(a) >= value_of(b) else _pick(b, a)
 
 
 def clamp(x, lo, hi):
@@ -526,9 +348,9 @@ def clamp(x, lo, hi):
 
 
 def absolute(x):
-    """|x| as max(x, -x); the subgradient at 0 is +1 (first argument)."""
+    """|x|; on the traced path the subgradient at 0 is +1."""
     if isinstance(x, TracedScalar):
-        return maximum(x, -x)
+        return x._unary("abs", abs(x.value), 1.0 if x.value >= 0.0 else -1.0)
     return abs(x)
 
 

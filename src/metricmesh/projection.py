@@ -250,11 +250,6 @@ def _sq_distances(x, y):
 _BLOCK_PAIRS = 1 << 14
 _KERNEL_PAIRS = 1 << 11
 
-# Relative slack on the pruning bound. It is far above the rounding in
-# the distances that enter the bound, so a face that can win (or tie) is
-# never dropped; the extra faces it admits cost next to nothing.
-_PRUNE_SLACK = 1e-6
-
 
 # Overflow shows up as a non-finite squared distance, which is reported.
 @np.errstate(over="ignore", invalid="ignore")
@@ -263,23 +258,38 @@ def project_points(points, coords, faces):
 
     Returns (face index (N,), barycentric (N, 3), squared distance (N,)),
     the same arrays, bit for bit, as running ``_closest_points`` over every
-    face and taking the first minimum: ties go to the lowest face index.
+    face and taking the first minimum (ties go to the lowest face index),
+    save near some slivers, below.
 
     Exact pruning: the distance ``reach`` from a point to any vertex that
     some face uses bounds its distance to the closest face, so a face can
     win only if its bounding sphere (centroid ``c``, farthest corner ``r``)
     comes within ``reach`` of the point, ``|p - c| <= reach + r``. Per block
     of points the vertex is the argmin of ``|v|^2 - 2 p.v``, and the test,
-    squared and expanded with ``S = (1 + _PRUNE_SLACK)^2``, is one matrix
-    product against a row term plus a column term:
+    squared and expanded, is one matrix product against a row term plus a
+    column term:
 
-        2 (p.c + S reach r) >= [(1-d) |p|^2 - S reach^2] + [(1-d) |c|^2 - S r^2]
+        2 (p.c + reach r) >= [(1-d) |p|^2 - reach^2] + [(1-d) |c|^2 - r^2]
 
-    In ambient dimension n the expanded form is computed to within about
-    ``(n + 2) eps (|p|^2 + |c|^2)`` in any order of summation, which
-    ``d = max(64, 4 n) eps`` covers; the slack covers the relative rounding
-    of ``reach``, ``r`` and the kernel. A point whose row term is not
-    finite keeps every face, so its overflow is reported.
+    The margin ``d = 8 (n + 5) eps`` in ambient dimension n covers all the
+    rounding. With ``s = |p|^2 + |c|^2``, to first order in eps: only a
+    face near the boundary ``|p - c| = reach + r`` can be misjudged, and
+    there ``(reach + r)^2 <= 2 s`` and ``|p| + |c| + reach + r <= 3 sqrt(s)``.
+    At such a face the expanded form, n + 2 terms a side of total size at
+    most ``4 s``, is rounded by at most ``2 (n + 2) eps s``. ``reach``,
+    ``r`` and the kernel's distance, roots of sums of n squares, are each
+    within ``(n + 4) eps / 4`` relative, which moves ``(reach + r)^2`` by at
+    most ``3 (n + 4) eps s``. The kernel's point and the centroid, rounded
+    by at most ``3 eps`` times the coordinates they combine, add at most
+    ``26 eps s``. The sum, ``(5 n + 42) eps s``, stays below ``d s``. A
+    point whose row term is not finite keeps every face, so its overflow
+    is reported.
+
+    The bound rests on the kernel: up to rounding, its point lies in the
+    triangle and is no farther from p than the triangle's nearest corner.
+    Some slivers break that, when the interior denominator is made of
+    rounding noise; for a point near one the pruned result can differ
+    from the scan.
 
     The kernel's products are of fourth degree in the coordinates, so at
     large or small scale they overflow or underflow long before the
@@ -302,11 +312,10 @@ def project_points(points, coords, faces):
     centroid = (a + b + c) / 3.0
     radius_sq = np.maximum.reduce([_sq_distances(x, centroid) for x in (a, b, c)])
     npts, dim = points.shape
-    shrink = 1.0 - max(64, 4 * dim) * np.finfo(np.float64).eps
-    stretch = (1.0 + _PRUNE_SLACK) ** 2
+    shrink = 1.0 - 8 * (dim + 5) * np.finfo(np.float64).eps
     to_vertex = np.vstack((-2.0 * used.T, np.einsum("vk,vk->v", used, used)))
     to_face = 2.0 * np.vstack((centroid.T, np.sqrt(radius_sq)))
-    col = shrink * np.einsum("fk,fk->f", centroid, centroid) - stretch * radius_sq
+    col = shrink * np.einsum("fk,fk->f", centroid, centroid) - radius_sq
     out_face = np.empty(npts, dtype=np.int64)
     out_bary = np.empty((npts, 3), dtype=np.float64)
     out_sq = np.empty(npts, dtype=np.float64)
@@ -316,8 +325,8 @@ def project_points(points, coords, faces):
         block = points[start : start + step]
         lifted = np.hstack((block, np.ones((len(block), 1))))
         reach_sq = _sq_distances(block, used[np.argmin(lifted @ to_vertex, axis=1)])
-        lifted[:, dim] = stretch * np.sqrt(reach_sq)
-        row = shrink * np.einsum("ik,ik->i", block, block) - stretch * reach_sq
+        lifted[:, dim] = np.sqrt(reach_sq)
+        row = shrink * np.einsum("ik,ik->i", block, block) - reach_sq
         keep = lifted @ to_face >= row[:, None] + col
         keep[~np.isfinite(row)] = True
         pi, fi = np.nonzero(keep)

@@ -284,6 +284,26 @@ class TestPruningBoundProperty:
         np.testing.assert_array_equal(bary, want_bary)
         np.testing.assert_array_equal(sq, np.ldexp(want_sq, 2 * power))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_points_on_the_bound_keep_their_face(self, dim):
+        # a point beyond a face's farthest corner, on the ray from the
+        # centroid, meets |p - c| = reach + r with equality, so only the
+        # margin d keeps the face; with the origin halfway between p and c
+        # that margin is as small as it gets
+        rng = np.random.default_rng(dim)
+        faces = np.array([[0, 1, 2]])
+        for _ in range(40):
+            tri = rng.normal(size=(3, dim)) * 10.0 ** rng.uniform(-3, 3)
+            centre = tri.mean(axis=0)
+            corner = tri[np.argmax(((tri - centre) ** 2).sum(axis=1))]
+            out = corner + np.outer(10.0 ** rng.uniform(-6, 2, 8), corner - centre)
+            for p in out:
+                mid = 0.5 * (p + centre)
+                points, coords = (p - mid)[None], tri - mid
+                got = projection.project_points(points, coords, faces)
+                for g, w in zip(got, scan_all_faces(points, coords, faces)):
+                    np.testing.assert_array_equal(g, w)
+
 
 def random_rows(rng, m, scale):
     """m random (point, triangle) rows in 3-D at the given scale."""

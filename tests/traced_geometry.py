@@ -3,8 +3,8 @@
 The library computes these quantities once, vectorized over faces
 (``face_corner_angles``, ``face_areas``). These per-triangle versions
 accept plain floats or TracedScalars, so a test can record them on the
-tape and use the result as an independent reference: for the
-closed-form gradient, for tape replay, and for the vectorized values.
+tape and use the result as an independent reference, for the
+closed-form gradient and for the vectorized values.
 """
 
 from metricmesh import autodiff as ad
