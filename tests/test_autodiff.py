@@ -12,6 +12,9 @@ from metricmesh.autodiff import (
 )
 from metricmesh.errors import TapeDomainError, TapeNonFiniteError
 
+from conftest import feasible_jittered
+from traced_geometry import interior_angles, triangle_area
+
 
 def grad_check(program, inputs, rel=1e-5, abs_tol=1e-8):
     res = evaluate_with_gradient(program, inputs)
@@ -20,6 +23,19 @@ def grad_check(program, inputs, rel=1e-5, abs_tol=1e-8):
     )
     np.testing.assert_allclose(res.gradient, fd, rtol=rel, atol=abs_tol)
     return res
+
+
+def record_curvature_energy(mesh, lengths):
+    """Tape whose output is a p=2 defect-style energy of the edge lengths."""
+    tape = Tape()
+    traced = [tape.input(v) for v in lengths]
+    energy = tape.const(0.0)
+    for e_ij, e_jk, e_ki in mesh.face_edges:
+        l_ij, l_jk, l_ki = traced[e_ij], traced[e_jk], traced[e_ki]
+        alpha, beta, gamma = interior_angles(l_jk, l_ki, l_ij)
+        area = triangle_area(l_ij, l_jk, l_ki)
+        energy = energy + (alpha * alpha + beta * beta + gamma * gamma) / area
+    return tape.program(energy)
 
 
 class TestOperatorGradients:
@@ -117,7 +133,28 @@ class TestOperatorGradients:
         assert ad.value_of(1.5) == 1.5
 
 
-class TestProgram:
+class TestProgramReplay:
+    """value_and_grad replays the frozen record backwards at the recorded point."""
+
+    @staticmethod
+    def _record(inputs):
+        tape = Tape()
+        xs = [tape.input(v) for v in inputs]
+        out = ad.sqrt(xs[0] * xs[1] + 1.0) + ad.log(xs[1]) / 3.0 - ad.arccos(xs[0] / 4.0)
+        return tape.program(out), out.value
+
+    def test_replay_matches_record(self):
+        prog, recorded = self._record([1.2, 2.5])
+        value, _ = prog.value_and_grad()
+        assert value == recorded
+
+    def test_replay_bitwise_deterministic(self):
+        prog, _ = self._record([0.9, 3.2])
+        v1, g1 = prog.value_and_grad()
+        v2, g2 = prog.value_and_grad()
+        assert v1 == v2
+        np.testing.assert_array_equal(g1, g2)
+
     def test_unused_input_gets_zero_gradient(self):
         tape = Tape()
         x = tape.input(3.0)
@@ -206,6 +243,20 @@ class TestDomainAndFiniteness:
         assert y.value == 0.0
         with pytest.raises(TapeNonFiniteError, match="input slot 0"):
             tape.program(y).value_and_grad()
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(1e308, TapeNonFiniteError), (0.0, TapeDomainError)],
+        ids=["1e+308", "0.0"],
+    )
+    def test_replay_nonfinite_curvature_energy(self, icosphere1, bad, error):
+        # overflow and division by zero deep in a real tape must surface at
+        # record as the tape's own error, not as a Python arithmetic error
+        mesh, emb = icosphere1
+        x = feasible_jittered(mesh, emb, seed=7, amount=0.1).lengths.copy()
+        x[0] = bad
+        with pytest.raises(error):
+            record_curvature_energy(mesh, x)
 
     def test_replay_nonfinite_gradient(self):
         # every partial is finite; their product in the sweep overflows
