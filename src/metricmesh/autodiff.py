@@ -19,9 +19,8 @@ overflows. A partial with a pole at the recorded point, such as that of
 :class:`TapeNonFiniteError` for the gradient it reaches.
 
 Derivative conventions at non-smooth points are fixed and deterministic:
-min/max ties route the adjoint to the first argument, |x| takes the
-subgradient +1 at 0, and the arccos derivative at a clamped argument
-uses the one-sided value at magnitude ``1 - 1e-12``.
+|x| takes the subgradient +1 at 0, and the arccos derivative at a
+clamped argument uses the one-sided value at magnitude ``1 - 1e-12``.
 """
 
 from __future__ import annotations
@@ -294,16 +293,6 @@ def log(x):
     return math.log(x)
 
 
-def exp(x):
-    if isinstance(x, TracedScalar):
-        try:
-            value = math.exp(x.value)
-        except OverflowError:
-            raise TapeNonFiniteError(f"exp overflowed at tape node {len(x.tape)}") from None
-        return x._unary("exp", value, value)
-    return math.exp(x)
-
-
 def arccos(x):
     """arccos with the argument clamped to [-1, 1].
 
@@ -319,32 +308,6 @@ def arccos(x):
         w = min(ACOS_DERIV_CLAMP, max(-ACOS_DERIV_CLAMP, u))
         return x._unary("arccos", math.acos(u), -1.0 / math.sqrt(1.0 - w * w))
     return math.acos(min(1.0, max(-1.0, x)))
-
-
-def _pick(chosen, other):
-    """The chosen operand of min/max, which takes the whole adjoint.
-
-    A plain number chosen over a traced one becomes a constant on its
-    tape, so a traced operand always gives a traced result.
-    """
-    if isinstance(other, TracedScalar) and not isinstance(chosen, TracedScalar):
-        return other.tape.const(float(chosen))
-    return chosen
-
-
-def minimum(a, b):
-    """min(a, b); ties take the first argument."""
-    return _pick(a, b) if value_of(a) <= value_of(b) else _pick(b, a)
-
-
-def maximum(a, b):
-    """max(a, b); ties take the first argument."""
-    return _pick(a, b) if value_of(a) >= value_of(b) else _pick(b, a)
-
-
-def clamp(x, lo, hi):
-    """Composition min(max(x, lo), hi); boundary derivative follows x."""
-    return minimum(maximum(x, lo), hi)
 
 
 def absolute(x):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader that raises them."""
+
+from typing import Callable
 
 
 class MetricMeshError(Exception):
@@ -69,3 +71,20 @@ class ConfigError(MetricMeshError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_text(path, error: Callable[[int, str], Exception]) -> str:
+    """The UTF-8 text of the file at ``path``, with universal newlines.
+
+    A byte that is not UTF-8 raises ``error(line, reason)`` for the line
+    of the first such byte, so each reader reports it as its own error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line the byte is on, counted as str.splitlines counts
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise error(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -28,6 +28,7 @@ from .errors import (
     NonManifoldEdgeError,
     NonTriangleFaceError,
     OFFParseError,
+    read_text,
 )
 from .projection import Embedding
 
@@ -350,8 +351,7 @@ def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
 
 def read_off(path) -> tuple[Mesh, Embedding]:
     """Load an OFF file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_off(fh)
+    return load_off(read_text(path, lambda line, why: OFFParseError(f"line {line}: {why}")))
 
 
 def write_off(mesh: Mesh, embedding: Embedding) -> str:

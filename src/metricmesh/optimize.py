@@ -21,8 +21,9 @@ strictly feasible.
 
 Each iterate's geometry is computed once and carried: the loss that
 evaluates a candidate returns its curvature report (angles, areas,
-defects, slacks) and extrinsic edge lengths, and once the candidate is
-accepted its gradient and trace row read them instead of recomputing.
+defects, slacks), and once the candidate is accepted its gradient and
+trace row read it instead of recomputing. The extrinsic edge lengths
+need no carrier: the candidate's embedding memoizes them.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ class LossConfig:
 class LossBreakdown:
     """Unweighted term values plus the weighted total.
 
-    ``report`` and ``ext`` are the curvature report and the extrinsic edge
-    lengths the terms were computed from; they take no part in equality
-    or ``repr``. The descent carries them to the gradient and trace row
-    of the iterate it accepts.
+    ``report`` is the curvature report the terms were computed from; it
+    takes no part in equality or ``repr``. The descent carries it to the
+    gradient and trace row of the iterate it accepts.
     """
 
     data: float
@@ -108,7 +108,6 @@ class LossBreakdown:
     iso: float
     total: float
     report: geometry.CurvatureReport | None = field(default=None, compare=False, repr=False)
-    ext: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def total_loss(
@@ -138,7 +137,6 @@ def total_loss(
         else 0.0
     )
     iso = isometry_coupling(mesh, metric, embedding)
-    ext = embedding.edge_lengths(mesh)  # memoized: the array isometry_coupling used
     if dataset is None:
         data = 0.0
     else:
@@ -156,7 +154,6 @@ def total_loss(
         iso=iso,
         total=total,
         report=report,
-        ext=ext,
     )
 
 
@@ -171,16 +168,17 @@ def _gradient(
     dataset: Dataset | None,
     config: LossConfig,
     projections: Projections | None,
-    losses: LossBreakdown,
+    report: geometry.CurvatureReport,
     freeze_embedding: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(length gradient, flattened coordinate gradient or None if frozen).
 
     Closed form of the gradient of :func:`total_loss` with the faces and
-    barycentric coordinates of ``projections`` held fixed. ``losses`` is
-    :func:`total_loss` at the same point: its curvature report and
-    extrinsic lengths are read, not computed again. Corner angles
-    and face areas are differentiated with the edge-length identities
+    barycentric coordinates of ``projections`` held fixed. ``report`` is
+    the curvature report of :func:`total_loss` at the same point, and the
+    extrinsic lengths are the ones :func:`isometry_coupling` memoized on
+    the embedding there: neither is computed again. Corner angles and face
+    areas are differentiated with the edge-length identities
     d(theta_i)/d(l_i) = l_i / (2A), d(theta_i)/d(l_j) = -l_i cos(theta_k) / (2A)
     and dA/d(l_i) = l_i cot(theta_i) / 2 (Springborn, Schroeder & Pinkall,
     "Conformal equivalence of triangle meshes", 2008).
@@ -206,7 +204,7 @@ def _gradient(
         g_coord += scatter(corners, 2.0 * bary[:, :, None] * resid[:, None, :])
 
     if config.mu_iso > 0.0:
-        ext = losses.ext
+        ext = embedding.edge_lengths(mesh)
         gap = 2.0 * config.mu_iso * (ext - metric.lengths)
         g_len -= gap
         if g_coord is not None:
@@ -217,7 +215,6 @@ def _gradient(
             g_coord += scatter(edges, np.stack((pull, -pull), axis=1))
 
     if config.lambda_ > 0.0:
-        report = losses.report
         p = config.p
         mag = np.abs(report.defect)
         sign = np.where(report.defect >= 0.0, 1.0, -1.0)
@@ -279,7 +276,7 @@ def loss_gradient(
         proj = project_dataset_arrays(dataset.points, embedding, mesh)
     losses = total_loss(mesh, metric, embedding, dataset, config, projections=proj)
     g_len, g_coord = _gradient(
-        mesh, metric, embedding, dataset, config, proj, losses, freeze_embedding
+        mesh, metric, embedding, dataset, config, proj, losses.report, freeze_embedding
     )
     return losses.total, g_len, g_coord
 
@@ -508,7 +505,7 @@ def run_optimization(
     k = 0
     while True:
         g_len, g_coord = _gradient(
-            mesh, metric, embedding, dataset, config, proj, losses, freeze_embedding
+            mesh, metric, embedding, dataset, config, proj, losses.report, freeze_embedding
         )
         sq = float(g_len @ g_len)
         if g_coord is not None:

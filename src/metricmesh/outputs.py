@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import read_text
 from .geodesic import DistanceField
 from .geometry import CurvatureReport, MetricField
 from .optimize import SweepRecord, TraceRow
@@ -56,8 +57,8 @@ def read_lengths_csv(path, mesh) -> MetricField:
     Rows must appear in edge order with endpoints matching the mesh's
     edge list, which catches files written for a different mesh.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    text = read_text(path, lambda line, why: ValueError(f"lengths file {path}, line {line}: {why}"))
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != LENGTHS_HEADER:
         raise ValueError(f"lengths file must start with header '{LENGTHS_HEADER}'")
     body = lines[1:]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, read_text
 
 
 def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -116,8 +116,7 @@ class Dataset:
         if hasattr(source, "read"):
             text = source.read()
         else:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            text = read_text(source, lambda line, why: DatasetError(f"line {line}: {why}"))
         rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
         if not rows:
             raise DatasetError("empty dataset file")

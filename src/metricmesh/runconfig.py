@@ -2,13 +2,16 @@
 
 Blank lines are skipped and ``#`` starts a comment anywhere on a line.
 Unknown keys, duplicate keys, malformed values and values out of range
-are rejected with the offending line number. This module holds only the
-file syntax: each key names one field of
-:class:`~metricmesh.optimize.LossConfig`,
-:class:`~metricmesh.optimize.StopRule` or :class:`RunSettings`, and those
-classes own every default and every range. ``auto`` leaves the
-feasibility margin, the length floor or the volume target unset;
-:func:`~metricmesh.optimize.run_optimization` derives it from the start
+are rejected with the offending line number, and so is a byte that is
+not UTF-8. This module holds only the file syntax. The keys are the
+fields of :class:`RunSettings`, :class:`~metricmesh.optimize.LossConfig`
+and :class:`~metricmesh.optimize.StopRule` (``loss`` and ``stop`` aside),
+without a keyword's trailing underscore: ``lambda`` sets ``lambda_``.
+Each field's type decides how its value is read: text, a yes/no token,
+an integer or a number. Those classes own every default and every range.
+``auto`` leaves a field typed ``float | None`` unset: the feasibility
+margin, the length floor or the volume target, which
+:func:`~metricmesh.optimize.run_optimization` derives from the start
 metric.
 
 Example::
@@ -24,11 +27,11 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-import keyword
 import math
+import typing
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .optimize import LossConfig, StopRule
 
 _TRUE = frozenset(("true", "1", "yes", "on"))
@@ -58,53 +61,37 @@ class RunSettings:
             raise ValueError(f"eta_init must be finite and positive, got {self.eta_init}")
 
 
-# key -> (parser kind, owning class). The field is the key, with a
-# trailing underscore where the key is a Python keyword. "auto_float"
-# keys read "auto" as None.
-_KEYS: dict[str, tuple[str, type]] = {
-    "mesh": ("str", RunSettings),
-    "dataset": ("str", RunSettings),
-    "lambda": ("float", LossConfig),
-    "p": ("float", LossConfig),
-    "mu_dirichlet": ("float", LossConfig),
-    "mu_volume": ("float", LossConfig),
-    "mu_iso": ("float", LossConfig),
-    "v_target": ("auto_float", LossConfig),
-    "feas_margin": ("auto_float", LossConfig),
-    "min_length": ("auto_float", LossConfig),
-    "eta_init": ("float", RunSettings),
-    "max_iters": ("int", StopRule),
-    "grad_tol": ("float", StopRule),
-    "loss_tol": ("float", StopRule),
-    "seed": ("int", RunSettings),
-    "jitter": ("float", RunSettings),
-    "freeze_embedding": ("bool", RunSettings),
-    "outdir": ("str", RunSettings),
-}
+def _schema() -> dict[str, tuple[type, str, object]]:
+    """config key -> (owning class, field name, field type); see the module docstring."""
+    keys = {}
+    for owner in (RunSettings, LossConfig, StopRule):
+        hints = typing.get_type_hints(owner)
+        for f in dataclasses.fields(owner):
+            if f.name not in ("loss", "stop"):
+                keys[f.name.rstrip("_")] = (owner, f.name, hints[f.name])
+    return keys
 
 
-def _field(key: str) -> str:
-    return key + "_" if keyword.iskeyword(key) else key
+_SCHEMA = _schema()
 
 
-def _convert(kind: str, key: str, raw: str, line: int):
-    if kind == "str":
+def _convert(hint, key: str, raw: str, line: int):
+    """``raw`` as a value of the field type ``hint``; ``float | None`` reads ``auto`` as None."""
+    if hint in (str, str | None):
         return raw
-    if kind == "bool":
+    if hint is bool:
         low = raw.lower()
         if low in _TRUE:
             return True
         if low in _FALSE:
             return False
         raise ConfigError(f"key '{key}' expects a boolean, got {raw!r}", line=line)
-    if kind == "auto_float" and raw.lower() == "auto":
+    if hint == float | None and raw.lower() == "auto":
         return None
     try:
-        if kind == "int":
-            return int(raw)
-        return float(raw)
+        return int(raw) if hint is int else float(raw)
     except ValueError:
-        noun = "an integer" if kind == "int" else "a number"
+        noun = "an integer" if hint is int else "a number"
         raise ConfigError(f"key '{key}' expects {noun}, got {raw!r}", line=line) from None
 
 
@@ -121,15 +108,15 @@ def parse_config(text: str) -> RunSettings:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown key '{key}'", line=lineno)
         if key in seen:
             raise ConfigError(f"duplicate key '{key}'", line=lineno)
         seen.add(key)
         if not raw:
             raise ConfigError(f"key '{key}' has an empty value", line=lineno)
-        kind, owner = _KEYS[key]
-        value = {_field(key): _convert(kind, key, raw, lineno)}
+        owner, name, hint = _SCHEMA[key]
+        value = {name: _convert(hint, key, raw, lineno)}
         try:
             owner(**value)
         except ValueError as exc:
@@ -144,13 +131,10 @@ def parse_config(text: str) -> RunSettings:
 
 
 def read_config(path) -> RunSettings:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path, lambda line, why: ConfigError(why, line=line)))
 
 
 def settings_echo(settings: RunSettings) -> dict:
     """Every setting by its config key, as a manifest records it."""
-    flat = dataclasses.asdict(settings)
-    for part in ("loss", "stop"):
-        flat.update(flat.pop(part))
-    return {name.rstrip("_"): value for name, value in flat.items()}
+    parts = {RunSettings: settings, LossConfig: settings.loss, StopRule: settings.stop}
+    return {key: getattr(parts[owner], name) for key, (owner, name, _) in _SCHEMA.items()}

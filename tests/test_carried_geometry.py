@@ -1,11 +1,12 @@
 """The descent computes each iterate's geometry once and carries it.
 
-``total_loss`` returns the curvature report and the extrinsic edge
-lengths it used; ``run_optimization`` hands the accepted candidate's to
-the next gradient and trace row. The oracle below is the descent as it
-was before that, rebuilding the report, the corner angles, the slacks
-and the extrinsic lengths on every call; carrying them must not change a
-single bit of any trace row, final metric or embedding.
+``total_loss`` returns the curvature report it used, and the embedding
+memoizes its extrinsic edge lengths; ``run_optimization`` hands the
+accepted candidate's to the next gradient and trace row. The oracle
+below is the descent as it was before that, rebuilding the report, the
+corner angles, the slacks and the extrinsic lengths on every call;
+carrying them must not change a single bit of any trace row, final
+metric or embedding.
 """
 
 import dataclasses
@@ -300,7 +301,7 @@ class TestCarriedGeometry:
         assert np.array_equal(out.report.corner_angle, mm.face_corner_angles(mesh, metric))
         assert np.array_equal(out.report.face_slack, mm.face_slacks(mesh, metric))
         assert np.array_equal(out.report.face_area, mm.face_areas(mesh, metric))
-        assert np.array_equal(out.ext, fresh_edge_lengths(mesh, emb))
+        assert np.array_equal(emb.edge_lengths(mesh), fresh_edge_lengths(mesh, emb))
         assert mm.isometry_coupling(mesh, metric, emb) == out.iso
 
     def test_max_deficit_on_every_row(self, case):
@@ -319,8 +320,8 @@ class TestCarriedGeometry:
     def test_breakdown_equality_and_repr_ignore_carried_fields(self, case):
         mesh, emb, metric = case()
         out = optimize.total_loss(mesh, metric, emb, None, LossConfig(mu_iso=1.0))
-        bare = dataclasses.replace(out, report=None, ext=None)
-        assert out.report is not None and out.ext is not None
+        bare = dataclasses.replace(out, report=None)
+        assert out.report is not None
         assert out == bare
         assert repr(out) == repr(bare)
-        assert "report" not in repr(out) and "ext" not in repr(out)
+        assert "report" not in repr(out)

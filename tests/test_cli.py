@@ -269,6 +269,60 @@ class TestMalformedInputs:
         _run_mutations(random.Random(20261021), 100, base, ",", lengths, argv, capsys)
 
 
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is the reader's own error, with its line."""
+
+    @pytest.mark.parametrize("reader", ["config", "off", "dataset", "lengths"])
+    def test_error_names_the_line(self, tmp_path, capsys, reader):
+        mesh, emb = mm.make_icosphere(0)
+        off = tmp_path / "ico.off"
+        mm.save_off(mesh, emb, off)
+        ds = write_dataset(tmp_path / "pts.csv", n=12)
+        lengths = tmp_path / "lengths.csv"
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        outputs.write_text(lengths, outputs.lengths_csv_text(mesh, metric))
+        cfg = write_config(tmp_path / "run.cfg", mesh=off, dataset=ds, outdir=tmp_path / "o")
+        bad = {"config": cfg, "off": off, "dataset": ds, "lengths": lengths}[reader]
+        lines = bad.read_bytes().split(b"\n")
+        lines.insert(2, b"# caf\xe9 (Latin-1)")
+        bad.write_bytes(b"\n".join(lines))
+
+        if reader == "lengths":
+            argv = ["curvature", "--mesh", str(off), "--lengths", str(lengths),
+                    "--outdir", str(tmp_path / "o")]
+            prefix = f"error: lengths file {lengths}, "
+        else:
+            argv = ["optimize", "--config", str(cfg)]
+            prefix = "config error: " if reader == "config" else "error: "
+        assert main(argv) == (2 if reader == "config" else 1)
+        assert capsys.readouterr().err == prefix + "line 3: byte 0xe9 is not UTF-8\n"
+
+
+class TestFromEmbedding:
+    ARGV = {
+        "curvature": ["curvature", "--mesh", "icosphere(1)"],
+        "geodesic": ["geodesic", "--mesh", "icosphere(1)", "--source", "3"],
+    }
+
+    @pytest.mark.parametrize("command", ["curvature", "geodesic"])
+    def test_same_output_as_the_default(self, tmp_path, capsys, command):
+        argv = self.ARGV[command] + ["--outdir", str(tmp_path / "o")]
+        written = tmp_path / "o" / ("curvature.csv" if command == "curvature" else "distances.csv")
+        assert main(argv) == 0
+        default = (capsys.readouterr().out, written.read_bytes())
+        written.unlink()
+        assert main(argv + ["--from-embedding"]) == 0
+        assert (capsys.readouterr().out, written.read_bytes()) == default
+
+    @pytest.mark.parametrize("command", ["curvature", "geodesic"])
+    def test_excludes_lengths(self, tmp_path, command):
+        lengths = tmp_path / "lengths.csv"
+        argv = self.ARGV[command] + ["--lengths", str(lengths), "--from-embedding"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 class TestCurvatureCommand:
     def test_from_embedding(self, tmp_path, capsys):
         outdir = tmp_path / "out"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +7,8 @@ import metricmesh as mm
 from metricmesh import outputs
 from metricmesh.errors import ConfigError
 from metricmesh.optimize import OptimizationResult, SweepRecord, TraceRow
-from metricmesh.optimize import LossConfig, StopRule
-from metricmesh.runconfig import _KEYS, RunSettings, _field, parse_config, read_config, settings_echo
+from metricmesh.optimize import StopRule
+from metricmesh.runconfig import parse_config, read_config, settings_echo
 
 
 FULL_CONFIG = """\
@@ -115,16 +114,21 @@ class TestParseConfig:
         path.write_text("mesh = icosphere(0)\nseed = 3\n")
         assert read_config(path).seed == 3
 
-    def test_every_key_names_a_field_of_its_owner(self):
-        for key, (_, owner) in _KEYS.items():
-            assert _field(key) in {f.name for f in dataclasses.fields(owner)}, key
-
-    def test_every_setting_has_a_key(self):
-        keyed = {(owner, _field(key)) for key, (_, owner) in _KEYS.items()}
-        for owner in (LossConfig, StopRule, RunSettings):
-            for f in dataclasses.fields(owner):
-                if f.name not in ("loss", "stop"):
-                    assert (owner, f.name) in keyed, f.name
+    def test_auto_unsets_exactly_the_derived_settings(self):
+        # the settings run_optimization derives from the start metric
+        echo = settings_echo(parse_config(FULL_CONFIG))
+        numeric = [k for k, v in echo.items() if type(v) in (int, float)]
+        assert len(numeric) == 14
+        unset = set()
+        for key in numeric:
+            try:
+                settings = parse_config(f"mesh = m.off\n{key} = auto\n")
+            except ConfigError as exc:
+                assert exc.line == 2 and str(exc).startswith("line 2: "), key
+            else:
+                assert settings_echo(settings)[key] is None, key
+                unset.add(key)
+        assert unset == {"v_target", "feas_margin", "min_length"}
 
     def test_echo_parses_back_to_the_same_settings(self):
         settings = parse_config(FULL_CONFIG)
