@@ -41,7 +41,7 @@ def _load_mesh(spec: str):
 
 
 def _load_metric(args, mesh, embedding: Embedding) -> MetricField:
-    if getattr(args, "lengths", None):
+    if args.lengths:
         return outputs.read_lengths_csv(args.lengths, mesh)
     return MetricField.from_embedding(mesh, embedding)
 
@@ -241,26 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="per-vertex angle-defect report")
     p.add_argument("--mesh", required=True, help="OFF path or generator spec")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--lengths", help="edge-length CSV (as written by optimize)")
-    g.add_argument(
-        "--from-embedding",
-        action="store_true",
-        help="use extrinsic edge lengths (the default)",
-    )
+    p.add_argument("--lengths", help="edge-length CSV from optimize (default: mesh edge lengths)")
     p.add_argument("--outdir", default="out", help="output directory (default: out)")
     p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("geodesic", help="single-source geodesic distances")
     p.add_argument("--mesh", required=True, help="OFF path or generator spec")
     p.add_argument("--source", required=True, type=int, help="source vertex id")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--lengths", help="edge-length CSV (as written by optimize)")
-    g.add_argument(
-        "--from-embedding",
-        action="store_true",
-        help="use extrinsic edge lengths (the default)",
-    )
+    p.add_argument("--lengths", help="edge-length CSV from optimize (default: mesh edge lengths)")
     p.add_argument(
         "--graph-only",
         action="store_true",

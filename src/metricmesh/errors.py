@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the text reader that raises them."""
 
+import codecs
 from typing import Callable
 
 
@@ -76,11 +77,13 @@ class ConfigError(MetricMeshError):
 def read_text(path, error: Callable[[int, str], Exception]) -> str:
     """The UTF-8 text of the file at ``path``, with universal newlines.
 
-    A byte that is not UTF-8 raises ``error(line, reason)`` for the line
-    of the first such byte, so each reader reports it as its own error.
+    A leading byte-order mark is dropped. A byte that is not UTF-8 raises
+    ``error(line, reason)`` for the line of the first such byte, so each
+    reader reports it as its own error.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        # stripped from the bytes, so the error below indexes the bytes it decoded
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -168,13 +168,13 @@ def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
     The slacks (the feasibility check), corner angles and face areas come
     from one gather of the face lengths, bit for bit what
     :func:`face_slacks`, :func:`face_corner_angles` and :func:`face_areas`
-    return. Requires every vertex on a face (:class:`IsolatedVertexError`
-    otherwise: an isolated vertex has no area, so its density is
-    undefined), a strictly feasible metric and areas in float range
-    (``ValueError`` otherwise). Reductions run in fixed index order
-    (bincount), so results are deterministic.
+    return. Requires an empty ``mesh.isolated_vertices``
+    (:class:`IsolatedVertexError` otherwise: an isolated vertex has no
+    area, so its density is undefined), a strictly feasible metric and
+    areas in float range (``ValueError`` otherwise). Reductions run in
+    fixed index order (bincount), so results are deterministic.
     """
-    isolated = np.flatnonzero(np.diff(mesh.vertex_face_csr[0]) == 0)
+    isolated = mesh.isolated_vertices
     if isolated.size:
         raise IsolatedVertexError(
             f"vertex {int(isolated[0])} belongs to no face, so its curvature density "

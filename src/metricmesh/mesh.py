@@ -66,9 +66,9 @@ class Mesh:
         faces: integer array of shape (F, 3), three distinct vertex
             indices per face.
 
-    Construction tolerates edges with more than two incident faces so
-    that :func:`validate_manifold` can report them; the OFF loader is
-    stricter and rejects such files outright.
+    Construction tolerates edges on more than two faces and vertices on no
+    face (``isolated_vertices``) so that :func:`validate_manifold` can
+    report them; the OFF loader rejects such edges outright.
     """
 
     __slots__ = (
@@ -81,6 +81,7 @@ class Mesh:
         "vertex_edge_csr",
         "boundary_edge",
         "boundary_vertex",
+        "isolated_vertices",
     )
 
     def __init__(self, vertex_count: int, faces):
@@ -124,6 +125,8 @@ class Mesh:
         # (offsets, rows): the faces incident to vertex v are
         # ``rows[offsets[v]:offsets[v + 1]]``, ascending.
         self.vertex_face_csr = self._incidence(self.faces)
+        # Vertices on no face, ascending: they have no area and no curvature.
+        self.isolated_vertices = _freeze(np.flatnonzero(np.diff(self.vertex_face_csr[0]) == 0))
         # Same layout for the edges incident to each vertex.
         self.vertex_edge_csr = self._incidence(self.edges)
 

@@ -312,9 +312,10 @@ def feasibility_projection(
     Each repair sees the lengths the faces before it left, so the order is
     part of the result; an oracle test pins it bit for bit. Lengths never
     drop below ``min_length``. Already feasible input is returned unchanged
-    (the same object). A margin or floor that is not finite and positive
-    raises ``ValueError``; sweeps that run out raise
-    :class:`FeasibilityProjectionError`.
+    (the same object). A sweep that repairs no face certifies its result;
+    only when the sweeps run out does :func:`geometry.check_feasible` run,
+    and the faces it finds raise :class:`FeasibilityProjectionError`. A
+    margin or floor that is not finite and positive raises ``ValueError``.
     """
     # plain floats: a numpy-scalar argument would slow the sweep or round in float32
     feas_margin, min_length = float(feas_margin), float(min_length)
@@ -349,7 +350,7 @@ def feasibility_projection(
             lengths[hi] = max(lengths[hi] - step, min_length)
             changed = True
         if not changed:
-            break
+            return MetricField(np.array(lengths))
     result = MetricField(np.array(lengths))
     bad = geometry.check_feasible(mesh, result, feas_margin)
     if bad:

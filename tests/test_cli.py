@@ -1,6 +1,9 @@
+import codecs
 import json
 import math
 import random
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -269,11 +272,24 @@ class TestMalformedInputs:
         _run_mutations(random.Random(20261021), 100, base, ",", lengths, argv, capsys)
 
 
-class TestUndecodableInput:
-    """A byte that is not UTF-8 is the reader's own error, with its line."""
+def insert_latin1_line(path):
+    """Make line 3 of ``path`` a comment with a Latin-1 byte, 0xe9."""
+    lines = path.read_bytes().split(b"\n")
+    lines.insert(2, b"# caf\xe9 (Latin-1)")
+    path.write_bytes(b"\n".join(lines))
 
-    @pytest.mark.parametrize("reader", ["config", "off", "dataset", "lengths"])
-    def test_error_names_the_line(self, tmp_path, capsys, reader):
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 is the reader's own error, with its line.
+
+    A leading UTF-8 byte-order mark is dropped before decoding.
+    """
+
+    READERS = ["config", "off", "dataset", "lengths"]
+
+    @staticmethod
+    def case(tmp_path, reader):
+        """(the file ``reader`` reads, argv, error prefix, exit code of an error)."""
         mesh, emb = mm.make_icosphere(0)
         off = tmp_path / "ico.off"
         mm.save_off(mesh, emb, off)
@@ -282,45 +298,76 @@ class TestUndecodableInput:
         metric = mm.MetricField.from_embedding(mesh, emb)
         outputs.write_text(lengths, outputs.lengths_csv_text(mesh, metric))
         cfg = write_config(tmp_path / "run.cfg", mesh=off, dataset=ds, outdir=tmp_path / "o")
-        bad = {"config": cfg, "off": off, "dataset": ds, "lengths": lengths}[reader]
-        lines = bad.read_bytes().split(b"\n")
-        lines.insert(2, b"# caf\xe9 (Latin-1)")
-        bad.write_bytes(b"\n".join(lines))
-
+        path = {"config": cfg, "off": off, "dataset": ds, "lengths": lengths}[reader]
         if reader == "lengths":
             argv = ["curvature", "--mesh", str(off), "--lengths", str(lengths),
                     "--outdir", str(tmp_path / "o")]
-            prefix = f"error: lengths file {lengths}, "
-        else:
-            argv = ["optimize", "--config", str(cfg)]
-            prefix = "config error: " if reader == "config" else "error: "
-        assert main(argv) == (2 if reader == "config" else 1)
+            return path, argv, f"error: lengths file {lengths}, ", 1
+        argv = ["optimize", "--config", str(cfg)]
+        if reader == "config":
+            return path, argv, "config error: ", 2
+        return path, argv, "error: ", 1
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_error_names_the_line(self, tmp_path, capsys, reader):
+        path, argv, prefix, code = self.case(tmp_path, reader)
+        insert_latin1_line(path)
+        assert main(argv) == code
+        assert capsys.readouterr().err == prefix + "line 3: byte 0xe9 is not UTF-8\n"
+        # after a byte-order mark the error still names the byte and its line
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert main(argv) == code
         assert capsys.readouterr().err == prefix + "line 3: byte 0xe9 is not UTF-8\n"
 
+    @pytest.mark.parametrize("reader", READERS)
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, reader):
+        path, argv, _, _ = self.case(tmp_path, reader)
+        outdir = tmp_path / "o"
 
-class TestFromEmbedding:
-    ARGV = {
-        "curvature": ["curvature", "--mesh", "icosphere(1)"],
-        "geodesic": ["geodesic", "--mesh", "icosphere(1)", "--source", "3"],
-    }
+        def run():
+            code = main(argv)
+            written = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            shutil.rmtree(outdir)
+            return code, capsys.readouterr(), written
 
-    @pytest.mark.parametrize("command", ["curvature", "geodesic"])
-    def test_same_output_as_the_default(self, tmp_path, capsys, command):
-        argv = self.ARGV[command] + ["--outdir", str(tmp_path / "o")]
-        written = tmp_path / "o" / ("curvature.csv" if command == "curvature" else "distances.csv")
-        assert main(argv) == 0
-        default = (capsys.readouterr().out, written.read_bytes())
-        written.unlink()
-        assert main(argv + ["--from-embedding"]) == 0
-        assert (capsys.readouterr().out, written.read_bytes()) == default
+        plain = run()
+        assert plain[0] == 0 and plain[2]
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert run() == plain
 
-    @pytest.mark.parametrize("command", ["curvature", "geodesic"])
-    def test_excludes_lengths(self, tmp_path, command):
-        lengths = tmp_path / "lengths.csv"
-        argv = self.ARGV[command] + ["--lengths", str(lengths), "--from-embedding"]
+
+class TestFromEmbeddingRemoved:
+    # the flag selected the default metric, so it went; passing it is a usage error
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curvature", "--mesh", "icosphere(1)"],
+            ["geodesic", "--mesh", "icosphere(1)", "--source", "3"],
+        ],
+        ids=["curvature", "geodesic"],
+    )
+    def test_is_a_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(argv + ["--from-embedding", "--outdir", str(tmp_path / "o")])
         assert exc.value.code == 2
+        assert "unrecognized arguments: --from-embedding" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestReadmeCommands:
+    def test_command_line_block_runs(self, tmp_path, monkeypatch, capsys):
+        # every command of README's "Command line" block, in order: the
+        # first writes the sphere.off that the others read
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+        lines = block.split("```", 1)[0].splitlines()
+        commands = [line for line in lines if line.startswith("metricmesh ")]
+        assert len(commands) == 6
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("mesh = sphere.off\nmax_iters = 3\n")
+        for command in commands:
+            assert main(shlex.split(command)[1:]) == 0, command
+            assert capsys.readouterr().err == "", command
 
 
 class TestCurvatureCommand:

@@ -197,6 +197,11 @@ CRAFTED = {
 }
 
 
+def isolated_in(violations):
+    """The vertices of the ``isolated-vertex`` entries, in order."""
+    return [v.where for v in violations if v.kind == "isolated-vertex"]
+
+
 class TestValidateManifoldMatchesFanWalk:
     @pytest.mark.parametrize("spec", GENERATED)
     def test_generated_meshes(self, spec):
@@ -210,6 +215,7 @@ class TestValidateManifoldMatchesFanWalk:
         expected = fan_walk_violations(mesh)
         assert expected, "every crafted mesh has a defect"
         assert mm.validate_manifold(mesh) == expected
+        assert mesh.isolated_vertices.tolist() == isolated_in(expected)
 
     def test_defects_on_a_larger_mesh(self):
         mesh = _icosphere_with_defects()
@@ -221,6 +227,7 @@ class TestValidateManifoldMatchesFanWalk:
             "isolated-vertex",
         ]
         assert mm.validate_manifold(mesh) == expected
+        assert mesh.isolated_vertices.tolist() == isolated_in(expected)
 
     def test_pinned_messages(self):
         vertex_count, faces = CRAFTED["3 open fan edges"]
@@ -249,7 +256,8 @@ class TestIncidence:
         mesh = mm.Mesh(5, np.array([[0, 1, 3], [1, 4, 3]]))
         assert mesh.vertex_faces(2).size == 0 and mesh.vertex_edges(2).size == 0
         arrays = [mesh.vertex_faces(1), mesh.vertex_edges(1)]
-        arrays += [*mesh.vertex_face_csr, *mesh.vertex_edge_csr]
+        arrays += [*mesh.vertex_face_csr, *mesh.vertex_edge_csr, mesh.isolated_vertices]
+        assert mesh.isolated_vertices.tolist() == [2]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
