@@ -110,8 +110,9 @@ def _cmd_geodesic(args) -> int:
 def _prepare_run(settings: RunSettings):
     """Shared setup for optimize and sweep: mesh, data, start metric.
 
-    The returned settings have every 'auto' resolved to a concrete
-    number, so the manifest records exactly what the run used.
+    The returned settings have every 'auto' of the loss resolved to a
+    concrete number, so the manifest records exactly what the run used;
+    an 'auto' first trial step is resolved by the run itself.
     """
     mesh, embedding = _load_mesh(settings.mesh)
     dataset = Dataset.from_csv(settings.dataset) if settings.dataset else None
@@ -136,6 +137,8 @@ def _cmd_optimize(args) -> int:
         eta_init=settings.eta_init,
         freeze_embedding=settings.freeze_embedding,
     )
+    # the manifest records the first trial step the run took, not 'auto'
+    settings = dataclasses.replace(settings, eta_init=result.eta_init)
     outdir = outputs.ensure_outdir(settings.outdir)
     outputs.write_text(outdir / "trace.csv", outputs.trace_csv_text(result.rows))
     outputs.write_text(
@@ -201,7 +204,12 @@ def _cmd_sweep(args) -> int:
         "settings": settings_echo(settings),
         "lambdas": lambdas,
         "records": [
-            {"lambda": rec.lambda_, "status": rec.status, "detail": rec.detail}
+            {
+                "lambda": rec.lambda_,
+                "status": rec.status,
+                "detail": rec.detail,
+                "eta_init": None if rec.result is None else rec.result.eta_init,
+            }
             for rec in records
         ],
         "outputs": sorted(written),

@@ -14,6 +14,11 @@ faces and barycentric coordinates fixed, the envelope treatment of the
 inner closest-point minimization. A consequence worth testing: the data
 term contributes exactly zero gradient to the edge lengths.
 
+The step is scale-free: the first trial step moves the largest gradient
+component by one mean edge length, and each later one is the
+Barzilai-Borwein step of the last accepted move, capped at 4 times that
+move. Backtracking halves a trial step until the loss does not rise.
+
 The start metric and every candidate step are pushed into the feasible
 set (triangle inequality with margin, length floor) by one over-relaxed
 repair sweep before they are evaluated, so every accepted iterate is
@@ -420,11 +425,19 @@ class IterationState:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The trace, stop reason and final state of one descent.
+
+    ``eta_init`` is the first trial step the run took, the resolved
+    ``auto`` or the given number; it is None only for an ``auto`` run
+    that stopped at row 0.
+    """
+
     rows: list[TraceRow]
     stop_reason: str
     metric: MetricField
     embedding: Embedding
     config: LossConfig
+    eta_init: float | None = None
 
     @property
     def iterations(self) -> int:
@@ -457,9 +470,28 @@ def _start(mesh, metric: MetricField, config: LossConfig) -> tuple[MetricField, 
     return metric, config
 
 
-# Backtracking halves the step this many times before giving up, which
-# spans about six orders of magnitude from the warm-started step.
+# Backtracking halves the trial step this many times before giving up,
+# which spans about six orders of magnitude below it.
 _MAX_BACKTRACKS = 20
+# A Barzilai-Borwein trial step is at most this many times the last
+# accepted step.
+_BB_CAP = 4.0
+
+
+def _joint(lengths: np.ndarray, coords: np.ndarray | None) -> np.ndarray:
+    """The descent's variables (or gradient) as one vector: lengths, then coordinates."""
+    return lengths if coords is None else np.concatenate((lengths, coords.ravel()))
+
+
+def _bb_step(s: np.ndarray, y: np.ndarray, eta_used: float) -> float:
+    """The Barzilai-Borwein trial step ``s.s / s.y`` after an accepted step.
+
+    ``s`` and ``y`` are the moves of the joint iterate and gradient over
+    the accepted step ``eta_used``. The trial step is capped at
+    ``_BB_CAP * eta_used``, and it is ``2 * eta_used`` where ``s.y <= 0``.
+    """
+    sy = float(s @ y)
+    return min(float(s @ s) / sy, _BB_CAP * eta_used) if sy > 0.0 else 2.0 * eta_used
 
 
 def run_optimization(
@@ -469,28 +501,39 @@ def run_optimization(
     dataset: Dataset | None,
     config: LossConfig,
     stop: StopRule | None = None,
-    eta_init: float = 1e-2,
+    eta_init: float | None = None,
     freeze_embedding: bool = False,
     on_iteration: Callable[[IterationState], None] | None = None,
 ) -> OptimizationResult:
-    """Projected gradient descent with backtracking line search.
+    """Projected gradient descent with a spectral step and backtracking.
 
     An unset margin and floor in ``config`` are derived from the initial
     metric's mean edge length (1e-4 and 1e-6 times it). The initial
     metric is then projected to feasibility, so row 0 of the trace is
     already a feasible point, and an unset volume target with a positive
     ``mu_volume`` becomes its total area; ``result.config`` holds the
-    values used. Each iteration takes one gradient, then tries steps eta,
-    eta/2, ... until the candidate (after its own feasibility projection)
-    does not increase the true loss; the accepted step is doubled as the
-    next iteration's first try. The start metric and the candidates are
-    repaired by the same :func:`feasibility_projection`; a candidate whose
-    repair fails is one more halving of the step. Stop reasons:
-    ``grad_tol``, ``loss_tol``, ``max_iters``, ``stalled``. A mesh with a
-    vertex that belongs to no face raises :class:`IsolatedVertexError`
-    before row 0, from the first curvature report.
+    values used.
+
+    Each iteration takes one gradient, then tries steps eta, eta/2, ...
+    until the candidate (after its own feasibility projection) does not
+    increase the true loss. The step acts on the joint vector of lengths
+    and, unless the embedding is frozen, flattened coordinates. The first
+    trial step is ``eta_init``; None (``auto``) sizes it to the gradient,
+    so that the largest component moves by one mean edge length of the
+    start metric: ``mean(l) / max|g|``. Each later trial step is the
+    Barzilai-Borwein step ``s.s / s.y`` (Barzilai & Borwein, 1988), with
+    ``s`` and ``y`` the joint iterate and gradient differences of the last
+    accepted step, capped at 4 times that step; where ``s.y <= 0`` it is
+    twice that step. ``result.eta_init`` holds the first trial step.
+
+    The start metric and the candidates are repaired by the same
+    :func:`feasibility_projection`; a candidate whose repair fails is one
+    more halving of the step. Stop reasons: ``grad_tol``, ``loss_tol``,
+    ``max_iters``, ``stalled``. A mesh with a vertex that belongs to no
+    face raises :class:`IsolatedVertexError` before row 0, from the first
+    curvature report.
     """
-    if eta_init <= 0.0 or not math.isfinite(eta_init):
+    if eta_init is not None and not (math.isfinite(eta_init) and eta_init > 0.0):
         raise ValueError(f"eta_init must be positive and finite, got {eta_init}")
     stop = stop if stop is not None else StopRule()
     metric, config = _start(mesh, metric, config)
@@ -502,7 +545,7 @@ def run_optimization(
 
     rows: list[TraceRow] = []
     eta_used = 0.0
-    eta_next = eta_init
+    x_prev = grad_prev = None
     k = 0
     while True:
         g_len, g_coord = _gradient(
@@ -537,8 +580,16 @@ def run_optimization(
             reason = "max_iters"
             break
 
+        x = _joint(metric.lengths, None if g_coord is None else embedding.coords)
+        grad = _joint(g_len, g_coord)
+        if k == 0:
+            if eta_init is None:
+                eta_init = float(np.mean(metric.lengths)) / float(np.abs(grad).max())
+            eta = eta_init
+        else:
+            eta = _bb_step(x - x_prev, grad - grad_prev, eta_used)
+        x_prev, grad_prev = x, grad
         accepted = None
-        eta = eta_next
         for _ in range(_MAX_BACKTRACKS + 1):
             cand_lengths = np.maximum(metric.lengths - eta * g_len, config.min_length)
             try:
@@ -577,7 +628,6 @@ def run_optimization(
             break
         metric, embedding, proj, losses = accepted
         eta_used = eta
-        eta_next = eta * 2.0
         k += 1
 
     return OptimizationResult(
@@ -586,6 +636,7 @@ def run_optimization(
         metric=metric,
         embedding=embedding,
         config=config,
+        eta_init=eta_init,
     )
 
 
@@ -619,7 +670,7 @@ def lambda_sweep(
     config: LossConfig,
     lambdas: Sequence[float],
     stop: StopRule | None = None,
-    eta_init: float = 1e-2,
+    eta_init: float | None = None,
     freeze_embedding: bool = False,
 ) -> list[SweepRecord]:
     """Optimize at each weight, warm-starting from the previous optimum.
@@ -630,7 +681,9 @@ def lambda_sweep(
     and shared by every run, and a starting metric that cannot be repaired
     raises :class:`FeasibilityProjectionError` before the first weight. A
     failed run is recorded and the sweep continues from the last
-    successful state, so one bad weight does not void the rest.
+    successful state, so one bad weight does not void the rest. Each run
+    takes ``eta_init`` as its first trial step; None sizes it to that
+    run's start gradient.
     """
     lam = sweep_weights(lambdas)
     metric, config = _start(mesh, metric, config)

@@ -145,16 +145,22 @@ class Dataset:
 # Region decomposition on the barycentric-coordinate plane (Ericson,
 # Real-Time Collision Detection, 2005, 5.1.5). Works in any ambient
 # dimension since only dot products of edge vectors enter. Degenerate
-# (collinear) triangles fall back to the best edge projection.
+# (collinear) triangles and slivers fall back to the best edge projection.
+
+# The interior denominator va + vb + vc is |ab x ac|^2, formed by
+# cancellation from six products of two dot products; its rounding is a
+# small multiple of eps times the sum of their magnitudes. A row is thin
+# when the denominator is not _THIN times that sum: elsewhere the
+# barycentrics, divided by it, are good to about 2**16 eps.
+_THIN = 2.0**-16
 
 
 def _best_edge_points(p, a, b, c):
     """Barycentrics of the best of the clamped projections onto ab, bc, ca.
 
-    The fallback for rows whose interior denominator is zero or not
-    finite. Sums run coordinate by coordinate and the first minimum wins
-    in edge order ab, bc, ca; a row whose three distances are all NaN or
-    infinite keeps vertex a.
+    The fallback for thin interior rows. Sums run coordinate by
+    coordinate and the first minimum wins in edge order ab, bc, ca; a row
+    whose three distances are all NaN or infinite keeps vertex a.
     """
     m = len(p)
     best = np.full(m, np.inf)
@@ -183,23 +189,27 @@ def _closest_points(p, a, b, c):
 
     Takes (M, n) arrays and returns (barycentric (M, 3), squared distance
     (M,)). The six vertex and edge regions are tested in a fixed order and
-    the first that holds wins; interior rows whose denominator is zero or
-    not finite take the best edge projection instead.
+    the first that holds wins. An interior row whose denominator is thin
+    (see ``_THIN``; zero and non-finite included) may divide rounding noise
+    by rounding noise, so its interior point can lie far from the
+    triangle; it is kept only where it is nearer than the best edge
+    projection.
     """
     ab = b - a
     ac = c - a
     ap = p - a
     bp = p - b
     cp = p - c
-    d1 = np.einsum("ik,ik->i", ab, ap)
-    d2 = np.einsum("ik,ik->i", ac, ap)
-    d3 = np.einsum("ik,ik->i", ab, bp)
-    d4 = np.einsum("ik,ik->i", ac, bp)
-    d5 = np.einsum("ik,ik->i", ab, cp)
-    d6 = np.einsum("ik,ik->i", ac, cp)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d4 * d5
+    d1 = _dot(ab, ap)
+    d2 = _dot(ac, ap)
+    d3 = _dot(ab, bp)
+    d4 = _dot(ac, bp)
+    d5 = _dot(ab, cp)
+    d6 = _dot(ac, cp)
+    terms = (d1 * d4, d3 * d2, d5 * d2, d1 * d6, d3 * d6, d4 * d5)
+    vc = terms[0] - terms[1]
+    vb = terms[2] - terms[3]
+    va = terms[4] - terms[5]
     with np.errstate(divide="ignore", invalid="ignore"):
         v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
         w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
@@ -222,12 +232,25 @@ def _closest_points(p, a, b, c):
     b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
     b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
     interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
-    bad = interior & ~((denom > 0.0) & np.isfinite(denom))
-    if bad.any():
-        i = np.flatnonzero(bad)
-        b0[i], b1[i], b2[i] = _best_edge_points(p[i], a[i], b[i], c[i])
+    noise = sum(np.abs(t) for t in terms)
+    thin = np.flatnonzero(interior & ~((denom > _THIN * noise) & np.isfinite(denom)))
+    if thin.size:
+        p_, a_, b_, c_ = p[thin], a[thin], b[thin], c[thin]
+        edge = _best_edge_points(p_, a_, b_, c_)
+        inner = b0[thin], b1[thin], b2[thin]
+        nearer = _sq_at(p_, a_, b_, c_, *inner) < _sq_at(p_, a_, b_, c_, *edge)
+        b0[thin], b1[thin], b2[thin] = (np.where(nearer, x, y) for x, y in zip(inner, edge))
+    return np.stack((b0, b1, b2), axis=1), _sq_at(p, a, b, c, b0, b1, b2)
+
+
+def _dot(x, y):
+    return np.einsum("ik,ik->i", x, y)
+
+
+def _sq_at(p, a, b, c, b0, b1, b2):
+    """Squared distance from p to the point with barycentrics (b0, b1, b2), row by row."""
     r = p - (b0[:, None] * a + b1[:, None] * b + b2[:, None] * c)
-    return np.stack((b0, b1, b2), axis=1), np.einsum("ik,ik->i", r, r)
+    return _dot(r, r)
 
 
 def _sq_distances(x, y):
@@ -257,8 +280,7 @@ def project_points(points, coords, faces):
 
     Returns (face index (N,), barycentric (N, 3), squared distance (N,)),
     the same arrays, bit for bit, as running ``_closest_points`` over every
-    face and taking the first minimum (ties go to the lowest face index),
-    save near some slivers, below.
+    face and taking the first minimum (ties go to the lowest face index).
 
     Exact pruning: the distance ``reach`` from a point to any vertex that
     some face uses bounds its distance to the closest face, so a face can
@@ -286,9 +308,9 @@ def project_points(points, coords, faces):
 
     The bound rests on the kernel: up to rounding, its point lies in the
     triangle and is no farther from p than the triangle's nearest corner.
-    Some slivers break that, when the interior denominator is made of
-    rounding noise; for a point near one the pruned result can differ
-    from the scan.
+    A sliver whose interior denominator is rounding noise would break
+    that, so such a row keeps its interior point only where it is nearer
+    than the best edge projection.
 
     The kernel's products are of fourth degree in the coordinates, so at
     large or small scale they overflow or underflow long before the

@@ -10,9 +10,9 @@ without a keyword's trailing underscore: ``lambda`` sets ``lambda_``.
 Each field's type decides how its value is read: text, a yes/no token,
 an integer or a number. Those classes own every default and every range.
 ``auto`` leaves a field typed ``float | None`` unset: the feasibility
-margin, the length floor or the volume target, which
-:func:`~metricmesh.optimize.run_optimization` derives from the start
-metric.
+margin, the length floor, the volume target or the first trial step,
+which :func:`~metricmesh.optimize.run_optimization` derives from the
+start metric.
 
 Example::
 
@@ -40,7 +40,11 @@ _FALSE = frozenset(("false", "0", "no", "off"))
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Configuration for one optimization run; the CLI requires ``mesh``."""
+    """Configuration for one optimization run; the CLI requires ``mesh``.
+
+    ``eta_init`` None (``auto``) sizes the first trial step to the start
+    gradient; see :func:`~metricmesh.optimize.run_optimization`.
+    """
 
     mesh: str | None = None
     dataset: str | None = None
@@ -48,7 +52,7 @@ class RunSettings:
     seed: int = 0
     jitter: float = 0.0
     freeze_embedding: bool = False
-    eta_init: float = 1e-2
+    eta_init: float | None = None
     loss: LossConfig = field(default_factory=LossConfig)
     stop: StopRule = field(default_factory=StopRule)
 
@@ -57,7 +61,9 @@ class RunSettings:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if not (math.isfinite(self.eta_init) and self.eta_init > 0.0):
+        if self.eta_init is not None and not (
+            math.isfinite(self.eta_init) and self.eta_init > 0.0
+        ):
             raise ValueError(f"eta_init must be finite and positive, got {self.eta_init}")
 
 

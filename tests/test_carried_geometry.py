@@ -21,7 +21,7 @@ from metricmesh.errors import FeasibilityProjectionError, TapeNonFiniteError
 from metricmesh.optimize import LossConfig, StopRule, TraceRow
 from metricmesh.projection import _unit_scaled, project_dataset_arrays
 
-from conftest import feasible_jittered
+from conftest import FIT, FLOW, feasible_jittered, fit_case, flow_case
 
 # --------------------------------------------------------------------------
 # Oracle: the descent rebuilding every quantity on every call
@@ -96,7 +96,7 @@ def rebuilding_gradient(mesh, metric, embedding, dataset, config, projections, f
     return g_len, g_coord
 
 
-def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, eta_init=1e-2,
+def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, eta_init=None,
                        freeze_embedding=False):
     """(rows, stop reason, metric, embedding) of the rebuilding descent."""
     metric, config = optimize._start(mesh, metric, config)
@@ -105,7 +105,7 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, eta_init=
         proj = project_dataset_arrays(dataset.points, embedding, mesh)
     losses = optimize.total_loss(mesh, metric, embedding, dataset, config, projections=proj)
     rows = []
-    eta_used, eta_next, k = 0.0, eta_init, 0
+    eta_used, x_prev, grad_prev, k = 0.0, None, None, 0
     while True:
         g_len, g_coord = rebuilding_gradient(
             mesh, metric, embedding, dataset, config, proj, freeze_embedding
@@ -136,8 +136,20 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, eta_init=
         if k >= stop.max_iters:
             reason = "max_iters"
             break
+        x, grad = metric.lengths, g_len
+        if g_coord is not None:
+            x = np.concatenate((x, embedding.coords.ravel()))
+            grad = np.concatenate((grad, g_coord))
+        if k == 0:
+            eta = eta_init if eta_init is not None else (
+                float(np.mean(metric.lengths)) / float(np.abs(grad).max())
+            )
+        else:
+            s, y = x - x_prev, grad - grad_prev
+            sy = float(s @ y)
+            eta = min(float(s @ s) / sy, 4.0 * eta_used) if sy > 0.0 else 2.0 * eta_used
+        x_prev, grad_prev = x, grad
         accepted = None
-        eta = eta_next
         for _ in range(optimize._MAX_BACKTRACKS + 1):
             cand_lengths = np.maximum(metric.lengths - eta * g_len, config.min_length)
             try:
@@ -175,7 +187,6 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, eta_init=
             break
         metric, embedding, proj, losses = accepted
         eta_used = eta
-        eta_next = eta * 2.0
         k += 1
     return rows, reason, metric, embedding
 
@@ -190,27 +201,6 @@ def assert_same_descent(result, oracle):
 
 # --------------------------------------------------------------------------
 # Cases
-
-
-FLOW = LossConfig(lambda_=1.0, p=1.5, mu_dirichlet=0.1, mu_volume=1.0)
-FIT = LossConfig(lambda_=1e-3, p=2.0, mu_iso=1e-2)
-
-
-def flow_case(seed=3):
-    mesh, emb = mm.make_icosphere(2)
-    metric = mm.MetricField.from_embedding(mesh, emb)
-    return mesh, emb, metric.with_jitter(np.random.default_rng(seed), 0.5)
-
-
-def fit_case(seed=4, n=120):
-    mesh, emb = mm.make_icosphere(2)
-    emb = mm.Embedding(emb.coords * 2.0 ** (1.0 / 3.0))
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts[:, 2] *= 2.0
-    metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(rng, 0.1)
-    return mesh, emb, mm.Dataset(pts), metric
 
 
 def counting_loss(monkeypatch):

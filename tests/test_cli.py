@@ -512,7 +512,17 @@ class TestOptimizeCommand:
         }
         assert manifest["settings"]["lambda"] == 1e-3
         assert manifest["settings"]["feas_margin"] is not None
+        # 'auto' resolved to the first trial step the run took
+        assert type(manifest["settings"]["eta_init"]) is float
+        assert manifest["settings"]["eta_init"] > 0.0
         assert manifest["outputs"] == sorted(manifest["outputs"])
+
+    def test_explicit_eta_init_recorded(self, tmp_path):
+        outdir = tmp_path / "run"
+        cfg = write_config(tmp_path / "run.cfg", outdir=outdir, eta_init="0.003")
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["settings"]["eta_init"] == 0.003
 
     def test_reruns_byte_identical(self, tmp_path):
         ds = write_dataset(tmp_path / "pts.csv")
@@ -577,6 +587,10 @@ class TestSweepCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["lambdas"] == [0.01, 0.1, 1.0]
+        # each run resolves its own first trial step
+        assert manifest["settings"]["eta_init"] is None
+        for rec in manifest["records"]:
+            assert type(rec["eta_init"]) is float and rec["eta_init"] > 0.0
         assert (outdir / "lengths_final.csv").exists()
 
     @pytest.mark.parametrize("bad", ["1,0.5", "abc", "-1,2", "", "nan", "inf", "1,nan"])

@@ -23,7 +23,7 @@ from metricmesh.optimize import (
     total_loss,
 )
 
-from conftest import feasible_jittered
+from conftest import FIT, FLOW, feasible_jittered, fit_case, flow_case
 from traced_geometry import interior_angles, triangle_area
 
 
@@ -842,6 +842,100 @@ class TestRunOptimization:
             run_optimization(mesh, metric, emb, None, LossConfig(), eta_init=0.0)
         with pytest.raises(ValueError):
             run_optimization(mesh, metric, emb, None, LossConfig(), eta_init=math.inf)
+
+
+def descent_states(case, max_iters):
+    """(result, [(joint iterate, joint gradient) per row]) of one descent."""
+    mesh, metric, emb, ds, cfg, freeze = case
+    states = []
+
+    def keep(state):
+        x, g = state.metric.lengths, state.grad_lengths
+        if state.grad_coords is not None:
+            x = np.concatenate((x, state.embedding.coords.ravel()))
+            g = np.concatenate((g, state.grad_coords))
+        states.append((x, g))
+
+    res = run_optimization(
+        mesh, metric, emb, ds, cfg, stop=StopRule(max_iters=max_iters, grad_tol=0.0),
+        freeze_embedding=freeze, on_iteration=keep,
+    )
+    return res, states
+
+
+def step_rule_case(kind):
+    """(mesh, metric, embedding, dataset, config, freeze_embedding) of a flow or fit case."""
+    if kind == "flow":
+        mesh, emb, metric = flow_case()
+        return mesh, metric, emb, None, FLOW, True
+    mesh, emb, ds, metric = fit_case()
+    return mesh, metric, emb, ds, FIT, False
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("kind", ["fit", "flow"])
+    def test_first_step_is_one_mean_length_over_the_largest_gradient(self, kind):
+        res, states = descent_states(step_rule_case(kind), 1)
+        x0, g0 = states[0]
+        first = float(np.mean(x0[: res.metric.edge_count])) / float(np.abs(g0).max())
+        assert res.eta_init == first
+        # the first candidate is accepted on both cases, so row 1 took it
+        assert res.rows[1].eta == first
+
+    @pytest.mark.parametrize("kind", ["fit", "flow"])
+    def test_every_step_is_the_rule_halved(self, kind):
+        # each accepted eta is the rule's trial step halved j >= 0 times,
+        # an exact operation, so the match is bitwise
+        res, states = descent_states(step_rule_case(kind), 8)
+        assert res.stop_reason == "max_iters"
+        firsts = 0
+        for k in range(1, len(res.rows)):
+            if k == 1:
+                trial = res.eta_init
+            else:
+                (x0, g0), (x1, g1) = states[k - 2], states[k - 1]
+                s, y = x1 - x0, g1 - g0
+                sy = float(s @ y)
+                last = res.rows[k - 1].eta
+                trial = min(float(s @ s) / sy, 4.0 * last) if sy > 0.0 else 2.0 * last
+            halvings = [j for j in range(optimize._MAX_BACKTRACKS + 1)
+                        if res.rows[k].eta == trial * 0.5**j]
+            assert halvings, k
+            firsts += halvings[0] == 0
+        assert firsts >= len(res.rows) - 2
+
+    def test_bb_step(self):
+        s = np.array([1.0, -2.0, 0.5])
+        y = np.array([0.5, -1.0, 0.25])  # s.s / s.y = 2
+        assert optimize._bb_step(s, y, 1.0) == 2.0
+
+    def test_bb_step_capped_at_four_times_the_last(self):
+        s = np.array([1.0, -2.0, 0.5])
+        assert optimize._bb_step(s, 1e-6 * s, 0.25) == 1.0
+        assert optimize._bb_step(s, np.array([1e-300, 0.0, 0.0]), 3.0) == 12.0
+
+    @pytest.mark.parametrize(
+        "y", [[-1.0, 2.0, -0.5], [0.0, 0.0, 0.0], [2.0, 1.0, 0.0]], ids=["opposed", "zero", "orthogonal"]
+    )
+    def test_bb_step_doubles_without_positive_curvature(self, y):
+        assert optimize._bb_step(np.array([1.0, -2.0, 0.5]), np.array(y), 0.75) == 1.5
+
+    def test_explicit_eta_init_sets_only_the_first_step(self):
+        mesh, metric, emb, ds, cfg, freeze = step_rule_case("flow")
+        stop = StopRule(max_iters=4, grad_tol=0.0)
+        res = run_optimization(mesh, metric, emb, ds, cfg, stop=stop, eta_init=1e-4,
+                               freeze_embedding=freeze)
+        assert res.eta_init == 1e-4
+        assert res.rows[1].eta in [1e-4 * 0.5**j for j in range(optimize._MAX_BACKTRACKS + 1)]
+
+    def test_no_step_tried(self):
+        mesh, metric, emb, ds, cfg, freeze = step_rule_case("flow")
+        stop = StopRule(max_iters=0)
+        res = run_optimization(mesh, metric, emb, ds, cfg, stop=stop, freeze_embedding=freeze)
+        assert res.iterations == 0 and res.eta_init is None
+        res = run_optimization(mesh, metric, emb, ds, cfg, stop=stop, eta_init=0.5,
+                               freeze_embedding=freeze)
+        assert res.eta_init == 0.5
 
 
 class TestLambdaSweep:

@@ -66,8 +66,10 @@ def region_select(p, a, b, c):
     """The array kernel's six-region select, written out as the test oracle.
 
     Takes (M, n) rows (``p`` may broadcast) and returns b0, b1, b2 and the
-    mask of interior rows whose denominator is zero or not finite; their
-    barycentrics here are placeholders for the edge fallback.
+    mask of thin interior rows: those whose denominator is not above 2**-16
+    times the summed magnitudes of its six products. Their barycentrics
+    here are the interior point, which they keep only where it is nearer
+    than the best edge projection.
     """
     ab = b - a
     ac = c - a
@@ -80,9 +82,10 @@ def region_select(p, a, b, c):
     d4 = np.einsum("fk,fk->f", ac, bp)
     d5 = np.einsum("fk,fk->f", ab, cp)
     d6 = np.einsum("fk,fk->f", ac, cp)
-    vc = d1 * d4 - d3 * d2
-    vb = d5 * d2 - d1 * d6
-    va = d3 * d6 - d4 * d5
+    terms = (d1 * d4, d3 * d2, d5 * d2, d1 * d6, d3 * d6, d4 * d5)
+    vc = terms[0] - terms[1]
+    vb = terms[2] - terms[3]
+    va = terms[4] - terms[5]
     with np.errstate(divide="ignore", invalid="ignore"):
         v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
         w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
@@ -105,8 +108,21 @@ def region_select(p, a, b, c):
     b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
     b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
     interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
-    bad = interior & ~((denom > 0.0) & np.isfinite(denom))
-    return b0, b1, b2, bad
+    noise = sum(np.abs(t) for t in terms)
+    thin = interior & ~((denom > 2.0**-16 * noise) & np.isfinite(denom))
+    return b0, b1, b2, thin
+
+
+def sq_at(p, a, b, c, bary):
+    """Squared distance from p to the point with barycentrics ``bary`` on (a, b, c)."""
+    r = p - (bary[0] * a + bary[1] * b + bary[2] * c)
+    return float(np.einsum("k,k->", r, r))
+
+
+def settle_thin_row(p, a, b, c, inner):
+    """A thin row's barycentrics: the interior point if nearer than the best edge point."""
+    edge = best_edge_point_single(p, a, b, c)
+    return inner if sq_at(p, a, b, c, inner) < sq_at(p, a, b, c, edge) else edge
 
 
 def scan_all_faces(points, coords, faces):
@@ -126,9 +142,9 @@ def scan_all_faces(points, coords, faces):
     out_sq = np.empty(npts, dtype=np.float64)
     for ip in range(npts):
         p = points[ip]
-        b0, b1, b2, bad = region_select(p[None, :], a, b, c)
-        for f in np.flatnonzero(bad):
-            b0[f], b1[f], b2[f] = best_edge_point_single(p, a[f], b[f], c[f])
+        b0, b1, b2, thin = region_select(p[None, :], a, b, c)
+        for f in np.flatnonzero(thin):
+            b0[f], b1[f], b2[f] = settle_thin_row(p, a[f], b[f], c[f], (b0[f], b1[f], b2[f]))
         q = b0[:, None] * a + b1[:, None] * b + b2[:, None] * c
         sq = np.einsum("fk,fk->f", p[None, :] - q, p[None, :] - q)
         f_best = int(np.argmin(sq))
@@ -311,9 +327,10 @@ def random_rows(rng, m, scale):
 
 
 class TestEdgeFallback:
-    # Rows whose interior denominator is zero or not finite take the best
-    # clamped edge projection. Fed straight to the kernel, without the
-    # rescale of project_points, triangles at 1e77 and beyond overflow the
+    # Thin interior rows (their denominator zero, not finite or within
+    # rounding) take the best clamped edge projection unless their interior
+    # point is nearer. Fed straight to the kernel, without the rescale of
+    # project_points, triangles at 1e77 and beyond overflow the
     # fourth-degree products and reach that fallback in bulk. The kernel
     # must give every row exactly what the region select plus the scalar
     # edge projection gives.
@@ -323,11 +340,108 @@ class TestEdgeFallback:
         p, a, b, c = random_rows(rng, 4000, scale)
         with np.errstate(all="ignore"):
             bary, _ = projection._closest_points(p, a, b, c)
-            b0, b1, b2, bad = region_select(p, a, b, c)
-        assert bad.sum() > 1000
-        for i in np.flatnonzero(bad):
-            b0[i], b1[i], b2[i] = best_edge_point_single(p[i], a[i], b[i], c[i])
+            b0, b1, b2, thin = region_select(p, a, b, c)
+            assert thin.sum() > 1000
+            for i in np.flatnonzero(thin):
+                b0[i], b1[i], b2[i] = settle_thin_row(p[i], a[i], b[i], c[i], (b0[i], b1[i], b2[i]))
         np.testing.assert_array_equal(bary, np.stack((b0, b1, b2), axis=1))
+
+
+# A sliver whose interior denominator is rounding noise: at a time the
+# kernel's interior branch put p's closest point at barycentric (0.8, 0.2,
+# 0), squared distance 7.8e-5, while corner c is 5.4e-11 from p.
+SLIVER_POINT = np.array([1.0025624230066288, -0.36269173519673775, -1.3678699510056969])
+SLIVER = np.array([
+    [1.0049174636232452, -0.36903557389562086, -1.3667138320179313],
+    [1.0083366581505373, -0.3782459537111138, -1.3650353065228653],
+    [1.0025598975364076, -0.36268493226743126, -1.3678711907910204],
+])
+
+
+def near_collinear_rows(rng, m, dim=3):
+    """m (point, triangle) rows: c near the line ab, p near the triangle."""
+    a = rng.normal(size=(m, dim))
+    ab = rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-3, 0, (m, 1))
+    width = np.linalg.norm(ab, axis=1, keepdims=True) * 10.0 ** rng.uniform(-14, -3, (m, 1))
+    b = a + ab
+    c = a + rng.uniform(-0.5, 1.5, (m, 1)) * ab + rng.normal(size=(m, dim)) * width
+    corner = np.choose(rng.integers(0, 3, m)[:, None], [a, b, c])
+    along = a + rng.uniform(-0.2, 1.2, (m, 1)) * ab
+    base = np.where(rng.random((m, 1)) < 0.5, along, corner)
+    spread = np.linalg.norm(ab, axis=1, keepdims=True) * 10.0 ** rng.uniform(-12, -1, (m, 1))
+    return base + rng.normal(size=(m, dim)) * spread, a, b, c
+
+
+def best_corner_or_edge_sq(p, a, b, c):
+    """Squared distance from p to the nearest point of the three edges (corners included)."""
+    best = np.full(len(p), np.inf)
+    for u0, u1 in ((a, b), (b, c), (c, a)):
+        ev = u1 - u0
+        dd = np.einsum("ik,ik->i", ev, ev)
+        t = np.clip(np.einsum("ik,ik->i", p - u0, ev) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+        r = p - (u0 + t[:, None] * ev)
+        best = np.minimum(best, np.einsum("ik,ik->i", r, r))
+    return best
+
+
+class TestSlivers:
+    def test_found_sliver_lands_near_its_corner(self):
+        face, bary, sq = projection.project_points(
+            SLIVER_POINT[None], SLIVER, np.array([[0, 1, 2]])
+        )
+        corner_sq = float(np.sum((SLIVER_POINT - SLIVER[2]) ** 2))
+        assert face[0] == 0
+        assert sq[0] <= corner_sq
+        assert bary[0, 2] > 0.999
+
+    def test_found_sliver_beside_a_small_face_matches_the_scan(self):
+        # a small face 1e-3 from p: the scan must not lose p to it, and the
+        # pruning bound, resting on the sliver's corner c, must keep the sliver
+        small = SLIVER_POINT + [1e-3, 0.0, 0.0] + 1e-5 * np.random.default_rng(0).normal(size=(3, 3))
+        coords = np.vstack([SLIVER, small])
+        faces = np.array([[0, 1, 2], [3, 4, 5]])
+        got = projection.project_points(SLIVER_POINT[None], coords, faces)
+        for g, w in zip(got, scan_all_faces(SLIVER_POINT[None], coords, faces)):
+            np.testing.assert_array_equal(g, w)
+        assert got[0][0] == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_never_farther_than_the_best_corner_or_edge(self, seed):
+        p, a, b, c = near_collinear_rows(np.random.default_rng(seed), 100_000)
+        _, sq = projection._closest_points(p, a, b, c)
+        size = np.abs(np.stack((p, a, b, c))).max(axis=(0, 2))
+        slack = 2.0 * np.finfo(np.float64).eps * size * size
+        assert (sq <= best_corner_or_edge_sq(p, a, b, c) + slack).all()
+
+    def test_thin_faces_keep_their_interior_point(self):
+        # triangles 1e-4 to 1e-1 wide for their length, p at height h above
+        # an interior point: the closest point is that foot, at h^2, which
+        # no edge point reaches
+        rng = np.random.default_rng(9)
+        m = 20_000
+        a, ab = rng.normal(size=(2, m, 3))
+        normal = np.cross(ab, rng.normal(size=(m, 3)))
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        b = a + ab
+        c = a + rng.uniform(0.2, 0.8, (m, 1)) * ab
+        c += 10.0 ** rng.uniform(-4, -1, (m, 1)) * np.cross(normal, ab)
+        u = rng.uniform(0.05, 0.9, (m, 1))
+        v = rng.uniform(0.05, 0.9, (m, 1)) * (1.0 - u)
+        h = 10.0 ** rng.uniform(-6, 0, m)
+        p = a + u * (b - a) + v * (c - a) + h[:, None] * normal
+        _, sq = projection._closest_points(p, a, b, c)
+        size = np.abs(np.stack((p, a, b, c))).max(axis=(0, 2))
+        assert (sq <= h * h + 16.0 * np.finfo(np.float64).eps * size * size).all()
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_pruned_equals_scan_on_near_collinear_faces(self, seed):
+        rng = np.random.default_rng(seed)
+        p, a, b, c = near_collinear_rows(rng, 150)
+        coords = np.concatenate([a, b, c])
+        faces = np.arange(3 * len(a)).reshape(3, -1).T
+        got = projection.project_points(p, coords, faces)
+        for g, w in zip(got, scan_all_faces(p, coords, faces)):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestProjectionScale:

@@ -128,7 +128,7 @@ class TestParseConfig:
             else:
                 assert settings_echo(settings)[key] is None, key
                 unset.add(key)
-        assert unset == {"v_target", "feas_margin", "min_length"}
+        assert unset == {"v_target", "feas_margin", "min_length", "eta_init"}
 
     def test_echo_parses_back_to_the_same_settings(self):
         settings = parse_config(FULL_CONFIG)
