@@ -111,8 +111,7 @@ def _prepare_run(settings: RunSettings):
     """Shared setup for optimize and sweep: mesh, data, start metric.
 
     The returned settings have every 'auto' of the loss resolved to a
-    concrete number, so the manifest records exactly what the run used;
-    an 'auto' first trial step is resolved by the run itself.
+    concrete number, so the manifest records exactly what the run used.
     """
     mesh, embedding = _load_mesh(settings.mesh)
     dataset = Dataset.from_csv(settings.dataset) if settings.dataset else None
@@ -134,11 +133,8 @@ def _cmd_optimize(args) -> int:
         dataset,
         settings.loss,
         stop=settings.stop,
-        eta_init=settings.eta_init,
         freeze_embedding=settings.freeze_embedding,
     )
-    # the manifest records the first trial step the run took, not 'auto'
-    settings = dataclasses.replace(settings, eta_init=result.eta_init)
     outdir = outputs.ensure_outdir(settings.outdir)
     outputs.write_text(outdir / "trace.csv", outputs.trace_csv_text(result.rows))
     outputs.write_text(
@@ -155,6 +151,7 @@ def _cmd_optimize(args) -> int:
         "result": {
             "iterations": result.iterations,
             "stop_reason": result.stop_reason,
+            "eta_init": result.eta_init,
             "initial_total": result.rows[0].l_total,
             "final_total": result.final.l_total,
         },
@@ -185,7 +182,6 @@ def _cmd_sweep(args) -> int:
         settings.loss,
         lambdas,
         stop=settings.stop,
-        eta_init=settings.eta_init,
         freeze_embedding=settings.freeze_embedding,
     )
     outdir = outputs.ensure_outdir(settings.outdir)

@@ -427,9 +427,8 @@ class IterationState:
 class OptimizationResult:
     """The trace, stop reason and final state of one descent.
 
-    ``eta_init`` is the first trial step the run took, the resolved
-    ``auto`` or the given number; it is None only for an ``auto`` run
-    that stopped at row 0.
+    ``eta_init`` is the first trial step the run took; it is None only
+    for a run that stopped at row 0.
     """
 
     rows: list[TraceRow]
@@ -501,7 +500,6 @@ def run_optimization(
     dataset: Dataset | None,
     config: LossConfig,
     stop: StopRule | None = None,
-    eta_init: float | None = None,
     freeze_embedding: bool = False,
     on_iteration: Callable[[IterationState], None] | None = None,
 ) -> OptimizationResult:
@@ -518,13 +516,12 @@ def run_optimization(
     until the candidate (after its own feasibility projection) does not
     increase the true loss. The step acts on the joint vector of lengths
     and, unless the embedding is frozen, flattened coordinates. The first
-    trial step is ``eta_init``; None (``auto``) sizes it to the gradient,
-    so that the largest component moves by one mean edge length of the
-    start metric: ``mean(l) / max|g|``. Each later trial step is the
-    Barzilai-Borwein step ``s.s / s.y`` (Barzilai & Borwein, 1988), with
-    ``s`` and ``y`` the joint iterate and gradient differences of the last
-    accepted step, capped at 4 times that step; where ``s.y <= 0`` it is
-    twice that step. ``result.eta_init`` holds the first trial step.
+    trial step, ``mean(l) / max|g|``, moves the largest gradient component
+    by one mean edge length of the start metric. Each later trial step is
+    the Barzilai-Borwein step ``s.s / s.y`` (Barzilai & Borwein, 1988),
+    with ``s`` and ``y`` the joint iterate and gradient differences of the
+    last accepted step, capped at 4 times that step; where ``s.y <= 0`` it
+    is twice that step. ``result.eta_init`` holds the first trial step.
 
     The start metric and the candidates are repaired by the same
     :func:`feasibility_projection`; a candidate whose repair fails is one
@@ -533,8 +530,6 @@ def run_optimization(
     face raises :class:`IsolatedVertexError` before row 0, from the first
     curvature report.
     """
-    if eta_init is not None and not (math.isfinite(eta_init) and eta_init > 0.0):
-        raise ValueError(f"eta_init must be positive and finite, got {eta_init}")
     stop = stop if stop is not None else StopRule()
     metric, config = _start(mesh, metric, config)
 
@@ -544,6 +539,7 @@ def run_optimization(
     losses = total_loss(mesh, metric, embedding, dataset, config, projections=proj)
 
     rows: list[TraceRow] = []
+    eta_init = None
     eta_used = 0.0
     x_prev = grad_prev = None
     k = 0
@@ -583,9 +579,7 @@ def run_optimization(
         x = _joint(metric.lengths, None if g_coord is None else embedding.coords)
         grad = _joint(g_len, g_coord)
         if k == 0:
-            if eta_init is None:
-                eta_init = float(np.mean(metric.lengths)) / float(np.abs(grad).max())
-            eta = eta_init
+            eta = eta_init = float(np.mean(metric.lengths)) / float(np.abs(grad).max())
         else:
             eta = _bb_step(x - x_prev, grad - grad_prev, eta_used)
         x_prev, grad_prev = x, grad
@@ -670,7 +664,6 @@ def lambda_sweep(
     config: LossConfig,
     lambdas: Sequence[float],
     stop: StopRule | None = None,
-    eta_init: float | None = None,
     freeze_embedding: bool = False,
 ) -> list[SweepRecord]:
     """Optimize at each weight, warm-starting from the previous optimum.
@@ -682,8 +675,7 @@ def lambda_sweep(
     raises :class:`FeasibilityProjectionError` before the first weight. A
     failed run is recorded and the sweep continues from the last
     successful state, so one bad weight does not void the rest. Each run
-    takes ``eta_init`` as its first trial step; None sizes it to that
-    run's start gradient.
+    sizes its first trial step to its own start gradient.
     """
     lam = sweep_weights(lambdas)
     metric, config = _start(mesh, metric, config)
@@ -699,7 +691,6 @@ def lambda_sweep(
                 dataset,
                 cfg,
                 stop=stop,
-                eta_init=eta_init,
                 freeze_embedding=freeze_embedding,
             )
         except (InfeasibleMetricError, FeasibilityProjectionError, TapeError) as exc:

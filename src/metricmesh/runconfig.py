@@ -10,9 +10,10 @@ without a keyword's trailing underscore: ``lambda`` sets ``lambda_``.
 Each field's type decides how its value is read: text, a yes/no token,
 an integer or a number. Those classes own every default and every range.
 ``auto`` leaves a field typed ``float | None`` unset: the feasibility
-margin, the length floor, the volume target or the first trial step,
-which :func:`~metricmesh.optimize.run_optimization` derives from the
-start metric.
+margin, the length floor or the volume target, which
+:func:`~metricmesh.optimize.run_optimization` derives from the start
+metric. There is no step setting: the run sizes its first trial step
+to the start gradient.
 
 Example::
 
@@ -27,7 +28,6 @@ Example::
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 from dataclasses import dataclass, field
 
@@ -40,11 +40,7 @@ _FALSE = frozenset(("false", "0", "no", "off"))
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Configuration for one optimization run; the CLI requires ``mesh``.
-
-    ``eta_init`` None (``auto``) sizes the first trial step to the start
-    gradient; see :func:`~metricmesh.optimize.run_optimization`.
-    """
+    """Configuration for one optimization run; the CLI requires ``mesh``."""
 
     mesh: str | None = None
     dataset: str | None = None
@@ -52,7 +48,6 @@ class RunSettings:
     seed: int = 0
     jitter: float = 0.0
     freeze_embedding: bool = False
-    eta_init: float | None = None
     loss: LossConfig = field(default_factory=LossConfig)
     stop: StopRule = field(default_factory=StopRule)
 
@@ -61,10 +56,6 @@ class RunSettings:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.eta_init is not None and not (
-            math.isfinite(self.eta_init) and self.eta_init > 0.0
-        ):
-            raise ValueError(f"eta_init must be finite and positive, got {self.eta_init}")
 
 
 def _schema() -> dict[str, tuple[type, str, object]]:

@@ -96,8 +96,7 @@ def rebuilding_gradient(mesh, metric, embedding, dataset, config, projections, f
     return g_len, g_coord
 
 
-def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, eta_init=None,
-                       freeze_embedding=False):
+def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, freeze_embedding=False):
     """(rows, stop reason, metric, embedding) of the rebuilding descent."""
     metric, config = optimize._start(mesh, metric, config)
     proj = None
@@ -141,9 +140,7 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, eta_init=
             x = np.concatenate((x, embedding.coords.ravel()))
             grad = np.concatenate((grad, g_coord))
         if k == 0:
-            eta = eta_init if eta_init is not None else (
-                float(np.mean(metric.lengths)) / float(np.abs(grad).max())
-            )
+            eta = float(np.mean(metric.lengths)) / float(np.abs(grad).max())
         else:
             s, y = x - x_prev, grad - grad_prev
             sy = float(s @ y)
@@ -250,20 +247,19 @@ class TestDescentOracle:
             cur_metric, cur_emb = oracle[2], oracle[3]
 
     def test_rejected_candidate_before_accept(self, monkeypatch):
-        # A first step far too long for the fit: candidates are rejected
-        # (their embedding, report and lengths differ from the accepted
-        # one's) before each accept, so the geometry carried forward must
-        # be the accepted candidate's.
-        mesh, emb, ds, metric = fit_case(seed=6, n=60)
-        stop = StopRule(max_iters=3, grad_tol=0.0)
+        # On this fit the step rule's trial step is too long at some
+        # iterations: candidates are rejected (their embedding, report and
+        # lengths differ from the accepted one's) before the accept, so the
+        # geometry carried forward must be the accepted candidate's.
+        mesh, emb, ds, metric = fit_case(seed=5, n=60)
+        stop = StopRule(max_iters=10, grad_tol=0.0)
         calls = counting_loss(monkeypatch)
-        res = mm.run_optimization(mesh, metric, emb, ds, FIT, stop=stop, eta_init=1.0)
+        res = mm.run_optimization(mesh, metric, emb, ds, FIT, stop=stop)
         assert res.stop_reason == "max_iters"
         # one loss for row 0, one per accepted candidate, the rest rejected
         assert calls["n"] > len(res.rows)
         monkeypatch.undo()
-        oracle = rebuilding_descent(mesh, metric, emb, ds, FIT, stop, eta_init=1.0)
-        assert_same_descent(res, oracle)
+        assert_same_descent(res, rebuilding_descent(mesh, metric, emb, ds, FIT, stop))
 
 
 # --------------------------------------------------------------------------

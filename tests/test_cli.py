@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import metricmesh as mm
-from metricmesh import outputs
+from metricmesh import optimize, outputs
 from metricmesh.cli import main
+from metricmesh.errors import InfeasibleMetricError
 from metricmesh.optimize import sweep_weights
 from metricmesh.runconfig import read_config
 
@@ -217,7 +218,12 @@ def _run_mutations(rng, cases, base, sep, path, argv, capsys, keep=0):
 
     Every run must end in exit 0, 1 or 2, a failure in one ``error:`` or
     ``config error:`` line, and an optimize run in a strict-JSON manifest.
+    ``base`` itself must run cleanly, or every mutation would stop at the
+    same error.
     """
+    path.write_text(base)
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
     for case in range(cases):
         text = base
         for _ in range(rng.randint(1, 2)):
@@ -240,7 +246,7 @@ class TestMalformedInputs:
     CONFIG = (
         "mesh = icosphere(0)\ndataset = pts.csv\nlambda = 1e-3\np = 1.5\n"
         "mu_iso = 1e-2\nmu_volume = 0.5\nmu_dirichlet = 0.1\nv_target = auto\n"
-        "feas_margin = auto\nmin_length = 1e-9\neta_init = 0.05\njitter = 0.1\n"
+        "feas_margin = auto\nmin_length = 1e-9\njitter = 0.1\n"
         "seed = 3\ngrad_tol = 1e-12\nloss_tol = 0\nfreeze_embedding = no\n"
         "outdir = out\nmax_iters = 2\n"
     )
@@ -512,17 +518,19 @@ class TestOptimizeCommand:
         }
         assert manifest["settings"]["lambda"] == 1e-3
         assert manifest["settings"]["feas_margin"] is not None
-        # 'auto' resolved to the first trial step the run took
-        assert type(manifest["settings"]["eta_init"]) is float
-        assert manifest["settings"]["eta_init"] > 0.0
+        # the first trial step is what the run took, not a setting
+        assert "eta_init" not in manifest["settings"]
+        assert type(manifest["result"]["eta_init"]) is float
+        assert manifest["result"]["eta_init"] > 0.0
         assert manifest["outputs"] == sorted(manifest["outputs"])
 
-    def test_explicit_eta_init_recorded(self, tmp_path):
+    def test_eta_init_is_an_unknown_key(self, tmp_path, capsys):
+        # the run sizes its first trial step itself; there is no step setting
         outdir = tmp_path / "run"
         cfg = write_config(tmp_path / "run.cfg", outdir=outdir, eta_init="0.003")
-        assert main(["optimize", "--config", str(cfg)]) == 0
-        manifest = json.loads((outdir / "manifest.json").read_text())
-        assert manifest["settings"]["eta_init"] == 0.003
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: line 9: unknown key 'eta_init'\n"
+        assert not outdir.exists()
 
     def test_reruns_byte_identical(self, tmp_path):
         ds = write_dataset(tmp_path / "pts.csv")
@@ -587,11 +595,33 @@ class TestSweepCommand:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["lambdas"] == [0.01, 0.1, 1.0]
-        # each run resolves its own first trial step
-        assert manifest["settings"]["eta_init"] is None
+        # each run sizes its own first trial step
+        assert "eta_init" not in manifest["settings"]
         for rec in manifest["records"]:
             assert type(rec["eta_init"]) is float and rec["eta_init"] > 0.0
         assert (outdir / "lengths_final.csv").exists()
+
+    def test_failed_weight_reported(self, tmp_path, capsys, monkeypatch):
+        real = optimize.run_optimization
+
+        def flaky(mesh, metric, embedding, dataset, config, **kwargs):
+            if config.lambda_ == 0.1:
+                raise InfeasibleMetricError("injected failure")
+            return real(mesh, metric, embedding, dataset, config, **kwargs)
+
+        monkeypatch.setattr(optimize, "run_optimization", flaky)
+        outdir = tmp_path / "sweep"
+        cfg = write_config(tmp_path / "s.cfg", outdir=outdir, max_iters="2", jitter="0.15",
+                           freeze_embedding="true")
+        assert main(["sweep", "--config", str(cfg), "--lambdas", "0.01,0.1,1.0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "lambda 0.1: failed (InfeasibleMetricError: injected failure)"
+        assert lines[0].startswith("lambda 0.01: max_iters after 2 iterations")
+        assert lines[2].startswith("lambda 1.0: max_iters after 2 iterations")
+        rows = (outdir / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["ok", "failed", "ok"]
+        records = json.loads((outdir / "manifest.json").read_text())["records"]
+        assert [rec["eta_init"] is None for rec in records] == [False, True, False]
 
     @pytest.mark.parametrize("bad", ["1,0.5", "abc", "-1,2", "", "nan", "inf", "1,nan"])
     def test_bad_lambdas_rejected(self, tmp_path, capsys, bad):

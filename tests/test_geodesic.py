@@ -31,6 +31,11 @@ class TestTriangleUpdate:
         # the far support is useless; result is the direct hop from A
         assert mm.triangle_update(0.0, 50.0, 1.0, 1.0, 1.0) == 1.0
 
+    def test_degenerate_unfold_falls_back(self):
+        # sides BC = 2, CA = 1, AB = 1 put C on the line through A and B:
+        # the unfold has no height
+        assert mm.triangle_update(0.0, 0.5, 2.0, 1.0, 1.0) == 1.0
+
     def test_nonfinite_support(self):
         assert mm.triangle_update(0.0, math.inf, 1.0, 1.0, 1.0) == 1.0
         assert math.isinf(mm.triangle_update(math.inf, math.inf, 1.0, 1.0, 1.0))

@@ -150,6 +150,14 @@ class TestVectorizedAgreement:
             mm.curvature_report(mesh, metric)
         assert exc.value.faces  # offending faces reported
 
+    def test_edge_count_mismatch_rejected(self, icosphere0):
+        mesh, emb = icosphere0
+        short = mm.MetricField(mm.MetricField.from_embedding(mesh, emb).lengths[:-1])
+        message = f"metric has {mesh.edge_count - 1} lengths, mesh has {mesh.edge_count} edges"
+        for quantity in (mm.face_corner_angles, mm.face_areas, mm.curvature_report):
+            with pytest.raises(ValueError, match=message):
+                quantity(mesh, short)
+
     def test_angle_rows_sum_to_pi(self, icosphere2):
         mesh, emb = icosphere2
         metric = feasible_jittered(mesh, emb, seed=11, amount=0.18)

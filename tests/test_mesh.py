@@ -331,6 +331,16 @@ class TestOFF:
         assert mesh.vertex_count == 3
         assert mesh.face_count == 1
 
+    def test_empty_stream(self):
+        with pytest.raises(OFFParseError, match="empty OFF stream"):
+            mm.load_off("")
+        with pytest.raises(OFFParseError, match="empty OFF stream"):
+            mm.load_off("# only a comment\n\n")
+
+    def test_missing_counts_line(self):
+        with pytest.raises(OFFParseError, match="missing counts line"):
+            mm.load_off("OFF\n")
+
     def test_missing_header(self):
         with pytest.raises(OFFParseError):
             mm.load_off("3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
@@ -362,6 +372,18 @@ class TestOFF:
         text = f"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 {index}\n"
         with pytest.raises(FaceIndexError, match="face 0 references a vertex outside"):
             mm.load_off(text)
+
+    def test_write_needs_3d_coordinates(self):
+        mesh = mm.Mesh(3, np.array([[0, 1, 2]]))
+        flat = mm.Embedding(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(MeshError, match="requires 3D coordinates, embedding has dimension 2"):
+            mm.write_off(mesh, flat)
+
+    def test_write_needs_one_point_per_vertex(self, icosphere0):
+        mesh, emb = icosphere0
+        short = mm.Embedding(emb.coords[:-1])
+        with pytest.raises(MeshError, match="embedding has 11 vertices, mesh has 12"):
+            mm.write_off(mesh, short)
 
     def test_save_and_read(self, tmp_path, icosphere0):
         mesh, emb = icosphere0

@@ -416,6 +416,16 @@ class TestFeasibilityProjection:
         out = feasibility_projection(mesh, metric, 1e-6, 1e-9)
         assert mm.check_feasible(mesh, out, 1e-6) == []
 
+    def test_last_sweep_repairs(self, monkeypatch):
+        # one sweep repairs this triangle; with a budget of one sweep the
+        # loop runs out still "changed", and the vectorized check passes
+        mesh = mm.Mesh(3, np.array([[0, 1, 2]]))
+        metric = mm.MetricField(np.array([1.0, 1.0, 3.0]))
+        full = feasibility_projection(mesh, metric, 1e-6, 1e-9)
+        monkeypatch.setattr(optimize, "_MAX_SWEEPS", 1)
+        one = feasibility_projection(mesh, metric, 1e-6, 1e-9)
+        np.testing.assert_array_equal(one.lengths, full.lengths)
+
     def test_parameter_validation(self, icosphere0):
         mesh, emb = icosphere0
         metric = mm.MetricField.from_embedding(mesh, emb)
@@ -612,6 +622,27 @@ def jittered_start(mesh, emb):
     return metric, feasibility_projection(mesh, metric, 1e-4 * mean, 1e-6 * mean)
 
 
+def fail_first_candidate(monkeypatch, owner, name, exc):
+    """Make ``owner.name`` raise ``exc`` once, at the first line-search candidate.
+
+    Returns the ``on_iteration`` callback that arms the failure at row 0,
+    after the start's own repair. Both step rule cases accept their first
+    candidate when nothing fails, so with the failure row 1's step is the
+    first trial step halved exactly once.
+    """
+    real = getattr(owner, name)
+    armed = []
+
+    def failing(*args, **kwargs):
+        if armed:
+            armed.clear()
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+    return lambda state: armed.append(True) if state.row.iteration == 0 else None
+
+
 class TestRunOptimization:
     def geometry_setup(self, icosphere1, seed=6, amount=0.2):
         mesh, emb = icosphere1
@@ -658,6 +689,26 @@ class TestRunOptimization:
         )
         assert res.stop_reason == "stalled" and res.iterations == 0
         assert len(calls) > 2
+
+    @pytest.mark.parametrize(
+        "kind,owner,name,exc",
+        [
+            ("flow", optimize, "feasibility_projection", FeasibilityProjectionError("forced")),
+            ("fit", optimize, "feasibility_projection", FeasibilityProjectionError("forced")),
+            ("fit", mm.Embedding, "with_coords", ValueError("forced")),
+        ],
+        ids=["flow-repair", "fit-repair", "fit-coordinates"],
+    )
+    def test_failed_candidate_halves_the_step(self, kind, owner, name, exc, monkeypatch):
+        # a failed repair, or candidate coordinates refused, is one halving
+        mesh, metric, emb, ds, cfg, freeze = step_rule_case(kind)
+        arm = fail_first_candidate(monkeypatch, owner, name, exc)
+        res = run_optimization(
+            mesh, metric, emb, ds, cfg, stop=StopRule(max_iters=1, grad_tol=0.0),
+            freeze_embedding=freeze, on_iteration=arm,
+        )
+        assert res.stop_reason == "max_iters"
+        assert res.rows[1].eta == res.eta_init * 0.5
 
     def test_descent_trace_shape(self, icosphere1):
         mesh, emb, metric, cfg = self.geometry_setup(icosphere1)
@@ -835,14 +886,6 @@ class TestRunOptimization:
         assert res.rows[0].l_vol == 0.0
         assert res.stop_reason == "max_iters"
 
-    def test_eta_validation(self, icosphere0):
-        mesh, emb = icosphere0
-        metric = mm.MetricField.from_embedding(mesh, emb)
-        with pytest.raises(ValueError):
-            run_optimization(mesh, metric, emb, None, LossConfig(), eta_init=0.0)
-        with pytest.raises(ValueError):
-            run_optimization(mesh, metric, emb, None, LossConfig(), eta_init=math.inf)
-
 
 def descent_states(case, max_iters):
     """(result, [(joint iterate, joint gradient) per row]) of one descent."""
@@ -920,22 +963,11 @@ class TestStepRule:
     def test_bb_step_doubles_without_positive_curvature(self, y):
         assert optimize._bb_step(np.array([1.0, -2.0, 0.5]), np.array(y), 0.75) == 1.5
 
-    def test_explicit_eta_init_sets_only_the_first_step(self):
-        mesh, metric, emb, ds, cfg, freeze = step_rule_case("flow")
-        stop = StopRule(max_iters=4, grad_tol=0.0)
-        res = run_optimization(mesh, metric, emb, ds, cfg, stop=stop, eta_init=1e-4,
-                               freeze_embedding=freeze)
-        assert res.eta_init == 1e-4
-        assert res.rows[1].eta in [1e-4 * 0.5**j for j in range(optimize._MAX_BACKTRACKS + 1)]
-
     def test_no_step_tried(self):
         mesh, metric, emb, ds, cfg, freeze = step_rule_case("flow")
         stop = StopRule(max_iters=0)
         res = run_optimization(mesh, metric, emb, ds, cfg, stop=stop, freeze_embedding=freeze)
         assert res.iterations == 0 and res.eta_init is None
-        res = run_optimization(mesh, metric, emb, ds, cfg, stop=stop, eta_init=0.5,
-                               freeze_embedding=freeze)
-        assert res.eta_init == 0.5
 
 
 class TestLambdaSweep:

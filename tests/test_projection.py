@@ -481,6 +481,15 @@ class TestClosestPoint:
             np.testing.assert_array_equal(got_bary, bary)
             assert got_sq == np.ldexp(sq, 2 * k)
 
+    @pytest.mark.parametrize(
+        "point,triangle",
+        [(np.zeros(3), np.eye(2)), (np.zeros((1, 3)), np.eye(3)), (np.zeros(2), np.eye(3))],
+        ids=["2x2 triangle", "2-D point", "dimension mismatch"],
+    )
+    def test_shape_rejected(self, point, triangle):
+        with pytest.raises(ValueError, match=r"expected a point \(n,\) and a triangle \(3, n\)"):
+            closest_point_on_face(point, triangle)
+
     def test_non_finite_rejected(self):
         tri = np.eye(3)
         with pytest.raises(ValueError, match="finite"):

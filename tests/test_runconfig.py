@@ -23,7 +23,6 @@ mu_iso = 0.01
 v_target = 12.5
 feas_margin = 1e-5
 min_length = 1e-8
-eta_init = 0.05
 max_iters = 200
 grad_tol = 1e-8
 loss_tol = 1e-12
@@ -41,7 +40,6 @@ class TestParseConfig:
         assert s.dataset == "points.csv"
         assert s.outdir == "results/run1"
         assert (s.seed, s.jitter, s.freeze_embedding) == (7, 0.2, True)
-        assert s.eta_init == 0.05
         assert s.loss.lambda_ == 1e-3 and s.loss.p == 1.5
         assert s.loss.mu_dirichlet == 0.1 and s.loss.mu_volume == 1.0
         assert s.loss.v_target == 12.5
@@ -84,13 +82,11 @@ class TestParseConfig:
         ("mesh = m.off\n\n\nlambda = -1\n", 4),
         ("mesh = m.off\np = 0.5\n", 2),
         ("mesh = m.off\njitter = 1.0\n", 2),
-        ("mesh = m.off\neta_init = 0\n", 2),
         ("mesh = m.off\nv_target = -2\n", 2),
         ("mesh = m.off\nmax_iters = -1\n", 2),
         ("mesh = m.off\ngrad_tol = nan\n", 2),
         ("mesh = m.off\nloss_tol = nan\n", 2),
         ("mesh = m.off\nlambda = inf\n", 2),
-        ("mesh = m.off\neta_init = nan\n", 2),
         ("mesh = m.off\np = 1e309\n", 2),
         ("mesh = m.off\nmu_iso = -inf\n", 2),
         ("mesh = m.off\nv_target = nan\n", 2),
@@ -118,7 +114,7 @@ class TestParseConfig:
         # the settings run_optimization derives from the start metric
         echo = settings_echo(parse_config(FULL_CONFIG))
         numeric = [k for k, v in echo.items() if type(v) in (int, float)]
-        assert len(numeric) == 14
+        assert len(numeric) == 13
         unset = set()
         for key in numeric:
             try:
@@ -128,7 +124,7 @@ class TestParseConfig:
             else:
                 assert settings_echo(settings)[key] is None, key
                 unset.add(key)
-        assert unset == {"v_target", "feas_margin", "min_length", "eta_init"}
+        assert unset == {"v_target", "feas_margin", "min_length"}
 
     def test_echo_parses_back_to_the_same_settings(self):
         settings = parse_config(FULL_CONFIG)
