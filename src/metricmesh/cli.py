@@ -11,7 +11,7 @@ usage and configuration errors.
 
 Anywhere a mesh is expected, either an OFF file path or a generator spec
 such as ``icosphere(2)``, ``torus(24,12,2.0,0.7)``, or ``grid(50,50,0.1)``
-is accepted; paths are recognized by their ``.off`` suffix.
+is accepted; paths are recognized by their ``.off`` suffix, in any case.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def _load_mesh(spec: str):
-    if spec.endswith(".off"):
+    if spec.lower().endswith(".off"):
         return read_off(spec)
     return generate_mesh(spec)
 

@@ -88,17 +88,24 @@ def _corner_angles(fl: np.ndarray) -> np.ndarray:
     l_ij, l_jk, l_ki = fl[:, 0], fl[:, 1], fl[:, 2]
     sq_ij, sq_jk, sq_ki = l_ij**2, l_jk**2, l_ki**2
     angles = np.empty_like(fl)
+    # minimum(maximum(.)) is np.clip's result without its Python-level wrapper
     with np.errstate(invalid="ignore"):
-        angles[:, 0] = np.arccos(np.clip((sq_ki + sq_ij - sq_jk) / (2.0 * l_ki * l_ij), -1.0, 1.0))
-        angles[:, 1] = np.arccos(np.clip((sq_ij + sq_jk - sq_ki) / (2.0 * l_ij * l_jk), -1.0, 1.0))
-        angles[:, 2] = np.arccos(np.clip((sq_jk + sq_ki - sq_ij) / (2.0 * l_jk * l_ki), -1.0, 1.0))
+        for col, cos in enumerate((
+            (sq_ki + sq_ij - sq_jk) / (2.0 * l_ki * l_ij),
+            (sq_ij + sq_jk - sq_ki) / (2.0 * l_ij * l_jk),
+            (sq_jk + sq_ki - sq_ij) / (2.0 * l_jk * l_ki),
+        )):
+            angles[:, col] = np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
     return angles
 
 
 @np.errstate(over="ignore")  # an area past the float range comes out as inf
 def _areas(fl: np.ndarray, k: int) -> np.ndarray:
-    s = -np.sort(-fl, axis=1)
-    a, b, c = s[:, 0], s[:, 1], s[:, 2]
+    # a >= b >= c picked out by min and max: the values of a descending
+    # sort of each row, without sorting along a length-3 axis
+    x, y, z = fl[:, 0], fl[:, 1], fl[:, 2]
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    a, b, c = np.maximum(hi, z), np.maximum(lo, np.minimum(hi, z)), np.minimum(lo, z)
     prod = (a + (b + c)) * (c - (a - b)) * ((c + (a - b)) * (a + (b - c)))
     return np.ldexp(0.25 * np.sqrt(np.maximum(prod, 0.0)), 2 * k)
 

@@ -230,7 +230,12 @@ def _gradient(
         sides = metric.lengths[opp]
         cos = np.cos(report.corner_angle)
         w_angle = -d_defect[mesh.faces] * sides
-        w_area = d_vertex_area[mesh.faces].sum(axis=1) / 3.0
+        corner_area = d_vertex_area[mesh.faces]
+        # Row sums and products are written out, in the order numpy's axis-1
+        # reductions use but without their cost. numpy's sum starts from +0.0,
+        # so a row of three -0.0 gives -0.0 here: a zero whose sign the
+        # bincount into g_len below drops.
+        w_area = (corner_area[:, 0] + corner_area[:, 1] + corner_area[:, 2]) / 3.0
         if config.mu_volume > 0.0:
             # formed at unit scale like the side product below: v_t * v_t
             # leaves the float range long before v_t does
@@ -241,18 +246,20 @@ def _gradient(
         # exact: the bits are the raw formula's wherever that one neither
         # overflows nor underflows.
         unit_sides, k = _unit_scaled(sides)
+        side_product = unit_sides[:, 0] * unit_sides[:, 1] * unit_sides[:, 2]
+        # Columns (1, 2, 0) and (2, 0, 1) hold the next and the previous corner.
         g_face = (
             np.ldexp(
                 w_angle
-                - np.roll(w_angle, -1, axis=1) * np.roll(cos, -2, axis=1)
-                - np.roll(w_angle, -2, axis=1) * np.roll(cos, -1, axis=1),
+                - w_angle[:, (1, 2, 0)] * cos[:, (2, 0, 1)]
+                - w_angle[:, (2, 0, 1)] * cos[:, (1, 2, 0)],
                 -2 * k,
             )
-            + 0.5 * (w_area * np.ldexp(unit_sides.prod(axis=1), k))[:, None] * cos
+            + 0.5 * (w_area * np.ldexp(side_product, k))[:, None] * cos
         ) / (2.0 * np.ldexp(report.face_area, -2 * k))[:, None]
         if config.mu_dirichlet > 0.0:
             logs = np.log(sides)
-            spread = 3.0 * logs - logs.sum(axis=1, keepdims=True)
+            spread = 3.0 * logs - (logs[:, 0] + logs[:, 1] + logs[:, 2])[:, None]
             g_face += config.mu_dirichlet * 2.0 * spread / sides
         g_len += config.lambda_ * np.bincount(
             opp.ravel(), weights=g_face.ravel(), minlength=metric.edge_count

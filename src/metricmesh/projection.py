@@ -40,6 +40,14 @@ def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(values, -k), k
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Per-vertex coordinates in data space, shape (V, n).
@@ -112,7 +120,11 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":
-        """Read one point per row; a non-numeric first row is a header."""
+        """Read one point per row; a first row without a numeric cell is a header.
+
+        A first row with both numeric and non-numeric cells is a mistyped
+        point and raises :class:`DatasetError` naming row 1.
+        """
         if hasattr(source, "read"):
             text = source.read()
         else:
@@ -120,11 +132,7 @@ class Dataset:
         rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
         if not rows:
             raise DatasetError("empty dataset file")
-        start = 0
-        try:
-            [float(c) for c in rows[0]]
-        except ValueError:
-            start = 1
+        start = 0 if any(map(_is_number, rows[0])) else 1
         if start >= len(rows):
             raise DatasetError("dataset file holds only a header")
         width = len(rows[start])

@@ -58,6 +58,15 @@ class TestGenerateValidate:
         out = capsys.readouterr().out
         assert "ok:" in out and "euler characteristic 2" in out
 
+    def test_upper_case_suffix(self, tmp_path, capsys):
+        off = tmp_path / "s.OFF"
+        assert main(["generate", "--kind", "icosphere(1)", "--out", str(off)]) == 0
+        assert main(["validate", "--mesh", str(off)]) == 0
+        assert "ok: 42 vertices" in capsys.readouterr().out
+        cfg = write_config(tmp_path / "run.cfg", mesh=off, max_iters=1, outdir=tmp_path / "o")
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_validate_generator_spec(self, capsys):
         assert main(["validate", "--mesh", "torus(6,5,2.0,0.5)"]) == 0
         assert "euler characteristic 0" in capsys.readouterr().out
@@ -265,6 +274,13 @@ class TestMalformedInputs:
         cfg.write_text(self.CONFIG)
         _run_mutations(random.Random(20261020), 80, base, ",", tmp_path / "pts.csv",
                        ["optimize", "--config", str(cfg)], capsys)
+
+    def test_mistyped_first_point_is_exit_1(self, tmp_path, capsys):
+        ds = tmp_path / "pts.csv"
+        ds.write_text("1.0,2.0,x\n0,0,1\n1,0,0\n")
+        cfg = write_config(tmp_path / "run.cfg", dataset=ds, outdir=tmp_path / "o")
+        assert main(["optimize", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: row 1: non-numeric value (")
 
     @pytest.mark.parametrize("command", ["curvature", "geodesic"])
     def test_lengths_mutations(self, tmp_path, capsys, command):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metricmesh as mm
+from metricmesh import geometry
 from metricmesh.errors import InfeasibleMetricError
+from metricmesh.projection import _unit_scaled
 
 from conftest import feasible_jittered
 from traced_geometry import interior_angles, triangle_area
@@ -41,6 +43,51 @@ def reference_area(a, b, c):
     cos_a = (b * b + c * c - a * a) / (2.0 * b * c)
     sin_a = math.sqrt(max(1.0 - cos_a * cos_a, 0.0))
     return 0.5 * b * c * sin_a
+
+
+def reference_corner_angles(fl):
+    """The np.clip form of ``geometry._corner_angles``, kept as its bitwise reference."""
+    l_ij, l_jk, l_ki = fl[:, 0], fl[:, 1], fl[:, 2]
+    sq_ij, sq_jk, sq_ki = l_ij**2, l_jk**2, l_ki**2
+    angles = np.empty_like(fl)
+    with np.errstate(invalid="ignore"):
+        angles[:, 0] = np.arccos(np.clip((sq_ki + sq_ij - sq_jk) / (2.0 * l_ki * l_ij), -1.0, 1.0))
+        angles[:, 1] = np.arccos(np.clip((sq_ij + sq_jk - sq_ki) / (2.0 * l_ij * l_jk), -1.0, 1.0))
+        angles[:, 2] = np.arccos(np.clip((sq_jk + sq_ki - sq_ij) / (2.0 * l_jk * l_ki), -1.0, 1.0))
+    return angles
+
+
+@np.errstate(over="ignore")
+def reference_areas(fl, k):
+    """The sorting form of ``geometry._areas``, kept as its bitwise reference."""
+    s = -np.sort(-fl, axis=1)
+    a, b, c = s[:, 0], s[:, 1], s[:, 2]
+    prod = (a + (b + c)) * (c - (a - b)) * ((c + (a - b)) * (a + (b - c)))
+    return np.ldexp(0.25 * np.sqrt(np.maximum(prod, 0.0)), 2 * k)
+
+
+@st.composite
+def face_rows(draw):
+    """One face's three lengths, in any order: equilateral, isosceles, a
+    sliver whose slack is the feasibility margin (1e-4 of the mean) or a
+    few ulps, or a general feasible triangle."""
+    a = draw(st.floats(min_value=0.5, max_value=2.0))
+    t = draw(st.floats(min_value=1e-3, max_value=1.0))
+    kind = draw(st.sampled_from(["equilateral", "isosceles", "margin", "flat", "general"]))
+    if kind == "equilateral":
+        row = [a, a, a]
+    elif kind == "isosceles":
+        row = [a, a, 2.0 * a * t * (1.0 - 1e-9)]
+    elif kind == "margin":
+        b = a * t
+        row = [a, b, (a + b) * (1.0 - 2e-4 / 3.0)]  # slack about 1e-4 * mean(a, b, c)
+    elif kind == "flat":
+        b = a * t
+        row = [a, b, (a + b) - draw(st.integers(0, 4)) * np.spacing(a + b)]
+    else:
+        b = a * t
+        row = [a, b, (a - b) + 2.0 * b * draw(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))]
+    return draw(st.permutations(row))
 
 
 # One triangle as a mesh. Its edges, in lexicographic order, are (0,1),
@@ -163,6 +210,20 @@ class TestVectorizedAgreement:
         metric = feasible_jittered(mesh, emb, seed=11, amount=0.18)
         angles = mm.face_corner_angles(mesh, metric)
         np.testing.assert_allclose(angles.sum(axis=1), math.pi, rtol=0, atol=1e-12)
+
+
+class TestColumnFormulas:
+    # The angles clamp with minimum/maximum and the areas pick the sorted
+    # sides with minimum/maximum; both must give their reference's bits.
+    @given(
+        st.lists(face_rows(), min_size=1, max_size=24),
+        st.sampled_from([0, 500, -500]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_clip_and_sort(self, rows, power):
+        fl, k = _unit_scaled(np.ldexp(np.array(rows), power))
+        assert np.array_equal(geometry._corner_angles(fl), reference_corner_angles(fl))
+        assert np.array_equal(geometry._areas(fl, k), reference_areas(fl, k))
 
 
 class TestCurvature:

@@ -657,6 +657,13 @@ class TestDataset:
         with pytest.raises(DatasetError, match="row 2"):
             mm.Dataset.from_csv(io.StringIO("h1,h2\n1,spam\n"))
 
+    def test_from_csv_mistyped_first_point_rejected(self):
+        with pytest.raises(DatasetError, match=r"^row 1: non-numeric value \(.*'x'\)$"):
+            mm.Dataset.from_csv(io.StringIO("1.0,2.0,x\n0,0,1\n1,0,0\n"))
+        # a header is a first row with no numeric cell at all
+        ds = mm.Dataset.from_csv(io.StringIO("x, y ,\n0,0,1\n1,0,0\n"))
+        np.testing.assert_array_equal(ds.points, [[0, 0, 1], [1, 0, 0]])
+
     def test_from_csv_degenerate_files(self):
         with pytest.raises(DatasetError):
             mm.Dataset.from_csv(io.StringIO(""))
