@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import chain, compress, count, repeat
+from operator import itemgetter
+from typing import IO, NoReturn
 
 import numpy as np
 
@@ -262,11 +264,11 @@ def validate_manifold(mesh: Mesh) -> list[Violation]:
 # OFF I/O
 
 
-def _off_lines(text: str) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _off_lines(text: str) -> tuple[list[int], list[str]]:
+    """Numbers and text of the lines that are not blank once '#' comments are cut."""
+    cut = map(itemgetter(0), map(str.partition, text.splitlines(), repeat("#")))
+    stripped = list(map(str.strip, cut))
+    return list(compress(count(1), stripped)), list(filter(None, stripped))
 
 
 def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
@@ -275,22 +277,26 @@ def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
     '#' comments and blank lines are ignored anywhere. Counts header is
     ``V F E``; the declared edge count is ignored since edges are derived.
     Trailing tokens on face lines (color attributes) are ignored.
+
+    Coordinates and face indices convert in bulk, one ``float`` or ``int``
+    pass over all of them; only a file that fails a bulk check is walked
+    line by line, to name its first bad line.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = source
-    lines = list(_off_lines(text))
+    numbers, lines = _off_lines(text)
     if not lines:
         raise OFFParseError("empty OFF stream")
     pos = 0
-    lineno, header = lines[pos]
+    lineno, header = numbers[pos], lines[pos]
     if header.upper() != "OFF":
         raise OFFParseError(f"line {lineno}: expected 'OFF' header, got {header!r}")
     pos += 1
     if pos >= len(lines):
         raise OFFParseError("missing counts line")
-    lineno, counts = lines[pos]
+    lineno, counts = numbers[pos], lines[pos]
     parts = counts.split()
     if len(parts) != 3:
         raise OFFParseError(f"line {lineno}: counts line must hold 3 integers")
@@ -305,20 +311,49 @@ def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
         raise OFFParseError(
             f"expected {nv} vertex and {nf} face lines, found {len(lines) - pos}"
         )
-    rows = []
-    for lineno, line in lines[pos : pos + nv]:
+    numbers, lines = numbers[pos:], lines[pos:]
+    vertex_lines, face_lines = lines[:nv], lines[nv:]
+    # widths per line, so a short line cannot lend a token to a long one
+    if len(face_lines) != nf or set(map(len, map(str.split, vertex_lines))) != {3}:
+        _off_error(numbers, lines, nv, nf)
+    try:
+        xyz = map(float, chain.from_iterable(map(str.split, vertex_lines)))
+        coords = np.fromiter(xyz, np.float64, 3 * nv).reshape(nv, 3)
+        # arity and three indices: 4 * nf of them only if no face line is short
+        heads = map(itemgetter(slice(4)), map(str.split, face_lines, repeat(None), repeat(4)))
+        flat = list(map(int, chain.from_iterable(heads)))
+    except ValueError:
+        _off_error(numbers, lines, nv, nf)
+    if len(flat) != 4 * nf or flat[::4].count(3) != nf:
+        _off_error(numbers, lines, nv, nf)
+    del flat[::4]
+    # Checked on Python ints, before an index past int64 could reach an array.
+    if min(flat) < 0 or max(flat) >= nv:
+        _off_error(numbers, lines, nv, nf)
+    mesh = Mesh(nv, np.array(flat, dtype=np.int64).reshape(nf, 3))
+    too_many = np.flatnonzero(mesh.edge_face_count > 2)
+    if too_many.size:
+        e = int(too_many[0])
+        u, v = (int(x) for x in mesh.edges[e])
+        raise NonManifoldEdgeError(
+            f"edge ({u},{v}) borders {int(mesh.edge_face_count[e])} faces"
+        )
+    return mesh, Embedding(coords)
+
+
+def _off_error(numbers: list[int], lines: list[str], nv: int, nf: int) -> NoReturn:
+    """Raise the error of the first bad line of an OFF body that failed a bulk check."""
+    body = list(zip(numbers, lines))
+    for lineno, line in body[:nv]:
         parts = line.split()
         if len(parts) != 3:
             raise OFFParseError(f"line {lineno}: vertex line must hold 3 coordinates")
         try:
-            rows.append([float(p) for p in parts])
+            [float(p) for p in parts]
         except ValueError as exc:
             raise OFFParseError(f"line {lineno}: bad vertex line {line!r}") from exc
-    coords = np.array(rows, dtype=np.float64)
-    pos += nv
     faces = []
-    for i in range(nf):
-        lineno, line = lines[pos + i]
+    for lineno, line in body[nv : nv + nf]:
         parts = line.split()
         try:
             arity = int(parts[0])
@@ -334,22 +369,13 @@ def load_off(source: str | IO[str]) -> tuple[Mesh, Embedding]:
             faces.append([int(p) for p in parts[1:4]])
         except ValueError as exc:
             raise OFFParseError(f"line {lineno}: bad face indices {line!r}") from exc
-    if len(lines) - pos - nf > 0:
-        lineno, line = lines[pos + nf]
+    if len(body) > nv + nf:
+        lineno, line = body[nv + nf]
         raise OFFParseError(f"line {lineno}: unexpected trailing content {line!r}")
-    # Checked on Python ints, before an index past int64 could reach an array.
     for i, face in enumerate(faces):
         if min(face) < 0 or max(face) >= nv:
             raise FaceIndexError(f"face {i} references a vertex outside [0, {nv})")
-    mesh = Mesh(nv, np.array(faces, dtype=np.int64))
-    too_many = np.flatnonzero(mesh.edge_face_count > 2)
-    if too_many.size:
-        e = int(too_many[0])
-        u, v = (int(x) for x in mesh.edges[e])
-        raise NonManifoldEdgeError(
-            f"edge ({u},{v}) borders {int(mesh.edge_face_count[e])} faces"
-        )
-    return mesh, Embedding(coords)
+    raise AssertionError("OFF body failed a bulk check but no line check")
 
 
 def read_off(path) -> tuple[Mesh, Embedding]:

@@ -9,6 +9,7 @@ runs with the same configuration produce identical files.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +57,13 @@ def read_lengths_csv(path, mesh) -> MetricField:
 
     Rows must appear in edge order with endpoints matching the mesh's
     edge list, which catches files written for a different mesh.
+
+    Columns convert in bulk, one ``int`` or ``float`` pass per block of
+    rows; only a file that fails a bulk check is walked row by row, to
+    name its first bad row.
     """
     text = read_text(path, lambda line, why: ValueError(f"lengths file {path}, line {line}: {why}"))
-    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
     if not lines or lines[0] != LENGTHS_HEADER:
         raise ValueError(f"lengths file must start with header '{LENGTHS_HEADER}'")
     body = lines[1:]
@@ -66,20 +71,38 @@ def read_lengths_csv(path, mesh) -> MetricField:
         raise ValueError(
             f"lengths file has {len(body)} rows, mesh has {mesh.edge_count} edges"
         )
-    out, ends = [], []
+    n = len(body)
+    # fields per row, so a short row cannot lend a field to a long one
+    if set(map(str.count, body, repeat(","))) == {3}:
+        ids = np.empty((n, 3), dtype=np.int64)  # edge id, v0, v1
+        lengths = np.empty(n)
+        try:
+            # 4096 rows at a time, which bounds the token strings alive at once
+            for s in range(0, n, 4096):
+                cells = ",".join(body[s : s + 4096]).split(",")
+                m = len(cells) // 4
+                lengths[s : s + m] = np.fromiter(map(float, cells[3::4]), np.float64, m)
+                del cells[3::4]
+                ids[s : s + m] = np.fromiter(map(int, cells), np.int64, 3 * m).reshape(m, 3)
+        except (ValueError, OverflowError):
+            pass  # the row walk below names the bad field
+        else:
+            if np.array_equal(ids[:, 0], np.arange(n)) and np.array_equal(ids[:, 1:], mesh.edges):
+                return MetricField(lengths)
+    # only a file that failed a bulk check gets here
+    ends = []
     for i, line in enumerate(body):
         parts = line.split(",")
         if len(parts) != 4:
             raise ValueError(f"lengths row {i}: expected 4 columns, got {len(parts)}")
         try:
             e, v0, v1 = int(parts[0]), int(parts[1]), int(parts[2])
-            value = float(parts[3])
+            float(parts[3])
         except ValueError as exc:
             raise ValueError(f"lengths row {i}: {exc}") from None
         if e != i:
             raise ValueError(f"lengths row {i}: edge ids must be sequential, got {e}")
         ends.append([v0, v1])
-        out.append(value)
     expected = mesh.edges.tolist()
     if ends != expected:
         i = next(i for i, pair in enumerate(ends) if pair != expected[i])
@@ -87,7 +110,7 @@ def read_lengths_csv(path, mesh) -> MetricField:
             f"lengths row {i}: edge endpoints ({ends[i][0]}, {ends[i][1]}) do not match "
             f"the mesh ({expected[i][0]}, {expected[i][1]})"
         )
-    return MetricField(np.array(out))
+    raise AssertionError("lengths rows failed a bulk check but no row check")
 
 
 def curvature_csv_text(report: CurvatureReport) -> str:

@@ -22,6 +22,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 import numpy as np
 
@@ -124,27 +125,42 @@ class Dataset:
 
         A first row with both numeric and non-numeric cells is a mistyped
         point and raises :class:`DatasetError` naming row 1.
+
+        Cells convert in bulk, one ``float`` pass over all of them; only a
+        file that fails a bulk check is walked row by row, to name its
+        first bad row.
         """
         if hasattr(source, "read"):
             text = source.read()
         else:
             text = read_text(source, lambda line, why: DatasetError(f"line {line}: {why}"))
-        rows = [r for r in csv.reader(io.StringIO(text)) if r and any(c.strip() for c in r)]
+        rows = list(csv.reader(io.StringIO(text)))
+        # drop rows with no cell that is more than whitespace
+        rows = list(compress(rows, map(str.strip, map("".join, rows))))
         if not rows:
             raise DatasetError("empty dataset file")
         start = 0 if any(map(_is_number, rows[0])) else 1
         if start >= len(rows):
             raise DatasetError("dataset file holds only a header")
-        width = len(rows[start])
-        data = np.empty((len(rows) - start, width), dtype=np.float64)
-        for i, row in enumerate(rows[start:], start=start):
+        body = rows[start:]
+        width = len(body[0])
+        # cells per row, so a short row cannot lend a cell to a long one
+        if set(map(len, body)) == {width}:
+            try:
+                data = np.fromiter(map(float, chain.from_iterable(body)), np.float64, len(body) * width)
+            except ValueError:
+                pass  # the row walk below names the bad cell
+            else:
+                return cls(data.reshape(len(body), width))
+        # only a file that failed a bulk check gets here
+        for i, row in enumerate(body, start=start):
             if len(row) != width:
                 raise DatasetError(f"row {i + 1}: expected {width} columns, got {len(row)}")
             try:
-                data[i - start] = [float(c) for c in row]
+                [float(c) for c in row]
             except ValueError as exc:
                 raise DatasetError(f"row {i + 1}: non-numeric value ({exc})") from exc
-        return cls(data)
+        raise AssertionError("dataset rows failed a bulk check but no row check")
 
 
 # --------------------------------------------------------------------------
