@@ -213,11 +213,11 @@ def _closest_points(p, a, b, c):
 
     Takes (M, n) arrays and returns (barycentric (M, 3), squared distance
     (M,)). The six vertex and edge regions are tested in a fixed order and
-    the first that holds wins. An interior row whose denominator is thin
-    (see ``_THIN``; zero and non-finite included) may divide rounding noise
-    by rounding noise, so its interior point can lie far from the
-    triangle; it is kept only where it is nearer than the best edge
-    projection.
+    the first that holds wins; each region's formula runs on its own rows
+    only. An interior row whose denominator is thin (see ``_THIN``; zero
+    and non-finite included) may divide rounding noise by rounding noise,
+    so its interior point can lie far from the triangle; it is kept only
+    where it is nearer than the best edge projection.
     """
     ab = b - a
     ac = c - a
@@ -234,30 +234,45 @@ def _closest_points(p, a, b, c):
     vc = terms[0] - terms[1]
     vb = terms[2] - terms[3]
     va = terms[4] - terms[5]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v_ab = np.where(d1 != d3, d1 / (d1 - d3), 0.0)
-        w_ac = np.where(d2 != d6, d2 / (d2 - d6), 0.0)
-        den_bc = (d4 - d3) + (d5 - d6)
-        w_bc = np.where(den_bc != 0.0, (d4 - d3) / den_bc, 0.0)
-        denom = va + vb + vc
-        v_in = np.where(denom != 0.0, vb / denom, 0.0)
-        w_in = np.where(denom != 0.0, vc / denom, 0.0)
+    d43 = d4 - d3
+    d56 = d5 - d6
     conds = [
         (d1 <= 0.0) & (d2 <= 0.0),
         (d3 >= 0.0) & (d4 <= d3),
         (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
         (d6 >= 0.0) & (d5 <= d6),
         (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
-        (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0),
+        (va <= 0.0) & (d43 >= 0.0) & (d56 >= 0.0),
     ]
-    ones = np.ones(len(p))
-    zeros = np.zeros(len(p))
-    b0 = np.select(conds, [ones, zeros, 1.0 - v_ab, zeros, 1.0 - w_ac, zeros], 1.0 - v_in - w_in)
-    b1 = np.select(conds, [zeros, ones, v_ab, zeros, zeros, 1.0 - w_bc], v_in)
-    b2 = np.select(conds, [zeros, zeros, zeros, ones, w_ac, w_bc], w_in)
-    interior = ~(conds[0] | conds[1] | conds[2] | conds[3] | conds[4] | conds[5])
-    noise = sum(np.abs(t) for t in terms)
-    thin = np.flatnonzero(interior & ~((denom > _THIN * noise) & np.isfinite(denom)))
+    # first-wins masks: a row belongs to the first region whose test holds
+    taken = conds[0].copy()
+    for cond in conds[1:]:
+        cond &= ~taken
+        taken |= cond
+    # vertex regions a, b, c; every other row is overwritten below
+    b0, b1, b2 = (conds[r].astype(np.float64) for r in (0, 1, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # edges ab and ac: (1 - t, t, 0) and (1 - t, 0, t)
+        for cond, x, y, bt in ((conds[2], d1, d3, b1), (conds[4], d2, d6, b2)):
+            i = np.flatnonzero(cond)
+            x, y = x[i], y[i]
+            bt[i] = t = np.where(x != y, x / (x - y), 0.0)
+            b0[i] = 1.0 - t
+        # edge bc: (0, 1 - w, w)
+        i = np.flatnonzero(conds[5])
+        x = d43[i]
+        den = x + d56[i]
+        b2[i] = w = np.where(den != 0.0, x / den, 0.0)
+        b1[i] = 1.0 - w
+        # interior
+        i = np.flatnonzero(~taken)
+        x, y = vb[i], vc[i]
+        denom = va[i] + x + y
+        v = np.where(denom != 0.0, x / denom, 0.0)
+        w = np.where(denom != 0.0, y / denom, 0.0)
+        b0[i], b1[i], b2[i] = 1.0 - v - w, v, w
+    noise = sum(np.abs(t[i]) for t in terms)
+    thin = i[~((denom > _THIN * noise) & np.isfinite(denom))]
     if thin.size:
         p_, a_, b_, c_ = p[thin], a[thin], b[thin], c[thin]
         edge = _best_edge_points(p_, a_, b_, c_)
@@ -290,6 +305,21 @@ def _sq_distances(x, y):
     return total
 
 
+def _first_least(pi, sq):
+    """Index of each point's winning pair, for pairs grouped by point ``pi``.
+
+    The first pair at the point's least ``sq`` wins, so with faces
+    ascending within a point ties go to the lowest face. NaN loses to any
+    number, and a point whose every ``sq`` is NaN takes its first pair.
+    """
+    starts = np.flatnonzero(np.diff(pi, prepend=-1))
+    least = np.fmin.reduceat(sq, starts)
+    hit = sq == np.repeat(least, np.diff(starts, append=len(sq)))
+    hit[starts] |= np.isnan(least)
+    hits = np.flatnonzero(hit)
+    return hits[np.searchsorted(hits, starts)]
+
+
 # Points go through the bound stage in blocks of about _BLOCK_PAIRS point
 # x face (or point x vertex) entries, which keeps the temporaries small; the
 # pairs that pass go to the kernel once whole blocks hold _KERNEL_PAIRS.
@@ -305,6 +335,10 @@ def project_points(points, coords, faces):
     Returns (face index (N,), barycentric (N, 3), squared distance (N,)),
     the same arrays, bit for bit, as running ``_closest_points`` over every
     face and taking the first minimum (ties go to the lowest face index).
+    The kernel sees only the (point, face) pairs that pass the bound below,
+    read off each block's mask in row-major order, so they come grouped by
+    point with faces ascending, and :func:`_first_least` picks the first
+    pair at each point's least squared distance.
 
     Exact pruning: the distance ``reach`` from a point to any vertex that
     some face uses bounds its distance to the closest face, so a face can
@@ -374,15 +408,14 @@ def project_points(points, coords, faces):
         row = shrink * np.einsum("ik,ik->i", block, block) - reach_sq
         keep = lifted @ to_face >= row[:, None] + col
         keep[~np.isfinite(row)] = True
-        pi, fi = np.nonzero(keep)
+        pi, fi = np.divmod(np.flatnonzero(keep), keep.shape[1])
         pending.append((pi + start, fi))
         stop = start + len(block)
         if sum(x.size for x, _ in pending) < _KERNEL_PAIRS and stop < npts:
             continue
         pi, fi = map(np.concatenate, zip(*pending))
         bary, sq = _closest_points(points[pi], a[fi], b[fi], c[fi])
-        order = np.lexsort((fi, sq, pi))
-        best = order[np.flatnonzero(np.diff(pi[order], prepend=-1))]
+        best = _first_least(pi, sq)
         rows = slice(first, stop)
         out_face[rows] = fi[best]
         out_bary[rows] = bary[best]

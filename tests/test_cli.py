@@ -110,6 +110,8 @@ _OFF_TOKENS = [
 
 def _mutate_off(text, rng):
     lines = text.splitlines()
+    if not lines:  # an earlier edit cut the text to nothing
+        return "OFF\n"
     kind = rng.randrange(5)
     i = rng.randrange(len(lines))
     if kind == 0:  # replace one token
@@ -168,6 +170,16 @@ _SPEC_BASES = {"icosphere": (["1"], 1), "torus": (["6", "4", "2.0", "0.7"], 2),
                "grid": (["4", "3", "1.0"], 2)}
 
 
+class TestMutationHelpers:
+    # an earlier edit can cut a text to nothing or to a lone newline; the
+    # next edit must still return a text
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_blank_texts_still_mutate(self, text):
+        for seed in range(200):
+            assert isinstance(_mutate_off(text, random.Random(seed)), str)
+            assert isinstance(_mutate_fields(text, random.Random(seed), ","), str)
+
+
 class TestGeneratorSpecMutations:
     def test_seeded_specs_end_in_exit_zero_or_an_error_line(self, tmp_path, capsys):
         rng = random.Random(20261022)
@@ -214,6 +226,8 @@ def _mutate_fields(text, rng, sep, keep=0):
         head.insert(i, head[rng.randrange(len(head))])
     else:  # cut the head anywhere
         joined = "\n".join(head)
+        if not joined:  # a lone empty line: nothing to cut
+            return "\n".join(["x"] + tail) + "\n"
         head = joined[: rng.randrange(len(joined))].splitlines()
     return "\n".join(head + tail) + "\n"
 

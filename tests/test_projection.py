@@ -444,6 +444,151 @@ class TestSlivers:
             np.testing.assert_array_equal(g, w)
 
 
+# A triangle and one point well inside each of its seven regions, in the
+# kernel's order: vertex a, vertex b, edge ab, vertex c, edge ac, edge bc,
+# interior.
+REGION_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+REGION_POINTS = np.array(
+    [[-0.5, -0.5], [1.5, -0.3], [0.5, -0.5], [0.2, 1.5], [-0.3, 0.6], [1.0, 0.7], [0.4, 0.3]]
+)
+
+
+def region_rows(rng, count, dim):
+    """``count`` copies of the seven region rows, each moved by its own similarity.
+
+    A rotation, scale and shift keep every point in its region; in three
+    or more dimensions the point also leaves the plane of its triangle.
+    """
+    rows = []
+    for _ in range(count):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        scale = 10.0 ** rng.uniform(-2, 2)
+        shift = rng.normal(size=dim)
+        tri = scale * REGION_TRIANGLE @ q[:2] + shift
+        p = scale * REGION_POINTS @ q[:2] + shift
+        if dim > 2:
+            p += scale * rng.normal(size=(7, 1)) * q[2]
+        rows.append((p, *(np.repeat(x[None], 7, axis=0) for x in tri)))
+    return [np.concatenate(x) for x in zip(*rows)]
+
+
+def kernel_batch(seed, dim):
+    """(p, a, b, c) rows in ``dim`` dimensions mixing every region and the hard cases.
+
+    Region rows, random rows, collinear and zero-area triangles, repeated
+    corners, points on corners, near-collinear slivers and, from three
+    dimensions up, the ``SLIVER`` row, shuffled together.
+    """
+    rng = np.random.default_rng(seed)
+    parts = [region_rows(rng, 4, dim), list(rng.normal(size=(4, 20, dim)))]
+    a, b, p = rng.normal(size=(3, 10, dim))
+    parts.append([p, a, b, a + rng.uniform(-0.5, 1.5, (10, 1)) * (b - a)])
+    a, b, p = rng.normal(size=(3, 4, dim))
+    parts += [[p, a, a, a], [p, a, a, b], [p, a, b, a], [p, a, b, b]]
+    p, a, b, c = rng.normal(size=(4, 9, dim))
+    parts.append([np.concatenate([a[:3], b[3:6], c[6:]]), a, b, c])
+    parts.append(list(near_collinear_rows(rng, 20, dim)))
+    if dim > 2:
+        pad = np.zeros(dim - 3)
+        sliver = [np.concatenate([SLIVER_POINT, pad])] + [np.concatenate([x, pad]) for x in SLIVER]
+        parts.append([x[None] for x in sliver])
+    rows = [np.concatenate(x) for x in zip(*parts)]
+    order = rng.permutation(len(rows[0]))
+    return [x[order] for x in rows]
+
+
+class TestKernelMatchesSelect:
+    # The kernel evaluates each region's formula on that region's rows
+    # only; the result must be the six-region select of the oracle, with
+    # thin rows settled by the scalar edge point, bit for bit. Compared as
+    # uint64, so -0.0 and +0.0 differ and NaNs must match in payload too.
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4]),
+        scale=st.sampled_from(["1", "2**500", "2**-500", "1e200"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_region_select(self, seed, dim, scale):
+        p, a, b, c = kernel_batch(seed, dim)
+        if scale == "1e200":
+            p, a, b, c = (x * 1e200 for x in (p, a, b, c))
+        else:
+            power = {"1": 0, "2**500": 500, "2**-500": -500}[scale]
+            p, a, b, c = (np.ldexp(x, power) for x in (p, a, b, c))
+        with np.errstate(all="ignore"):
+            bary, sq = projection._closest_points(p, a, b, c)
+            b0, b1, b2, thin = region_select(p, a, b, c)
+            for i in np.flatnonzero(thin):
+                b0[i], b1[i], b2[i] = settle_thin_row(p[i], a[i], b[i], c[i], (b0[i], b1[i], b2[i]))
+            r = p - (b0[:, None] * a + b1[:, None] * b + b2[:, None] * c)
+            want_sq = np.einsum("ik,ik->i", r, r)
+        want = np.stack((b0, b1, b2), axis=1)
+        np.testing.assert_array_equal(bary.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(sq.view(np.uint64), want_sq.view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_region_rows_cover_every_region(self, dim):
+        p, a, b, c = region_rows(np.random.default_rng(dim), 50, dim)
+        bary, _ = projection._closest_points(p, a, b, c)
+        inside = (bary > 0.0).reshape(50, 7, 3)
+        # vertex a, vertex b, edge ab, vertex c, edge ac, edge bc, interior
+        support = np.array(
+            [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]], bool
+        )
+        assert (inside == support).all()
+
+
+def lexsort_first_least(pi, fi, sq):
+    """The selection ``_first_least`` replaced: order by point, distance (NaN last), face."""
+    order = np.lexsort((fi, sq, pi))
+    return order[np.flatnonzero(np.diff(pi[order], prepend=-1))]
+
+
+def grouped_pairs(groups, seed):
+    """(pi, fi, sq) for the given per-point ``sq`` lists: points ascending with
+    gaps, faces ascending within each point."""
+    rng = np.random.default_rng(seed)
+    points = np.cumsum(rng.integers(1, 4, len(groups)))
+    pi = np.repeat(points, [len(g) for g in groups])
+    fi = np.concatenate([np.sort(rng.choice(40, len(g), replace=False)) for g in groups])
+    return pi, fi, np.array([x for g in groups for x in g], dtype=np.float64)
+
+
+class TestFirstLeast:
+    @pytest.mark.parametrize(
+        "groups, want",
+        [
+            ([[2.0, 1.0, 1.0, 3.0]], [1]),  # a tie goes to the first pair
+            ([[np.inf, np.inf]], [0]),  # inf only
+            ([[np.nan, np.nan, np.nan]], [0]),  # NaN only: the first pair
+            ([[np.nan, 2.0, np.nan, 2.0]], [1]),  # NaN loses to any number
+            ([[np.nan, np.inf, 0.0]], [2]),
+            ([[0.0, -0.0], [np.nan], [np.inf, np.nan, np.inf], [5.0]], [0, 2, 3, 6]),
+        ],
+    )
+    def test_named_groups(self, groups, want):
+        pi, fi, sq = grouped_pairs(groups, 0)
+        np.testing.assert_array_equal(projection._first_least(pi, sq), want)
+        np.testing.assert_array_equal(lexsort_first_least(pi, fi, sq), want)
+
+    @given(
+        groups=st.lists(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.0, 1e308, np.inf, np.nan]),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=15,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_lexsort(self, groups, seed):
+        pi, fi, sq = grouped_pairs(groups, seed)
+        np.testing.assert_array_equal(projection._first_least(pi, sq), lexsort_first_least(pi, fi, sq))
+
+
 class TestProjectionScale:
     # Unscaled, the kernel's fourth-degree products overflow for coordinates
     # beyond about 1e77 and underflow below about 1e-77. Scaling by a power
