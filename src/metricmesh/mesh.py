@@ -49,15 +49,32 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _edge_table(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (lo, hi) pairs in lexicographic order, and each pair's row."""
+def _side_ends(faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends (lo, hi) of the face sides (i,j), (j,k), (k,i), face by face."""
+    start, end = faces.ravel(), faces[:, (1, 2, 0)].ravel()
+    return np.minimum(start, end), np.maximum(start, end)
+
+
+def _edge_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the (lo, hi) pairs, and where its runs start.
+
+    A run is one distinct pair; the sort is stable, so each run starts at
+    the pair's first row.
+    """
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    return order, first
+
+
+def _edge_table(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct (lo, hi) pairs in lexicographic order, and each pair's row."""
+    order, first = _edge_runs(lo, hi)
     inverse = np.empty(order.size, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
-    return np.stack((lo[first], hi[first]), axis=1), inverse
+    rows = order[first]
+    return np.stack((lo[rows], hi[rows]), axis=1), inverse
 
 
 class Mesh:
@@ -113,10 +130,9 @@ class Mesh:
         self.vertex_count = vertex_count
         self.faces = _freeze(faces)
 
-        # Directed face sides in corner order (i,j), (j,k), (k,i); edge ids
-        # come from lexicographic order of the sorted pairs.
-        sides = faces[:, (0, 1, 1, 2, 2, 0)].reshape(-1, 2)
-        edges, inverse = _edge_table(sides.min(axis=1), sides.max(axis=1))
+        # Face sides in corner order (i,j), (j,k), (k,i); edge ids come from
+        # lexicographic order of the sorted pairs.
+        edges, inverse = _edge_table(*_side_ends(faces))
         self.edges = _freeze(edges)
         self.face_edges = _freeze(inverse.reshape(-1, 3))
         self.edge_face_count = _freeze(
@@ -415,11 +431,23 @@ def save_off(mesh: Mesh, embedding: Embedding, path) -> None:
 # Generators
 
 
+# Faces of icosphere(7), the largest reference mesh; a torus or grid may
+# have no more.
+_MAX_FACES = 20 * 4**7
+
+
 def make_icosphere(subdivisions: int) -> tuple[Mesh, Embedding]:
     """Unit icosphere: icosahedron with each face split 4-fold k times.
 
-    Midpoint vertices are pushed back onto the unit sphere after every
-    round. V = 10*4**k + 2, F = 20*4**k.
+    A round gives every edge one midpoint and splits face (i, j, k), with
+    midpoints a, b, c on its sides (i,j), (j,k), (k,i), into (i, a, c),
+    (j, b, a), (k, c, b) and (a, b, c), in that order and in face order.
+    The new vertices follow the old ones, numbered in the order their
+    edges are first met walking the faces in order and each face's sides
+    in order. A midpoint is ``m = p + q`` scaled back onto the unit sphere
+    as ``m / sqrt(m . m)``, the dot product taken as numpy's 1-D
+    ``np.linalg.norm`` takes it, so it keeps the bits of the one-midpoint-
+    at-a-time construction. V = 10*4**k + 2, F = 20*4**k.
     """
     if subdivisions < 0:
         raise ValueError(f"subdivisions must be >= 0, got {subdivisions}")
@@ -431,43 +459,55 @@ def make_icosphere(subdivisions: int) -> tuple[Mesh, Embedding]:
         (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
         (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
     ]
-    verts = [np.array(p, dtype=np.float64) / math.sqrt(1.0 + phi * phi) for p in raw]
-    faces = [
+    coords = np.array(raw, dtype=np.float64) / math.sqrt(1.0 + phi * phi)
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
+    ], dtype=np.int64)
     for _ in range(subdivisions):
-        midpoint: dict[tuple[int, int], int] = {}
+        lo, hi = _side_ends(faces)
+        order, first = _edge_runs(lo, hi)
+        # The sort is stable, so each edge's run starts at the edge's first
+        # side; those sides, in side order, number the midpoints.
+        heads = order[first]
+        fresh = np.zeros(order.size, dtype=bool)
+        fresh[heads] = True
+        number = np.cumsum(fresh) + (coords.shape[0] - 1)  # read at fresh sides
+        mids = np.empty(order.size, dtype=np.int64)
+        mids[order] = number[heads][np.cumsum(first) - 1]
+        m = coords[lo[fresh]] + coords[hi[fresh]]
+        # (k, 1, 3) @ (k, 3, 1) is a BLAS dot per row, like the 1-D norm.
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        coords = np.vstack((coords, m))
+        corners = np.hstack((faces, mids.reshape(-1, 3)))  # i, j, k, a, b, c
+        faces = corners[:, (0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5)].reshape(-1, 3)
+    return Mesh(coords.shape[0], faces), Embedding(coords)
 
-        def mid(u: int, v: int) -> int:
-            key = (u, v) if u < v else (v, u)
-            idx = midpoint.get(key)
-            if idx is None:
-                m = verts[u] + verts[v]
-                m /= np.linalg.norm(m)
-                verts.append(m)
-                idx = len(verts) - 1
-                midpoint[key] = idx
-            return idx
 
-        new_faces = []
-        for i, j, k in faces:
-            a, b, c = mid(i, j), mid(j, k), mid(k, i)
-            new_faces += [(i, a, c), (j, b, a), (k, c, b), (a, b, c)]
-        faces = new_faces
-    coords = np.vstack(verts)
-    return Mesh(len(verts), np.array(faces, dtype=np.int64)), Embedding(coords)
+def _check_face_count(kind: str, faces: int) -> None:
+    if faces > _MAX_FACES:
+        raise ValueError(
+            f"{kind} would have {faces} faces, more than the cap of {_MAX_FACES} "
+            f"(the faces of icosphere(7))"
+        )
+
+
+def _split_quads(v00, v10, v11, v01) -> np.ndarray:
+    """Faces (v00, v10, v11), (v00, v11, v01) of each quad, quad by quad."""
+    return np.stack((v00, v10, v11, v00, v11, v01), axis=-1).reshape(-1, 3)
 
 
 def make_torus(nu: int, nv: int, major_radius: float, minor_radius: float) -> tuple[Mesh, Embedding]:
     """Structured torus: nu x nv vertex grid, both directions wrapped.
 
-    V = nu*nv, E = 3*nu*nv, F = 2*nu*nv; Euler characteristic 0.
+    V = nu*nv, E = 3*nu*nv, F = 2*nu*nv; Euler characteristic 0. F may
+    not pass 327,680, the faces of icosphere(7).
     """
     if nu < 3 or nv < 3:
         raise ValueError(f"torus needs nu, nv >= 3, got ({nu}, {nv})")
+    _check_face_count(f"torus({nu}, {nv})", 2 * int(nu) * int(nv))
     # Written so that NaN fails; the diameter bounds every coordinate difference.
     diameter = 2.0 * (major_radius + minor_radius)
     if not (0.0 < minor_radius < major_radius and math.isfinite(diameter)):
@@ -475,29 +515,20 @@ def make_torus(nu: int, nv: int, major_radius: float, minor_radius: float) -> tu
             f"torus radii must satisfy 0 < minor < major with a finite diameter, "
             f"got ({major_radius}, {minor_radius})"
         )
-    coords = np.empty((nu * nv, 3), dtype=np.float64)
-    for i in range(nu):
-        theta = 2.0 * math.pi * i / nu
-        for j in range(nv):
-            phi = 2.0 * math.pi * j / nv
-            ring = major_radius + minor_radius * math.cos(phi)
-            coords[i * nv + j] = (
-                ring * math.cos(theta),
-                ring * math.sin(theta),
-                minor_radius * math.sin(phi),
-            )
-    faces = []
-    for i in range(nu):
-        i1 = (i + 1) % nu
-        for j in range(nv):
-            j1 = (j + 1) % nv
-            v00 = i * nv + j
-            v10 = i1 * nv + j
-            v11 = i1 * nv + j1
-            v01 = i * nv + j1
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return Mesh(nu * nv, np.array(faces, dtype=np.int64)), Embedding(coords)
+    # Vertex (i, j) at angle theta_i around the axis and phi_j around the
+    # tube. The sines and cosines come from math, once per angle: np.cos is
+    # not promised to round as math.cos does.
+    thetas = [2.0 * math.pi * i / nu for i in range(nu)]
+    phis = [2.0 * math.pi * j / nv for j in range(nv)]
+    ring = np.array([major_radius + minor_radius * math.cos(p) for p in phis])
+    coords = np.empty((nu, nv, 3), dtype=np.float64)
+    coords[:, :, 0] = np.outer([math.cos(t) for t in thetas], ring)
+    coords[:, :, 1] = np.outer([math.sin(t) for t in thetas], ring)
+    coords[:, :, 2] = [minor_radius * math.sin(p) for p in phis]
+    ids = np.arange(nu * nv, dtype=np.int64).reshape(nu, nv)
+    next_i = np.roll(ids, -1, axis=0)
+    faces = _split_quads(ids, next_i, np.roll(next_i, -1, axis=1), np.roll(ids, -1, axis=1))
+    return Mesh(nu * nv, faces), Embedding(coords.reshape(-1, 3))
 
 
 def make_grid(nx: int, ny: int, spacing: float) -> tuple[Mesh, Embedding]:
@@ -506,10 +537,12 @@ def make_grid(nx: int, ny: int, spacing: float) -> tuple[Mesh, Embedding]:
     Every quad is split along the same diagonal, from its lower-left to
     its upper-right corner. The alternating split looks more symmetric
     but degrades front propagation accuracy near the corners, so the
-    uniform one is deliberate.
+    uniform one is deliberate. F = 2*(nx-1)*(ny-1) may not pass 327,680,
+    the faces of icosphere(7).
     """
     if nx < 2 or ny < 2:
         raise ValueError(f"grid needs nx, ny >= 2, got ({nx}, {ny})")
+    _check_face_count(f"grid({nx}, {ny})", 2 * (int(nx) - 1) * (int(ny) - 1))
     # Written so that NaN fails; the diagonal bounds every coordinate difference.
     if not (spacing > 0.0 and math.isfinite(math.hypot(nx - 1, ny - 1) * spacing)):
         raise ValueError(
@@ -520,16 +553,9 @@ def make_grid(nx: int, ny: int, spacing: float) -> tuple[Mesh, Embedding]:
     coords = np.zeros((nx * ny, 3), dtype=np.float64)
     coords[:, 0] = np.tile(xs, ny)
     coords[:, 1] = np.repeat(ys, nx)
-    faces = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            v00 = j * nx + i
-            v10 = j * nx + i + 1
-            v01 = (j + 1) * nx + i
-            v11 = (j + 1) * nx + i + 1
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return Mesh(nx * ny, np.array(faces, dtype=np.int64)), Embedding(coords)
+    ids = np.arange(nx * ny, dtype=np.int64).reshape(ny, nx)
+    faces = _split_quads(ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1])
+    return Mesh(nx * ny, faces), Embedding(coords)
 
 
 _KIND_RE = re.compile(r"^\s*([a-z_]+)\s*[(:]\s*([^)]*?)\s*\)?\s*$")

@@ -323,8 +323,14 @@ def _first_least(pi, sq):
 # Points go through the bound stage in blocks of about _BLOCK_PAIRS point
 # x face (or point x vertex) entries, which keeps the temporaries small; the
 # pairs that pass go to the kernel once whole blocks hold _KERNEL_PAIRS.
+# Past _BLOCK_PAIRS faces (or vertices) one point alone is a bigger block,
+# and a block pays about 20 numpy calls however few points it holds, so
+# blocks there take _BLOCK_FLOOR points and write into buffers made once
+# per call: fresh temporaries of that size, past glibc's mmap threshold,
+# made the heap shrink and regrow each block, a page fault per 4 KiB.
 _BLOCK_PAIRS = 1 << 14
 _KERNEL_PAIRS = 1 << 11
+_BLOCK_FLOOR = 8
 
 
 # Overflow shows up as a non-finite squared distance, which is reported.
@@ -398,19 +404,30 @@ def project_points(points, coords, faces):
     out_face = np.empty(npts, dtype=np.int64)
     out_bary = np.empty((npts, 3), dtype=np.float64)
     out_sq = np.empty(npts, dtype=np.float64)
-    step = max(1, _BLOCK_PAIRS // max(faces.shape[0], used.shape[0]))
+    per_point = max(faces.shape[0], used.shape[0])
+    if per_point <= _BLOCK_PAIRS:
+        step, buffers = _BLOCK_PAIRS // per_point, None
+    else:
+        step, height = _BLOCK_FLOOR, min(_BLOCK_FLOOR, npts)
+        widths = (used.shape[0], faces.shape[0], faces.shape[0])
+        buffers = [np.empty((height, w)) for w in widths] + [np.empty((height, faces.shape[0]), bool)]
     pending, first = [], 0
     for start in range(0, npts, step):
         block = points[start : start + step]
-        lifted = np.hstack((block, np.ones((len(block), 1))))
-        reach_sq = _sq_distances(block, used[np.argmin(lifted @ to_vertex, axis=1)])
+        n = len(block)
+        by_vertex, by_face, bound, keep = [None] * 4 if buffers is None else [x[:n] for x in buffers]
+        lifted = np.hstack((block, np.ones((n, 1))))
+        nearest = np.argmin(np.matmul(lifted, to_vertex, out=by_vertex), axis=1)
+        reach_sq = _sq_distances(block, used[nearest])
         lifted[:, dim] = np.sqrt(reach_sq)
         row = shrink * np.einsum("ik,ik->i", block, block) - reach_sq
-        keep = lifted @ to_face >= row[:, None] + col
+        keep = np.greater_equal(
+            np.matmul(lifted, to_face, out=by_face), np.add(row[:, None], col, out=bound), out=keep
+        )
         keep[~np.isfinite(row)] = True
         pi, fi = np.divmod(np.flatnonzero(keep), keep.shape[1])
         pending.append((pi + start, fi))
-        stop = start + len(block)
+        stop = start + n
         if sum(x.size for x, _ in pending) < _KERNEL_PAIRS and stop < npts:
             continue
         pi, fi = map(np.concatenate, zip(*pending))

@@ -16,6 +16,8 @@ from metricmesh.errors import InfeasibleMetricError
 from metricmesh.optimize import sweep_weights
 from metricmesh.runconfig import read_config
 
+from loop_generators import loop_icosphere
+
 
 def write_dataset(path, n=20, seed=4, radius=1.2):
     rng = np.random.default_rng(seed)
@@ -86,6 +88,20 @@ class TestGenerateValidate:
     def test_bad_generator_spec(self, capsys):
         assert main(["validate", "--mesh", "dodecahedron(1)"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_generate_writes_the_loop_generators_bytes(self, tmp_path):
+        off = tmp_path / "sphere.off"
+        assert main(["generate", "--kind", "icosphere(3)", "--out", str(off)]) == 0
+        assert off.read_bytes() == mm.write_off(*loop_icosphere(3)).encode()
+
+    @pytest.mark.parametrize("spec", ["torus(100000,100000,2.0,0.5)", "grid(1000,1000,1.0)"])
+    def test_over_the_cap(self, tmp_path, capsys, spec):
+        off = tmp_path / "big.off"
+        assert main(["generate", "--kind", spec, "--out", str(off)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad mesh spec {spec!r}: ") and err.count("\n") == 1
+        assert "more than the cap of 327680" in err
+        assert not off.exists()
 
     def test_missing_off_file(self, tmp_path):
         assert main(["validate", "--mesh", str(tmp_path / "nope.off")]) == 1

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from metricmesh.errors import (
 )
 
 from conftest import two_triangle_strip
+from loop_generators import loop_grid, loop_icosphere, loop_torus
 
 
 class TestMeshConstruction:
@@ -430,3 +432,56 @@ class TestGenerateMesh:
     def test_torus_rejects_bad_radii(self, radii):
         with pytest.raises(ValueError, match="torus radii"):
             mm.make_torus(6, 4, *radii)
+
+    # icosphere(7) has the most faces a reference mesh may have
+    @pytest.mark.parametrize("spec,message", [
+        ("icosphere(-1)", "subdivisions must be >= 0, got -1"),
+        ("icosphere(8)", "subdivisions capped at 7, got 8"),
+        ("torus(512,321,2.0,0.5)", "torus(512, 321) would have 328704 faces"),
+        ("torus(100000,100000,2.0,0.5)", "would have 20000000000 faces"),
+        ("torus(10000000000,3,nan,nan)", "would have 60000000000 faces"),
+        ("grid(514,321,1.0)", "grid(514, 321) would have 328320 faces"),
+        ("grid(100000,100000,1.0)", "would have 19999600002 faces"),
+    ])
+    def test_size_caps(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            mm.generate_mesh(spec)
+        if "icosphere" not in spec:
+            assert str(err.value).endswith("more than the cap of 327680 (the faces of icosphere(7))")
+
+    @pytest.mark.parametrize("spec", ["torus(512,320,2.0,0.5)", "grid(513,321,1.0)"])
+    def test_at_the_cap(self, spec):
+        mesh, _ = mm.generate_mesh(spec)
+        assert mesh.face_count == 327680
+
+
+def same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+LOOP_CASES = [(mm.make_icosphere, loop_icosphere, (k,)) for k in range(6)] + [
+    (mm.make_torus, loop_torus, args)
+    for args in [(3, 3, 2.0, 0.5), (8, 6, 2.0, 0.5), (16, 8, 2.0, 0.7), (100, 37, 3.3, 1.1)]
+] + [
+    (mm.make_grid, loop_grid, (nx, ny, 1.0))
+    for nx, ny in [(2, 2), (4, 3), (9, 6), (200, 3), (50, 50)]
+]
+
+
+class TestGeneratorsMatchLoops:
+    @pytest.mark.parametrize(
+        "make,loop,args", LOOP_CASES, ids=[f"{m.__name__}{a}" for m, _, a in LOOP_CASES]
+    )
+    def test_same_bits(self, make, loop, args):
+        (mesh, emb), (want, want_emb) = make(*args), loop(*args)
+        assert mesh.vertex_count == want.vertex_count
+        assert same_bytes(emb.coords, want_emb.coords)
+        for name in ("faces", "edges", "face_edges", "boundary_vertex"):
+            assert same_bytes(getattr(mesh, name), getattr(want, name)), name
+        for name in ("vertex_face_csr", "vertex_edge_csr"):
+            for got, ref in zip(getattr(mesh, name), getattr(want, name)):
+                assert same_bytes(got, ref), name
+        # and the edge tables are those of an independent reference
+        edges, face_edges = unique_edge_table(want.faces)
+        assert same_bytes(mesh.edges, edges)
+        assert same_bytes(mesh.face_edges, face_edges)

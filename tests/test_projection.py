@@ -251,6 +251,28 @@ class TestPrunedProjectionMatchesScan:
             projection.project_points(points, coords, faces)
 
 
+class TestBlockFloor:
+    # _BLOCK_FLOOR = 1 with _BLOCK_PAIRS = 1 gives one-point blocks; a floor
+    # past the point count, one block
+    @pytest.mark.parametrize("floor,block_pairs", [(1, 1), (3, 1), (8, 1), (1 << 20, 1)])
+    def test_floor_does_not_change_the_result(self, monkeypatch, floor, block_pairs):
+        points, coords, faces = oracle_case("torus(16,8,2.0,0.7)")
+        monkeypatch.setattr(projection, "_BLOCK_FLOOR", floor)
+        monkeypatch.setattr(projection, "_BLOCK_PAIRS", block_pairs)
+        got = projection.project_points(points, coords, faces)
+        for g, w in zip(got, scan_all_faces(points, coords, faces)):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("floor", [1, 8, 1 << 20])
+    def test_overflow_reported_for_the_right_point(self, monkeypatch, floor):
+        points, coords, faces = oracle_case("icosphere(2)")
+        points = np.insert(points, [150, 170], [[1e200, 0.0, 0.0], [0.0, -1e250, 0.0]], axis=0)
+        monkeypatch.setattr(projection, "_BLOCK_FLOOR", floor)
+        monkeypatch.setattr(projection, "_BLOCK_PAIRS", 1)
+        with pytest.raises(ValueError, match="point 150 to the mesh overflows"):
+            projection.project_points(points, coords, faces)
+
+
 def hard_case(seed, dim, far):
     """(points, coords, faces) that stress the pruning bound.
 
