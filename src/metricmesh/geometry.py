@@ -10,10 +10,12 @@ boundary, which makes the total defect a topological invariant
 Every quantity has one implementation, vectorized over the faces:
 :func:`face_corner_angles`, :func:`face_areas`, :func:`face_slacks` and
 :func:`curvature_report`. The optimizer differentiates them in closed
-form; a single triangle is the one-face case. The report computes an
-iterate's slacks, angles and areas from one gather of its face lengths
-and carries them, so the optimizer computes an iterate's geometry once:
-its loss, gradient and trace row all read the same report.
+form; a single triangle is the one-face case. They work on whole rows
+of one gather of the face lengths, laid out (3, F) with row r holding
+edge r of every face; the public (F, 3) results are transposes. The
+descent keeps a line-search candidate's rows on it (:func:`_face_rows`),
+so its repair check, curvature report, Dirichlet term and gradient share
+one gather; the public functions read kept rows but never keep any.
 
 Angles, areas and slacks run on lengths scaled to unit magnitude, so no
 square or sum in them overflows or underflows at any length scale.
@@ -22,28 +24,37 @@ square or sum in them overflows or underflows at any length scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleMetricError, IsolatedVertexError
-from .projection import Embedding, _unit_scaled
+from .projection import Embedding
 
 TWO_PI = 2.0 * math.pi
+# Row r of ``rows[_NEXT]`` is row r + 1 (mod 3), of ``rows[_PREV]`` row r - 1.
+# Corner c is opposite edge c + 1, so ``corner_rows[_PREV]`` is in edge order.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Positive per-edge lengths in the mesh's lexicographic edge order."""
+    """Positive per-edge lengths in the mesh's lexicographic edge order (read-only copy)."""
 
     lengths: np.ndarray
+    # (mesh.face_edges, _FaceRows) kept by _face_rows: keyed on the array the
+    # rows depend on besides the lengths, so a kept metric keeps no mesh alive
+    _rows_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lengths = np.ascontiguousarray(self.lengths, dtype=np.float64)
+        lengths = np.array(self.lengths, dtype=np.float64)
         if lengths.ndim != 1 or lengths.shape[0] == 0:
             raise ValueError(f"lengths must be a 1-D array, got shape {lengths.shape}")
         if not np.isfinite(lengths).all() or (lengths <= 0.0).any():
             raise ValueError("edge lengths must be finite and positive")
+        lengths.setflags(write=False)
         object.__setattr__(self, "lengths", lengths)
 
     @property
@@ -71,51 +82,82 @@ class MetricField:
         return MetricField(self.lengths * factors)
 
 
-def _face_lengths(mesh, metric: MetricField) -> np.ndarray:
+class _FaceRows(NamedTuple):
+    """One gather of a metric's face lengths, as (3, F) rows: see _face_rows."""
+
+    unit: np.ndarray    # rows * 2**-k, largest magnitude in [0.5, 1)
+    k: int
+    slacks: np.ndarray  # (F,) as face_slacks, read-only
+    rows: np.ndarray | None  # row r holds edge r, face_edges[:, r], of every face
+    logs: np.ndarray | None  # log(rows); both only in kept rows
+
+
+def _face_rows(mesh, metric: MetricField, keep: bool = False) -> _FaceRows:
+    """The face lengths of ``metric`` gathered once, as C-contiguous rows.
+
+    k comes from the longest edge, which is the rows' own scale because
+    every edge lies on a face. With ``keep`` the rows and their logs are
+    kept on the metric and returned to later calls with the same mesh;
+    without, only the unit rows are made, over the gathered ones.
+    """
+    memo = metric._rows_memo
+    if memo is not None and memo[0] is mesh.face_edges:
+        return memo[1]
     if metric.edge_count != mesh.edge_count:
         raise ValueError(
             f"metric has {metric.edge_count} lengths, mesh has {mesh.edge_count} edges"
         )
-    return metric.lengths[mesh.face_edges]
+    rows = metric.lengths[mesh.face_edges.T]
+    # math.frexp: np.frexp on a numpy scalar costs more than the rest together
+    _, k = math.frexp(float(metric.lengths.max()))
+    unit = np.ldexp(rows, -k, out=None if keep else rows)
+    slacks = _slacks(unit, k)
+    slacks.setflags(write=False)
+    if not keep:
+        return _FaceRows(unit, k, slacks, None, None)
+    found = _FaceRows(unit, k, slacks, rows, np.log(rows))
+    object.__setattr__(metric, "_rows_memo", (mesh.face_edges, found))
+    return found
 
 
-# The per-face formulas below take the face lengths scaled to unit
-# magnitude, (fl, k) from one ``_unit_scaled`` gather, so that
-# :func:`curvature_report` can feed all three from a single gather.
+# The per-face formulas below take the unit rows (and k) of one
+# ``_face_rows`` gather.
 
 
-def _corner_angles(fl: np.ndarray) -> np.ndarray:
-    l_ij, l_jk, l_ki = fl[:, 0], fl[:, 1], fl[:, 2]
-    sq_ij, sq_jk, sq_ki = l_ij**2, l_jk**2, l_ki**2
-    angles = np.empty_like(fl)
+def _corner_angles(unit: np.ndarray) -> np.ndarray:
+    """(3, F) angles; row c holds the angle at corner c, between edges c - 1 and c."""
+    sq = unit**2
+    # (sq[_PREV] + sq - sq[_NEXT]) / (2.0 * unit[_PREV] * unit), in place;
     # minimum(maximum(.)) is np.clip's result without its Python-level wrapper
+    cos = sq[_PREV]
+    cos += sq
+    cos -= sq[_NEXT]
+    den = unit[_PREV]
+    den *= 2.0
+    den *= unit
     with np.errstate(invalid="ignore"):
-        for col, cos in enumerate((
-            (sq_ki + sq_ij - sq_jk) / (2.0 * l_ki * l_ij),
-            (sq_ij + sq_jk - sq_ki) / (2.0 * l_ij * l_jk),
-            (sq_jk + sq_ki - sq_ij) / (2.0 * l_jk * l_ki),
-        )):
-            angles[:, col] = np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
-    return angles
+        cos /= den
+        np.maximum(cos, -1.0, out=cos)
+        np.minimum(cos, 1.0, out=cos)
+        return np.arccos(cos, out=cos)
 
 
 @np.errstate(over="ignore")  # an area past the float range comes out as inf
-def _areas(fl: np.ndarray, k: int) -> np.ndarray:
+def _areas(unit: np.ndarray, k: int) -> np.ndarray:
     # a >= b >= c picked out by min and max: the values of a descending
-    # sort of each row, without sorting along a length-3 axis
-    x, y, z = fl[:, 0], fl[:, 1], fl[:, 2]
+    # sort of each face, without sorting along a length-3 axis
+    x, y, z = unit
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     a, b, c = np.maximum(hi, z), np.maximum(lo, np.minimum(hi, z)), np.minimum(lo, z)
     prod = (a + (b + c)) * (c - (a - b)) * ((c + (a - b)) * (a + (b - c)))
     return np.ldexp(0.25 * np.sqrt(np.maximum(prod, 0.0)), 2 * k)
 
 
-def _slacks(fl: np.ndarray, k: int) -> np.ndarray:
-    slack = np.minimum(
-        np.minimum(fl[:, 0] + fl[:, 1] - fl[:, 2], fl[:, 1] + fl[:, 2] - fl[:, 0]),
-        fl[:, 2] + fl[:, 0] - fl[:, 1],
-    )
-    return np.ldexp(slack, k)
+def _slacks(unit: np.ndarray, k: int) -> np.ndarray:
+    sums = unit[_NEXT]  # unit + unit[_NEXT] - unit[_PREV], in place
+    sums += unit
+    sums -= unit[_PREV]
+    return np.ldexp(np.minimum(np.minimum(sums[0], sums[1]), sums[2]), k)
 
 
 def face_corner_angles(mesh, metric: MetricField) -> np.ndarray:
@@ -124,18 +166,18 @@ def face_corner_angles(mesh, metric: MetricField) -> np.ndarray:
     Face edges are ordered (i,j), (j,k), (k,i), so the corner at i is
     opposite edge (j,k), at j opposite (k,i), at k opposite (i,j).
     """
-    fl, _ = _unit_scaled(_face_lengths(mesh, metric))
-    return _corner_angles(fl)
+    return np.ascontiguousarray(_corner_angles(_face_rows(mesh, metric).unit).T)
 
 
 def face_areas(mesh, metric: MetricField) -> np.ndarray:
     """Per-face Heron areas, Kahan ordering applied rowwise."""
-    return _areas(*_unit_scaled(_face_lengths(mesh, metric)))
+    rows = _face_rows(mesh, metric)
+    return _areas(rows.unit, rows.k)
 
 
 def face_slacks(mesh, metric: MetricField) -> np.ndarray:
     """Per-face minimum triangle-inequality slack min(a+b-c, b+c-a, c+a-b)."""
-    return _slacks(*_unit_scaled(_face_lengths(mesh, metric)))
+    return _face_rows(mesh, metric).slacks
 
 
 def _require_feasible(mesh, metric: MetricField, slacks: np.ndarray) -> None:
@@ -187,11 +229,11 @@ def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
             f"vertex {int(isolated[0])} belongs to no face, so its curvature density "
             f"is undefined ({isolated.size} isolated vertices in the mesh)"
         )
-    fl, k = _unit_scaled(_face_lengths(mesh, metric))
-    slacks = _slacks(fl, k)
+    rows = _face_rows(mesh, metric)
+    slacks = rows.slacks
     _require_feasible(mesh, metric, slacks)
-    angles = _corner_angles(fl)
-    areas = _areas(fl, k)
+    angles = np.ascontiguousarray(_corner_angles(rows.unit).T)
+    areas = _areas(rows.unit, rows.k)
     total = float(np.sum(areas))
     if not (math.isfinite(total) and areas.min() > 0.0):
         raise ValueError(
@@ -233,11 +275,12 @@ def dirichlet_energy(mesh, metric: MetricField) -> float:
     Scale-invariant by construction: multiplying every length by s shifts
     all logs equally.
     """
-    logs = np.log(_face_lengths(mesh, metric))
-    d01 = logs[:, 0] - logs[:, 1]
-    d12 = logs[:, 1] - logs[:, 2]
-    d20 = logs[:, 2] - logs[:, 0]
-    return float(np.sum(d01 * d01 + d12 * d12 + d20 * d20))
+    logs = _face_rows(mesh, metric).logs
+    if logs is None:
+        logs = np.log(metric.lengths)[mesh.face_edges.T]
+    d = logs - logs[_NEXT]  # log(l0 / l1), log(l1 / l2), log(l2 / l0)
+    sq = d * d
+    return float(np.sum(sq[0] + sq[1] + sq[2]))
 
 
 def volume_penalty(report: CurvatureReport, v_target: float) -> float:

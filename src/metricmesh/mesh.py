@@ -61,7 +61,14 @@ def _edge_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A run is one distinct pair; the sort is stable, so each run starts at
     the pair's first row.
     """
-    order = np.lexsort((hi, lo))
+    # One key sorts faster than two. With lo <= hi < n every key is below
+    # n * n, so it is exact while that stays in int64; larger vertex
+    # indices, which Mesh accepts, take the two-key sort.
+    n = int(hi.max()) + 1
+    if n * n < 2**63:
+        order = np.argsort(lo * n + hi, kind="stable")
+    else:
+        order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])

@@ -24,11 +24,14 @@ set (triangle inequality with margin, length floor) by one over-relaxed
 repair sweep before they are evaluated, so every accepted iterate is
 strictly feasible.
 
-Each iterate's geometry is computed once and carried: the loss that
-evaluates a candidate returns its curvature report (angles, areas,
-defects, slacks), and once the candidate is accepted its gradient and
-trace row read it instead of recomputing. The extrinsic edge lengths
-need no carrier: the candidate's embedding memoizes them.
+Each candidate's geometry is computed once and carried. The repair's
+entry check gathers its face lengths once and keeps them (as rows, see
+:func:`geometry._face_rows`; the loss keeps a repaired candidate's), and
+the loss's curvature report and Dirichlet term read them. Once the
+candidate is accepted, its gradient reads the rows and the report the
+loss returned, and its trace row the report; the descent drops the rows
+after the gradient, their last reader. The extrinsic edge lengths need
+no carrier: the candidate's embedding memoizes them.
 """
 
 from __future__ import annotations
@@ -133,6 +136,8 @@ def total_loss(
     """
     if config.mu_volume > 0.0 and config.v_target is None:
         raise ValueError("mu_volume > 0 requires v_target")
+    # the report, the Dirichlet term and the gradient read these rows
+    geometry._face_rows(mesh, metric, keep=True)
     report = geometry.curvature_report(mesh, metric)
     curv = geometry.curvature_energy(report, config.p)
     diri = geometry.dirichlet_energy(mesh, metric)
@@ -225,17 +230,19 @@ def _gradient(
         sign = np.where(report.defect >= 0.0, 1.0, -1.0)
         d_defect = p * mag ** (p - 1.0) * sign * report.vertex_area ** (1.0 - p)
         d_vertex_area = (1.0 - p) * mag**p * report.vertex_area ** (-p)
-        # Column c of ``opp`` is the edge opposite the corner at faces[f, c].
-        opp = mesh.face_edges[:, [1, 2, 0]]
-        sides = metric.lengths[opp]
-        cos = np.cos(report.corner_angle)
-        w_angle = -d_defect[mesh.faces] * sides
-        corner_area = d_vertex_area[mesh.faces]
-        # Row sums and products are written out, in the order numpy's axis-1
-        # reductions use but without their cost. numpy's sum starts from +0.0,
-        # so a row of three -0.0 gives -0.0 here: a zero whose sign the
-        # bincount into g_len below drops.
-        w_area = (corner_area[:, 0] + corner_area[:, 1] + corner_area[:, 2]) / 3.0
+        # Face terms in geometry's edge rows: row r is edge r of each face,
+        # opposite corner r - 1, so corner rows are read through prv.
+        nxt, prv = geometry._NEXT, geometry._PREV
+        unit_sides, k, _, sides, logs = geometry._face_rows(mesh, metric, keep=True)
+        cos = np.cos(report.corner_angle.T[prv])
+        w_angle = -d_defect[mesh.faces.T[prv]] * sides
+        corner_area = d_vertex_area[mesh.faces.T]
+        # Sums and products over a face are written out in corner order (the
+        # sides opposite corners 0, 1, 2 are edges 1, 2, 0), the order of
+        # numpy's sum along a face, without its cost. numpy's sum starts from
+        # +0.0, so three -0.0 give -0.0 here: a zero whose sign the bincount
+        # into g_len below drops.
+        w_area = (corner_area[0] + corner_area[1] + corner_area[2]) / 3.0
         if config.mu_volume > 0.0:
             # formed at unit scale like the side product below: v_t * v_t
             # leaves the float range long before v_t does
@@ -245,24 +252,17 @@ def _gradient(
         # area are divided by 2**(2k) to match. Power-of-two scaling is
         # exact: the bits are the raw formula's wherever that one neither
         # overflows nor underflows.
-        unit_sides, k = _unit_scaled(sides)
-        side_product = unit_sides[:, 0] * unit_sides[:, 1] * unit_sides[:, 2]
-        # Columns (1, 2, 0) and (2, 0, 1) hold the next and the previous corner.
+        side_product = unit_sides[1] * unit_sides[2] * unit_sides[0]
         g_face = (
-            np.ldexp(
-                w_angle
-                - w_angle[:, (1, 2, 0)] * cos[:, (2, 0, 1)]
-                - w_angle[:, (2, 0, 1)] * cos[:, (1, 2, 0)],
-                -2 * k,
-            )
-            + 0.5 * (w_area * np.ldexp(side_product, k))[:, None] * cos
-        ) / (2.0 * np.ldexp(report.face_area, -2 * k))[:, None]
+            np.ldexp(w_angle - w_angle[nxt] * cos[prv] - w_angle[prv] * cos[nxt], -2 * k)
+            + 0.5 * (w_area * np.ldexp(side_product, k)) * cos
+        ) / (2.0 * np.ldexp(report.face_area, -2 * k))
         if config.mu_dirichlet > 0.0:
-            logs = np.log(sides)
-            spread = 3.0 * logs - (logs[:, 0] + logs[:, 1] + logs[:, 2])[:, None]
+            spread = 3.0 * logs - (logs[1] + logs[2] + logs[0])
             g_face += config.mu_dirichlet * 2.0 * spread / sides
+        # face-major: an edge is once per face, so it sums in face order
         g_len += config.lambda_ * np.bincount(
-            opp.ravel(), weights=g_face.ravel(), minlength=metric.edge_count
+            mesh.face_edges.ravel(), weights=g_face.T.ravel(), minlength=metric.edge_count
         )
 
     if not np.isfinite(g_len).all() or (g_coord is not None and not np.isfinite(g_coord).all()):
@@ -324,17 +324,19 @@ def feasibility_projection(
     Each repair sees the lengths the faces before it left, so the order is
     part of the result; an oracle test pins it bit for bit. Lengths never
     drop below ``min_length``. Already feasible input is returned unchanged
-    (the same object). A sweep that repairs no face certifies its result;
-    only when the sweeps run out does :func:`geometry.check_feasible` run,
-    and the faces it finds raise :class:`FeasibilityProjectionError`. A
-    margin or floor that is not finite and positive raises ``ValueError``.
+    (the same object), keeping the face rows its check gathered (see
+    :func:`geometry._face_rows`). A sweep that repairs no face certifies
+    its result; only when the sweeps run out does
+    :func:`geometry.check_feasible` run, and the faces it finds raise
+    :class:`FeasibilityProjectionError`. A margin or floor that is not
+    finite and positive raises ``ValueError``.
     """
     # plain floats: a numpy-scalar argument would slow the sweep or round in float32
     feas_margin, min_length = float(feas_margin), float(min_length)
     for name, value in (("feas_margin", feas_margin), ("min_length", min_length)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    slacks = geometry.face_slacks(mesh, metric)
+    slacks = geometry._face_rows(mesh, metric, keep=True).slacks
     if (slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
         return metric
 
@@ -554,6 +556,8 @@ def run_optimization(
         g_len, g_coord = _gradient(
             mesh, metric, embedding, dataset, config, proj, losses.report, freeze_embedding
         )
+        # the gradient is the last reader of the rows kept for this iterate
+        object.__setattr__(metric, "_rows_memo", None)
         sq = float(g_len @ g_len)
         if g_coord is not None:
             sq += float(g_coord @ g_coord)

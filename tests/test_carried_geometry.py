@@ -1,6 +1,7 @@
 """The descent computes each iterate's geometry once and carries it.
 
-``total_loss`` returns the curvature report it used, and the embedding
+``total_loss`` returns the curvature report it used, the repair and the
+loss keep the candidate's face rows on its metric, and the embedding
 memoizes its extrinsic edge lengths; ``run_optimization`` hands the
 accepted candidate's to the next gradient and trace row. The oracle
 below is the descent as it was before that, rebuilding the report, the
@@ -222,6 +223,24 @@ class TestDescentOracle:
         oracle = rebuilding_descent(mesh, metric, emb, None, FLOW, stop, freeze_embedding=True)
         assert_same_descent(res, oracle)
 
+    # A mesh with boundary (the defect base is pi there) and a torus, at
+    # p = 1 (the subgradient at zero defect), 2 and 3.
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", ["grid(8,8,1.0)", "torus(8,8,2.0,0.5)"])
+    def test_frozen_embedding_grid_and_torus(self, kind, p):
+        mesh, emb = mm.generate_mesh(kind)
+        metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(
+            np.random.default_rng(7), 0.3
+        )
+        config = dataclasses.replace(FLOW, p=p)
+        stop = StopRule(max_iters=5, grad_tol=0.0)
+        res = mm.run_optimization(
+            mesh, metric, emb, None, config, stop=stop, freeze_embedding=True
+        )
+        assert res.stop_reason == "max_iters"
+        oracle = rebuilding_descent(mesh, metric, emb, None, config, stop, freeze_embedding=True)
+        assert_same_descent(res, oracle)
+
     def test_fit_free_embedding(self):
         mesh, emb, ds, metric = fit_case()
         stop = StopRule(max_iters=3, grad_tol=0.0)
@@ -260,6 +279,55 @@ class TestDescentOracle:
         assert calls["n"] > len(res.rows)
         monkeypatch.undo()
         assert_same_descent(res, rebuilding_descent(mesh, metric, emb, ds, FIT, stop))
+
+
+class TestCallStructure:
+    # The benchmark's tracer counts line-search candidates as the calls to
+    # optimize.feasibility_projection after the first optimize.total_loss,
+    # through the module globals. The descent must keep making those calls
+    # there: one repair for the start, one loss for row 0, then one repair
+    # and one loss per candidate (these seeded cases reject no candidate
+    # before its loss).
+    @pytest.mark.parametrize("shape", ["flow", "fit"])
+    def test_one_repair_and_one_loss_per_candidate(self, shape, monkeypatch):
+        if shape == "flow":
+            mesh, emb, metric = flow_case(seed=6)
+            args, kwargs = (None, FLOW), {"freeze_embedding": True}
+        else:
+            mesh, emb, ds, metric = fit_case(seed=5, n=60)
+            args, kwargs = (ds, FIT), {}
+        calls = []
+        real_repair, real_loss = optimize.feasibility_projection, optimize.total_loss
+
+        def repair(mesh, metric, *rest):
+            out = real_repair(mesh, metric, *rest)
+            calls.append(("repair", out))
+            return out
+
+        def loss(mesh, metric, *rest, **kw):
+            out = real_loss(mesh, metric, *rest, **kw)
+            calls.append(("loss", metric, out.total))
+            return out
+
+        monkeypatch.setattr(optimize, "feasibility_projection", repair)
+        monkeypatch.setattr(optimize, "total_loss", loss)
+        stop = StopRule(max_iters=8, grad_tol=0.0)
+        res = mm.run_optimization(mesh, metric, emb, *args, stop=stop, **kwargs)
+        assert res.stop_reason == "max_iters"
+        kinds = [c[0] for c in calls]
+        assert kinds == ["repair", "loss"] * (len(calls) // 2) and len(calls) % 2 == 0
+        for (_, repaired), (_, evaluated, _) in zip(calls[::2], calls[1::2]):
+            assert evaluated is repaired
+        candidates = len(calls) // 2 - 1
+        assert kinds.count("repair") == kinds.count("loss") == 1 + candidates
+        # some candidates were rejected, and the accepted ones are the rows
+        assert candidates > res.iterations
+        totals = [c[2] for c in calls[1::2]]
+        accepted = [totals[0]]
+        for t in totals[1:]:
+            if t <= accepted[-1]:
+                accepted.append(t)
+        assert accepted == [row.l_total for row in res.rows]
 
 
 # --------------------------------------------------------------------------
@@ -311,3 +379,60 @@ class TestCarriedGeometry:
         assert out == bare
         assert repr(out) == repr(bare)
         assert "report" not in repr(out)
+
+
+@pytest.mark.parametrize("case", [closed_case, boundary_case], ids=["closed", "boundary"])
+class TestKeptRows:
+    # The repair and the loss keep a candidate's face rows on its metric, and
+    # the public functions then read them. A metric built from the same
+    # lengths has nothing kept, so it recomputes every quantity.
+    def test_kept_rows_give_the_bits_of_a_fresh_gather(self, case):
+        mesh, emb, repaired = case()
+        metric = mm.MetricField(repaired.lengths)
+        out = optimize.total_loss(mesh, metric, emb, None, LossConfig(mu_dirichlet=0.1))
+        assert metric._rows_memo is not None
+        fresh = mm.MetricField(metric.lengths)
+        ref = mm.curvature_report(mesh, fresh)
+        assert fresh._rows_memo is None
+        for f in dataclasses.fields(ref):
+            assert np.array_equal(getattr(out.report, f.name), getattr(ref, f.name)), f.name
+        assert out.dirichlet == mm.dirichlet_energy(mesh, fresh)
+        for name in ("corner_angles", "areas", "slacks"):
+            quantity = getattr(mm, f"face_{name}")
+            assert np.array_equal(quantity(mesh, metric), quantity(mesh, fresh)), name
+        kept = geometry._face_rows(mesh, metric)
+        assert np.array_equal(kept.rows, fresh.lengths[mesh.face_edges.T])
+        assert np.array_equal(kept.logs, np.log(fresh.lengths[mesh.face_edges]).T)
+        g_kept = optimize._gradient(
+            mesh, metric, emb, None, LossConfig(mu_dirichlet=0.1), None, out.report, True
+        )
+        g_fresh = optimize._gradient(
+            mesh, fresh, emb, None, LossConfig(mu_dirichlet=0.1), None, ref, True
+        )
+        assert np.array_equal(g_kept[0], g_fresh[0])
+
+    def test_only_the_descent_keeps_rows(self, case):
+        mesh, emb, repaired = case()
+        metric = mm.MetricField(repaired.lengths)
+        for quantity in (mm.curvature_report, mm.face_slacks, mm.dirichlet_energy):
+            quantity(mesh, metric)
+        mm.fast_marching(mesh, metric, 0)
+        assert metric._rows_memo is None
+        res = mm.run_optimization(
+            mesh, metric, emb, None, FLOW, stop=StopRule(max_iters=3, grad_tol=0.0),
+            freeze_embedding=True,
+        )
+        assert res.metric is not metric and res.metric._rows_memo is None
+
+    def test_rows_are_kept_for_one_mesh(self, case):
+        # a second mesh with the same faces has its own face_edges array
+        mesh, _, repaired = case()
+        metric = mm.MetricField(repaired.lengths)
+        twin = mm.Mesh(mesh.vertex_count, mesh.faces)
+        kept = geometry._face_rows(mesh, metric, keep=True)
+        other = geometry._face_rows(twin, metric)
+        assert other is not kept and other.logs is None
+        assert geometry._face_rows(mesh, metric) is kept
+        assert np.array_equal(other.unit, kept.unit)
+        assert np.array_equal(other.slacks, kept.slacks)
+        assert not kept.slacks.flags.writeable

@@ -222,8 +222,8 @@ class TestColumnFormulas:
     @settings(max_examples=300, deadline=None)
     def test_bitwise_equal_to_clip_and_sort(self, rows, power):
         fl, k = _unit_scaled(np.ldexp(np.array(rows), power))
-        assert np.array_equal(geometry._corner_angles(fl), reference_corner_angles(fl))
-        assert np.array_equal(geometry._areas(fl, k), reference_areas(fl, k))
+        assert np.array_equal(geometry._corner_angles(fl.T).T, reference_corner_angles(fl))
+        assert np.array_equal(geometry._areas(fl.T, k), reference_areas(fl, k))
 
 
 class TestCurvature:

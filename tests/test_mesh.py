@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metricmesh as mm
-from metricmesh.mesh import Violation, _edge_table
+from metricmesh.mesh import Violation, _edge_runs, _edge_table, _side_ends
 from metricmesh.errors import (
     FaceIndexError,
     MeshError,
@@ -287,6 +289,27 @@ class TestEdgeTable:
         ref_edges, ref_inverse = unique_edge_table(faces)
         np.testing.assert_array_equal(edges, ref_edges)
         np.testing.assert_array_equal(inverse.reshape(-1, 3), ref_inverse)
+
+    # Few vertices and many faces: the face sets repeat edges, put an edge on
+    # three or more faces and repeat whole faces. The offset moves the ids
+    # up to the one-key sort's limit and past it.
+    @given(
+        st.integers(3, 9).flatmap(
+            lambda v: st.lists(
+                st.permutations(range(v)).map(lambda p: p[:3]), min_size=1, max_size=40
+            )
+        ),
+        st.sampled_from([0, 10**6, 3037000490, 2**62]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_runs_follow_the_two_key_sort(self, faces, offset):
+        lo, hi = _side_ends(np.array(faces, dtype=np.int64) + offset)
+        order, first = _edge_runs(lo, hi)
+        ref = np.lexsort((hi, lo))
+        np.testing.assert_array_equal(order, ref)
+        pairs = np.stack((lo[ref], hi[ref]), axis=1)
+        np.testing.assert_array_equal(first[1:], (pairs[1:] != pairs[:-1]).any(axis=1))
+        assert first[0]
 
 
 class TestValidateManifold:
