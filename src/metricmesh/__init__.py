@@ -41,8 +41,6 @@ from .mesh import (
 from .projection import (
     Dataset,
     Embedding,
-    closest_point_on_face,
-    decode,
     isometry_coupling,
     project_dataset_arrays,
 )
@@ -122,8 +120,6 @@ __all__ = [
     "write_off",
     "Dataset",
     "Embedding",
-    "closest_point_on_face",
-    "decode",
     "isometry_coupling",
     "project_dataset_arrays",
     "CurvatureReport",

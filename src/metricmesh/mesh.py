@@ -180,21 +180,6 @@ class Mesh:
         offsets, rows = self.vertex_face_csr
         return rows[offsets[v] : offsets[v + 1]]
 
-    def vertex_edges(self, v: int) -> np.ndarray:
-        """Indices of edges incident to vertex ``v``, ascending (read-only)."""
-        offsets, rows = self.vertex_edge_csr
-        return rows[offsets[v] : offsets[v + 1]]
-
-    def edge_index(self, u: int, v: int) -> int:
-        """Edge id for the vertex pair (u, v), orientation-free."""
-        lo, hi = (u, v) if u <= v else (v, u)
-        i = int(np.searchsorted(self.edges[:, 0], lo, side="left"))
-        while i < self.edge_count and self.edges[i, 0] == lo:
-            if self.edges[i, 1] == hi:
-                return i
-            i += 1
-        raise KeyError(f"no edge between vertices {u} and {v}")
-
     def __repr__(self) -> str:
         return (
             f"Mesh(V={self.vertex_count}, E={self.edge_count}, F={self.face_count})"

@@ -502,6 +502,36 @@ def _bb_step(s: np.ndarray, y: np.ndarray, eta_used: float) -> float:
     return min(float(s @ s) / sy, _BB_CAP * eta_used) if sy > 0.0 else 2.0 * eta_used
 
 
+def _candidate(mesh, metric, embedding, dataset, config, proj, g_len, g_coord, eta):
+    """The line-search candidate a step ``eta`` along ``-(g_len, g_coord)`` reaches.
+
+    Returns its (repaired metric, embedding, projections, losses), or None
+    when it cannot be evaluated: its lengths are not finite or their repair
+    fails, its coordinates are not finite, or a point's squared distance to
+    it overflows. Without ``g_coord`` the embedding and projections are
+    ``embedding`` and ``proj``.
+    """
+    try:
+        cand_metric = feasibility_projection(
+            mesh,
+            MetricField(np.maximum(metric.lengths - eta * g_len, config.min_length)),
+            config.feas_margin,
+            config.min_length,
+        )
+        cand_emb, cand_proj = embedding, proj
+        if g_coord is not None:
+            cand_emb = embedding.with_coords(
+                embedding.coords - eta * g_coord.reshape(embedding.coords.shape)
+            )
+            if dataset is not None:
+                cand_proj = project_dataset_arrays(dataset.points, cand_emb, mesh)
+    except (ValueError, FeasibilityProjectionError):
+        return None
+    # cannot raise InfeasibleMetricError: every slack is >= feas_margin > 0
+    losses = total_loss(mesh, cand_metric, cand_emb, dataset, config, projections=cand_proj)
+    return cand_metric, cand_emb, cand_proj, losses
+
+
 def run_optimization(
     mesh,
     metric: MetricField,
@@ -533,11 +563,13 @@ def run_optimization(
     is twice that step. ``result.eta_init`` holds the first trial step.
 
     The start metric and the candidates are repaired by the same
-    :func:`feasibility_projection`; a candidate whose repair fails is one
-    more halving of the step. Stop reasons: ``grad_tol``, ``loss_tol``,
-    ``max_iters``, ``stalled``. A mesh with a vertex that belongs to no
-    face raises :class:`IsolatedVertexError` before row 0, from the first
-    curvature report.
+    :func:`feasibility_projection`. A candidate is rejected, one more
+    halving of the step, when its repair fails, its lengths or coordinates
+    are not finite, a point's squared distance to it overflows, or its
+    loss rises. Stop reasons: ``grad_tol``, ``loss_tol``, ``max_iters``,
+    ``stalled`` (every trial step was rejected). A mesh with a vertex
+    that belongs to no face raises :class:`IsolatedVertexError` before
+    row 0, from the first curvature report.
     """
     stop = stop if stop is not None else StopRule()
     metric, config = _start(mesh, metric, config)
@@ -594,44 +626,15 @@ def run_optimization(
         else:
             eta = _bb_step(x - x_prev, grad - grad_prev, eta_used)
         x_prev, grad_prev = x, grad
-        accepted = None
         for _ in range(_MAX_BACKTRACKS + 1):
-            cand_lengths = np.maximum(metric.lengths - eta * g_len, config.min_length)
-            try:
-                cand_metric = feasibility_projection(
-                    mesh, MetricField(cand_lengths), config.feas_margin, config.min_length
-                )
-            except (ValueError, FeasibilityProjectionError):
-                eta *= 0.5
-                continue
-            if g_coord is not None:
-                new_coords = embedding.coords - eta * g_coord.reshape(embedding.coords.shape)
-                try:
-                    cand_emb = embedding.with_coords(new_coords)
-                except ValueError:
-                    eta *= 0.5
-                    continue
-            else:
-                cand_emb = embedding
-            cand_proj = proj
-            if dataset is not None and g_coord is not None:
-                try:
-                    cand_proj = project_dataset_arrays(dataset.points, cand_emb, mesh)
-                except ValueError:  # a squared distance overflows
-                    eta *= 0.5
-                    continue
-            # cannot raise InfeasibleMetricError: every slack is >= feas_margin > 0
-            cand_losses = total_loss(
-                mesh, cand_metric, cand_emb, dataset, config, projections=cand_proj
-            )
-            if cand_losses.total <= losses.total:
-                accepted = (cand_metric, cand_emb, cand_proj, cand_losses)
+            cand = _candidate(mesh, metric, embedding, dataset, config, proj, g_len, g_coord, eta)
+            if cand is not None and cand[3].total <= losses.total:
                 break
             eta *= 0.5
-        if accepted is None:
+        else:
             reason = "stalled"
             break
-        metric, embedding, proj, losses = accepted
+        metric, embedding, proj, losses = cand
         eta_used = eta
         k += 1
 

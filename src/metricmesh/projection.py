@@ -12,8 +12,7 @@ One array kernel computes the closest point on a triangle.
 :func:`project_points` runs it only on the faces that a vertex-distance
 bound cannot rule out. The bound is evaluated in expanded form, one matrix
 product per block of points, with a margin above its rounding error, so
-the result is the same, bit for bit, as a scan over all faces;
-:func:`closest_point_on_face` is its one-face case.
+the result is the same, bit for bit, as a scan over all faces.
 """
 
 from __future__ import annotations
@@ -443,47 +442,6 @@ def project_points(points, coords, faces):
     if bad.size:
         raise ValueError(f"the squared distance of point {int(bad[0])} to the mesh overflows")
     return out_face, out_bary, out_sq
-
-
-def decode(mesh, embedding: Embedding, face: int, barycentric) -> np.ndarray:
-    """Map a mesh point (face, barycentric) into data space.
-
-    Barycentric coordinates must be non-negative and sum to 1 within
-    1e-12; vertex picks like (1, 0, 0) return that vertex exactly.
-    """
-    b = np.asarray(barycentric, dtype=np.float64)
-    if b.shape != (3,):
-        raise ValueError(f"barycentric coordinates must be 3 numbers, got shape {b.shape}")
-    if (b < 0.0).any() or abs(float(b.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"invalid barycentric coordinates {b.tolist()}")
-    if not 0 <= face < mesh.face_count:
-        raise ValueError(f"face index {face} outside [0, {mesh.face_count})")
-    tri = embedding.coords[mesh.faces[face]]
-    return b @ tri
-
-
-def closest_point_on_face(point, triangle) -> tuple[np.ndarray, float]:
-    """Exact closest point on one triangle, any ambient dimension.
-
-    The one-face case of :func:`project_points`, so it gets the same
-    power-of-two rescale and the same degenerate-triangle fallback.
-
-    Args:
-        point: (n,) query.
-        triangle: (3, n) vertex coordinates.
-
-    Returns:
-        (barycentric (3,), squared distance). Degenerate triangles fall
-        back to the best edge or vertex projection.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    tri = np.asarray(triangle, dtype=np.float64)
-    if p.ndim != 1 or tri.shape != (3, p.shape[0]):
-        raise ValueError(
-            f"expected a point (n,) and a triangle (3, n), got {p.shape} and {tri.shape}"
-        )
-    _, bary, sq = project_points(p[None], tri, np.array([[0, 1, 2]]))
-    return bary[0], float(sq[0])
 
 
 def project_dataset_arrays(

@@ -81,13 +81,6 @@ class TestMeshConstruction:
                 e = mesh.face_edges[f, col]
                 assert set(mesh.edges[e]) == {u, v}
 
-    def test_edge_index_lookup(self, icosphere0):
-        mesh, _ = icosphere0
-        for e in range(mesh.edge_count):
-            u, v = mesh.edges[e]
-            assert mesh.edge_index(u, v) == e
-            assert mesh.edge_index(v, u) == e
-
     def test_vertex_faces_cover_all_faces(self, icosphere0):
         mesh, _ = icosphere0
         seen = set()
@@ -236,7 +229,7 @@ class TestValidateManifoldMatchesFanWalk:
     def test_pinned_messages(self):
         vertex_count, faces = CRAFTED["3 open fan edges"]
         mesh = mm.Mesh(vertex_count, np.array(faces))
-        e = mesh.edge_index(0, 2)
+        e = mesh.edges.tolist().index([0, 2])
         assert mm.validate_manifold(mesh) == [
             Violation("non-manifold-edge", e, f"edge {e} (0,2) borders 3 faces"),
             Violation("non-manifold-vertex", 0, "vertex 0 has 3 open fan edges (expected 0 or 2)"),
@@ -252,14 +245,16 @@ class TestIncidence:
         mesh, _ = mm.generate_mesh(spec)
         faces = incidence_tuples(mesh, mesh.faces)
         edges = incidence_tuples(mesh, mesh.edges)
+        offsets, rows = mesh.vertex_edge_csr
         for v in range(mesh.vertex_count):
             np.testing.assert_array_equal(mesh.vertex_faces(v), faces[v])
-            np.testing.assert_array_equal(mesh.vertex_edges(v), edges[v])
+            np.testing.assert_array_equal(rows[offsets[v] : offsets[v + 1]], edges[v])
 
     def test_read_only(self):
         mesh = mm.Mesh(5, np.array([[0, 1, 3], [1, 4, 3]]))
-        assert mesh.vertex_faces(2).size == 0 and mesh.vertex_edges(2).size == 0
-        arrays = [mesh.vertex_faces(1), mesh.vertex_edges(1)]
+        offsets, rows = mesh.vertex_edge_csr
+        assert mesh.vertex_faces(2).size == 0 and offsets[2] == offsets[3]
+        arrays = [mesh.vertex_faces(1), rows[offsets[1] : offsets[2]]]
         arrays += [*mesh.vertex_face_csr, *mesh.vertex_edge_csr, mesh.isolated_vertices]
         assert mesh.isolated_vertices.tolist() == [2]
         for a in arrays:

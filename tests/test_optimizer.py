@@ -696,11 +696,14 @@ class TestRunOptimization:
             ("flow", optimize, "feasibility_projection", FeasibilityProjectionError("forced")),
             ("fit", optimize, "feasibility_projection", FeasibilityProjectionError("forced")),
             ("fit", mm.Embedding, "with_coords", ValueError("forced")),
+            ("fit", optimize, "project_dataset_arrays", ValueError("forced")),
+            ("flow", optimize, "MetricField", ValueError("forced")),
         ],
-        ids=["flow-repair", "fit-repair", "fit-coordinates"],
+        ids=["flow-repair", "fit-repair", "fit-coordinates", "fit-projection", "flow-lengths"],
     )
     def test_failed_candidate_halves_the_step(self, kind, owner, name, exc, monkeypatch):
-        # a failed repair, or candidate coordinates refused, is one halving
+        # a failed repair, candidate lengths or coordinates refused, or an
+        # overflowing projection is one halving
         mesh, metric, emb, ds, cfg, freeze = step_rule_case(kind)
         arm = fail_first_candidate(monkeypatch, owner, name, exc)
         res = run_optimization(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import metricmesh as mm
 from metricmesh import projection
 from metricmesh.errors import DatasetError
-from metricmesh.projection import closest_point_on_face, project_dataset_arrays
+from metricmesh.projection import project_dataset_arrays
 
 
 def brute_force_sq(point, embedding, mesh, samples=60):
@@ -628,13 +628,20 @@ class TestProjectionScale:
         np.testing.assert_array_equal(got_sq, np.ldexp(sq, 2 * k))
 
 
+def one_face(point, triangle):
+    """(barycentric, squared distance) of ``point`` on one triangle, by project_points."""
+    _, bary, sq = projection.project_points(point[None], triangle, np.array([[0, 1, 2]]))
+    return bary[0], sq[0]
+
+
 class TestClosestPoint:
     def test_is_the_one_face_projection(self):
+        # one face leaves nothing to prune and the rescale is exact, so the
+        # one-face projection is the kernel, bit for bit
         rng = np.random.default_rng(31)
         for p, a, b, c in zip(*random_rows(rng, 200, 1.0)):
-            tri = np.stack((a, b, c))
-            bary, sq = closest_point_on_face(p, tri)
-            _, want_bary, want_sq = projection.project_points(p[None], tri, np.array([[0, 1, 2]]))
+            bary, sq = one_face(p, np.stack((a, b, c)))
+            want_bary, want_sq = projection._closest_points(p[None], a[None], b[None], c[None])
             np.testing.assert_array_equal(bary, want_bary[0])
             assert sq == want_sq[0]
 
@@ -643,31 +650,22 @@ class TestClosestPoint:
         rng = np.random.default_rng(32)
         for p, a, b, c in zip(*random_rows(rng, 200, 1.0)):
             tri = np.stack((a, b, c))
-            bary, sq = closest_point_on_face(p, tri)
-            got_bary, got_sq = closest_point_on_face(np.ldexp(p, k), np.ldexp(tri, k))
+            bary, sq = one_face(p, tri)
+            got_bary, got_sq = one_face(np.ldexp(p, k), np.ldexp(tri, k))
             np.testing.assert_array_equal(got_bary, bary)
             assert got_sq == np.ldexp(sq, 2 * k)
-
-    @pytest.mark.parametrize(
-        "point,triangle",
-        [(np.zeros(3), np.eye(2)), (np.zeros((1, 3)), np.eye(3)), (np.zeros(2), np.eye(3))],
-        ids=["2x2 triangle", "2-D point", "dimension mismatch"],
-    )
-    def test_shape_rejected(self, point, triangle):
-        with pytest.raises(ValueError, match=r"expected a point \(n,\) and a triangle \(3, n\)"):
-            closest_point_on_face(point, triangle)
 
     def test_non_finite_rejected(self):
         tri = np.eye(3)
         with pytest.raises(ValueError, match="finite"):
-            closest_point_on_face(np.array([np.nan, 0.0, 0.0]), tri)
+            one_face(np.array([np.nan, 0.0, 0.0]), tri)
         tri[1, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            closest_point_on_face(np.zeros(3), tri)
+            one_face(np.zeros(3), tri)
 
     def test_interior_projection(self):
         tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        bary, sq = closest_point_on_face(np.array([0.5, 0.5, 3.0]), tri)
+        bary, sq = one_face(np.array([0.5, 0.5, 3.0]), tri)
         assert sq == pytest.approx(9.0, rel=1e-14)
         assert bary.sum() == pytest.approx(1.0, abs=1e-14)
         q = bary @ tri
@@ -675,19 +673,19 @@ class TestClosestPoint:
 
     def test_vertex_region(self):
         tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        bary, sq = closest_point_on_face(np.array([-1.0, -1.0, 0.0]), tri)
+        bary, sq = one_face(np.array([-1.0, -1.0, 0.0]), tri)
         np.testing.assert_allclose(bary, [1.0, 0.0, 0.0], atol=1e-14)
         assert sq == pytest.approx(2.0, rel=1e-14)
 
     def test_edge_region(self):
         tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        bary, sq = closest_point_on_face(np.array([1.0, -1.0, 0.0]), tri)
+        bary, sq = one_face(np.array([1.0, -1.0, 0.0]), tri)
         np.testing.assert_allclose(bary, [0.5, 0.5, 0.0], atol=1e-14)
         assert sq == pytest.approx(1.0, rel=1e-14)
 
     def test_degenerate_triangle_falls_back_to_edges(self):
         tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])  # collinear
-        bary, sq = closest_point_on_face(np.array([0.5, 1.0, 0.0]), tri)
+        bary, sq = one_face(np.array([0.5, 1.0, 0.0]), tri)
         assert np.isfinite(bary).all()
         assert bary.sum() == pytest.approx(1.0, abs=1e-12)
         assert sq == pytest.approx(1.0, rel=1e-12)
@@ -774,9 +772,12 @@ class TestBatchProjection:
 
 class TestDecode:
     def test_vertex_pick_exact(self, icosphere0):
+        # a point at a vertex projects onto it, and its pick maps back exactly
         mesh, emb = icosphere0
-        out = mm.decode(mesh, emb, 4, (0.0, 1.0, 0.0))
-        np.testing.assert_array_equal(out, emb.coords[mesh.faces[4, 1]])
+        faces, bary, sq = project_dataset_arrays(emb.coords, emb, mesh)
+        assert (sq == 0.0).all()
+        out = np.einsum("nk,nkd->nd", bary, emb.coords[mesh.faces[faces]])
+        np.testing.assert_array_equal(out, emb.coords)
 
     def test_round_trip_through_projection(self, icosphere1):
         mesh, emb = icosphere1
@@ -786,20 +787,9 @@ class TestDecode:
         for i in range(pts.shape[0]):
             b = np.clip(bary[i], 0.0, None)
             b /= b.sum()
-            q = mm.decode(mesh, emb, int(faces[i]), b)
+            q = b @ emb.coords[mesh.faces[faces[i]]]
             r = pts[i] - q
             assert float(r @ r) == pytest.approx(sq[i], rel=1e-9, abs=1e-12)
-
-    def test_validation(self, icosphere0):
-        mesh, emb = icosphere0
-        with pytest.raises(ValueError):
-            mm.decode(mesh, emb, 0, (0.5, 0.5))
-        with pytest.raises(ValueError):
-            mm.decode(mesh, emb, 0, (-0.1, 0.6, 0.5))
-        with pytest.raises(ValueError):
-            mm.decode(mesh, emb, 0, (0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            mm.decode(mesh, emb, mesh.face_count, (1.0, 0.0, 0.0))
 
 
 class TestDataset:
