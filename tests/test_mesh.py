@@ -81,6 +81,16 @@ class TestMeshConstruction:
                 e = mesh.face_edges[f, col]
                 assert set(mesh.edges[e]) == {u, v}
 
+    def test_edge_index_lookup(self, icosphere0):
+        # an edge's id is the one entry its two ends' edge slices share
+        mesh, _ = icosphere0
+        offsets, rows = mesh.vertex_edge_csr
+        for e in range(mesh.edge_count):
+            u, v = mesh.edges[e]
+            at_u = rows[offsets[u] : offsets[u + 1]]
+            at_v = rows[offsets[v] : offsets[v + 1]]
+            assert np.intersect1d(at_u, at_v).tolist() == [e]
+
     def test_vertex_faces_cover_all_faces(self, icosphere0):
         mesh, _ = icosphere0
         seen = set()

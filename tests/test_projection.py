@@ -655,6 +655,17 @@ class TestClosestPoint:
             np.testing.assert_array_equal(got_bary, bary)
             assert got_sq == np.ldexp(sq, 2 * k)
 
+    @pytest.mark.parametrize(
+        "point,triangle",
+        [(np.zeros(3), np.eye(2)), (np.zeros((1, 3)), np.eye(3)), (np.zeros(2), np.eye(3))],
+        ids=["2x2 triangle", "2-D point", "dimension mismatch"],
+    )
+    def test_shape_rejected(self, point, triangle):
+        # the public route to a one-face projection checks shapes before the kernel
+        mesh = mm.Mesh(3, np.array([[0, 1, 2]]))
+        with pytest.raises(DatasetError, match="shape|dimension"):
+            project_dataset_arrays(mm.Dataset(point[None]).points, mm.Embedding(triangle), mesh)
+
     def test_non_finite_rejected(self):
         tri = np.eye(3)
         with pytest.raises(ValueError, match="finite"):
@@ -790,6 +801,16 @@ class TestDecode:
             q = b @ emb.coords[mesh.faces[faces[i]]]
             r = pts[i] - q
             assert float(r @ r) == pytest.approx(sq[i], rel=1e-9, abs=1e-12)
+
+    def test_validation(self, icosphere1):
+        # every pick is a valid decode input: a face in range and three
+        # barycentric weights, none below rounding, that sum to one
+        mesh, emb = icosphere1
+        pts = np.random.default_rng(3).normal(size=(200, 3)) * 1.3
+        faces, bary, _ = project_dataset_arrays(pts, emb, mesh)
+        assert faces.dtype == np.int64 and ((0 <= faces) & (faces < mesh.face_count)).all()
+        assert bary.shape == (200, 3) and (bary >= -1e-12).all()
+        np.testing.assert_allclose(bary.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
 
 class TestDataset:
