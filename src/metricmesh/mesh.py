@@ -75,6 +75,15 @@ def _edge_runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
+def _incidence(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR pair (offsets, rows): the rows of ``table`` holding id i, i < n, ascending."""
+    flat = table.ravel()
+    rows = np.argsort(flat, kind="stable") // table.shape[1]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n), out=offsets[1:])
+    return _freeze(offsets), _freeze(rows)
+
+
 def _edge_table(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct (lo, hi) pairs in lexicographic order, and each pair's row."""
     order, first = _edge_runs(lo, hi)
@@ -108,6 +117,7 @@ class Mesh:
         "boundary_edge",
         "boundary_vertex",
         "isolated_vertices",
+        "_lists_memo",
     )
 
     def __init__(self, vertex_count: int, faces):
@@ -149,23 +159,32 @@ class Mesh:
 
         # (offsets, rows): the faces incident to vertex v are
         # ``rows[offsets[v]:offsets[v + 1]]``, ascending.
-        self.vertex_face_csr = self._incidence(self.faces)
+        self.vertex_face_csr = _incidence(self.faces, vertex_count)
         # Vertices on no face, ascending: they have no area and no curvature.
         self.isolated_vertices = _freeze(np.flatnonzero(np.diff(self.vertex_face_csr[0]) == 0))
         # Same layout for the edges incident to each vertex.
-        self.vertex_edge_csr = self._incidence(self.edges)
+        self.vertex_edge_csr = _incidence(self.edges, vertex_count)
 
         bv = np.zeros(vertex_count, dtype=bool)
         bv[self.edges[self.boundary_edge].ravel()] = True
         self.boundary_vertex = _freeze(bv)
+        # _edge_face_lists builds it on first call
+        self._lists_memo = None
 
-    def _incidence(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CSR pair (offsets, rows) of the rows of ``table`` holding each vertex."""
-        flat = table.ravel()
-        rows = np.argsort(flat, kind="stable") // table.shape[1]
-        offsets = np.zeros(self.vertex_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.vertex_count), out=offsets[1:])
-        return _freeze(offsets), _freeze(rows)
+    def _edge_face_lists(self) -> tuple[list, list, list]:
+        """(face_edges, offsets, rows) as Python lists, built on first call and kept.
+
+        ``face_edges`` is ``self.face_edges.tolist()``, and the faces on
+        edge e are ``rows[offsets[e]:offsets[e + 1]]``, ascending. The
+        feasibility repair reads them one face at a time, which lists do
+        faster than arrays. Built lazily, so that a mesh that is never
+        repaired holds none of them; two threads that race here build
+        equal lists, and either may be kept.
+        """
+        if self._lists_memo is None:
+            offsets, rows = _incidence(self.face_edges, self.edge_count)
+            self._lists_memo = (self.face_edges.tolist(), offsets.tolist(), rows.tolist())
+        return self._lists_memo
 
     @property
     def face_count(self) -> int:

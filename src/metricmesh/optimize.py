@@ -336,15 +336,26 @@ def feasibility_projection(
     for name, value in (("feas_margin", feas_margin), ("min_length", min_length)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    slacks = geometry._face_rows(mesh, metric, keep=True).slacks
-    if (slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
+    gathered = geometry._face_rows(mesh, metric, keep=True)
+    if (gathered.slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
         return metric
 
+    # The faces the first sweep visits: those short of the margin at the
+    # floored lengths, by the sweep's own arithmetic. The lengths are finite
+    # and positive, so no slack is NaN, and "deficit <= 0" below is exactly
+    # "every slack >= margin".
+    x0, x1, x2 = np.maximum(gathered.rows, min_length)
+    short = (x0 + x1 - x2 < feas_margin) | (x1 + x2 - x0 < feas_margin)
+    short |= x2 + x0 - x1 < feas_margin
+    todo = bytearray(short)
     lengths = np.maximum(metric.lengths, min_length).tolist()
-    face_edges = mesh.face_edges.tolist()
+    face_edges, offsets, edge_faces = mesh._edge_face_lists()
     for _ in range(_MAX_SWEEPS):
         changed = False
-        for e0, e1, e2 in face_edges:
+        later = bytearray(len(todo))  # the faces the next sweep visits
+        f = -1
+        while (f := todo.find(1, f + 1)) >= 0:
+            e0, e1, e2 = face_edges[f]
             x0, x1, x2 = lengths[e0], lengths[e1], lengths[e2]
             s0 = x0 + x1 - x2
             s1 = x1 + x2 - x0
@@ -363,8 +374,17 @@ def feasibility_projection(
             lengths[lo_b] += step
             lengths[hi] = max(lengths[hi] - step, min_length)
             changed = True
+            # every face on these edges, f too, may now fall short: this
+            # sweep visits the ones after f, the next sweep the rest
+            for e in (e0, e1, e2):
+                for g in edge_faces[offsets[e] : offsets[e + 1]]:
+                    if g > f:
+                        todo[g] = 1
+                    else:
+                        later[g] = 1
         if not changed:
             return MetricField(np.array(lengths))
+        todo = later
     result = MetricField(np.array(lengths))
     bad = geometry.check_feasible(mesh, result, feas_margin)
     if bad:

@@ -260,6 +260,24 @@ class TestIncidence:
             np.testing.assert_array_equal(mesh.vertex_faces(v), faces[v])
             np.testing.assert_array_equal(rows[offsets[v] : offsets[v + 1]], edges[v])
 
+    @pytest.mark.parametrize("spec", MESHES + sorted(CRAFTED) + ["icosphere(1) with defects"])
+    def test_edge_face_lists_match_brute_force(self, spec):
+        if spec in CRAFTED:
+            mesh = mm.Mesh(CRAFTED[spec][0], np.array(CRAFTED[spec][1]))
+        elif spec == "icosphere(1) with defects":
+            mesh = _icosphere_with_defects()
+        else:
+            mesh, _ = mm.generate_mesh(spec)
+        assert mesh._lists_memo is None, "built only when first asked for"
+        face_edges, offsets, rows = mesh._edge_face_lists()
+        assert face_edges == mesh.face_edges.tolist()
+        assert len(offsets) == mesh.edge_count + 1 and offsets[0] == 0
+        for e in range(mesh.edge_count):
+            want = [f for f, sides in enumerate(face_edges) if e in sides]
+            assert rows[offsets[e] : offsets[e + 1]] == want
+        assert offsets[-1] == len(rows) == 3 * mesh.face_count
+        assert mesh._edge_face_lists() is mesh._lists_memo
+
     def test_read_only(self):
         mesh = mm.Mesh(5, np.array([[0, 1, 3], [1, 4, 3]]))
         offsets, rows = mesh.vertex_edge_csr

@@ -592,6 +592,96 @@ def repair_mesh(kind):
     return mm.generate_mesh(kind)
 
 
+def same_outcome(got, want):
+    """Repair outcomes agree: the same length bits, or the same failure."""
+    if isinstance(want, tuple):
+        return got == want
+    return not isinstance(got, tuple) and got.tobytes() == want.tobytes()
+
+
+def push_short(mesh, lengths, face, by):
+    """Lengthen the last side of ``face`` until the face is ``by`` short of nothing.
+
+    The face's slack against that side becomes ``-by`` plus rounding; the
+    other face on the side, if any, loses the same length.
+    """
+    e0, e1, e2 = mesh.face_edges[face]
+    lengths[e2] = lengths[e0] + lengths[e1] + by
+
+
+class TestRepairVisitsOnlyShortFaces:
+    """The repair visits only the faces that can be short of the margin.
+
+    The full sweep, ``numpy_scalar_repair``, leaves every other face as it
+    is, so the two must agree bit for bit, failures included.
+    """
+
+    @given(
+        kind=st.sampled_from(
+            ["icosphere(1)", "icosphere(2)", "torus(8,4,2.0,0.7)", "grid(5,4,1.0)", "grid(2,2,1.0)"]
+        ),
+        amount=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+        margin_scale=st.floats(1e-6, 0.3),
+        floor_scale=st.floats(1e-9, 0.5),
+        below_floor=st.floats(0.0, 0.3),
+        max_sweeps=st.sampled_from([1, 2, 3, optimize._MAX_SWEEPS]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_full_sweep(
+        self, kind, amount, seed, margin_scale, floor_scale, below_floor, max_sweeps
+    ):
+        mesh, emb = repair_mesh(kind)
+        rng = np.random.default_rng(seed)
+        lengths = mm.MetricField.from_embedding(mesh, emb).with_jitter(rng, amount).lengths.copy()
+        mean = float(np.mean(lengths))
+        margin, floor = margin_scale * mean, floor_scale * mean
+        low = rng.random(lengths.size) < below_floor
+        lengths[low] = floor * rng.uniform(1e-3, 1.0, np.count_nonzero(low))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(optimize, "_MAX_SWEEPS", max_sweeps)
+            got = repair_outcome(feasibility_projection, mesh, lengths, margin, floor)
+        oracle = functools.partial(numpy_scalar_repair, max_sweeps=max_sweeps)
+        assert same_outcome(got, repair_outcome(oracle, mesh, lengths, margin, floor))
+
+    # icosphere(4) has 5120 faces; the pushed ones lie far apart or side by side
+    @pytest.mark.parametrize("faces", [(0,), (4000,), (17, 3001), (2500, 2501)])
+    @pytest.mark.parametrize("max_sweeps", [1, optimize._MAX_SWEEPS])
+    def test_few_short_faces_on_a_large_mesh(self, faces, max_sweeps, monkeypatch):
+        mesh, emb = repair_mesh("icosphere(4)")
+        lengths = mm.MetricField.from_embedding(mesh, emb).lengths.copy()
+        mean = float(np.mean(lengths))
+        margin, floor = 1e-4 * mean, 1e-6 * mean
+        for f in faces:
+            push_short(mesh, lengths, f, 0.5 * margin)
+        short = mm.check_feasible(mesh, mm.MetricField(lengths), margin)
+        assert len(faces) <= len(short) <= 2 * len(faces)
+        monkeypatch.setattr(optimize, "_MAX_SWEEPS", max_sweeps)
+        got = repair_outcome(feasibility_projection, mesh, lengths, margin, floor)
+        oracle = functools.partial(numpy_scalar_repair, max_sweeps=max_sweeps)
+        assert same_outcome(got, repair_outcome(oracle, mesh, lengths, margin, floor))
+        assert not isinstance(got, tuple)
+
+    def test_one_short_boundary_face(self):
+        mesh, emb = repair_mesh("grid(50,50,1.0)")
+        lengths = mm.MetricField.from_embedding(mesh, emb).lengths.copy()
+        margin, floor = 1e-4, 1e-6
+        # a face whose pushed side is a boundary edge: no other face shares it
+        face = next(
+            f for f in range(mesh.face_count) if mesh.boundary_edge[mesh.face_edges[f, 2]]
+        )
+        push_short(mesh, lengths, face, 0.5 * margin)
+        assert [f for f, _ in mm.check_feasible(mesh, mm.MetricField(lengths), margin)] == [face]
+        got = repair_outcome(feasibility_projection, mesh, lengths, margin, floor)
+        assert same_outcome(got, repair_outcome(numpy_scalar_repair, mesh, lengths, margin, floor))
+
+    def test_feasible_input_builds_no_lists(self):
+        mesh, emb = mm.make_icosphere(2)
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        assert feasibility_projection(mesh, metric, 1e-6, 1e-9) is metric
+        assert mesh._lists_memo is None
+
+
 class TestOverRelaxedRepair:
     @given(
         kind=st.sampled_from(
