@@ -489,7 +489,8 @@ def make_icosphere(subdivisions: int) -> tuple[Mesh, Embedding]:
         mids = np.empty(order.size, dtype=np.int64)
         mids[order] = number[heads][np.cumsum(first) - 1]
         m = coords[lo[fresh]] + coords[hi[fresh]]
-        # (k, 1, 3) @ (k, 3, 1) is a BLAS dot per row, like the 1-D norm.
+        # (k, 1, 3) @ (k, 3, 1) is a BLAS dot per row, like the 1-D norm; a
+        # dot of 3 entries runs in one thread at any BLAS thread count.
         m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
         coords = np.vstack((coords, m))
         corners = np.hstack((faces, mids.reshape(-1, 3)))  # i, j, k, a, b, c

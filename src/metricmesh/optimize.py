@@ -20,9 +20,14 @@ Barzilai-Borwein step of the last accepted move, capped at 4 times that
 move. Backtracking halves a trial step until the loss does not rise.
 
 The start metric and every candidate step are pushed into the feasible
-set (triangle inequality with margin, length floor) by one over-relaxed
-repair sweep before they are evaluated, so every accepted iterate is
-strictly feasible.
+set (triangle inequality with margin, length floor) by over-relaxed
+repair sweeps before they are evaluated, so every accepted iterate is
+strictly feasible. A sweep visits only the faces that can be short of
+the margin, which gives the bits of a sweep over every face.
+
+The sums the descent takes (the gradient norm, the Barzilai-Borwein
+products) are numpy's own pairwise reductions, not BLAS dot products,
+so a run writes the same bytes at any BLAS thread count.
 
 Each candidate's geometry is computed once and carried. The repair's
 entry check gathers its face lengths once and keeps them (as rows, see
@@ -56,6 +61,7 @@ from .projection import (
     Dataset,
     Embedding,
     _unit_scaled,
+    _sum_product,
     isometry_coupling,
     project_dataset_arrays,
 )
@@ -330,6 +336,14 @@ def feasibility_projection(
     :func:`geometry.check_feasible` run, and the faces it finds raise
     :class:`FeasibilityProjectionError`. A margin or floor that is not
     finite and positive raises ``ValueError``.
+
+    A sweep visits only the faces that can be short of the margin: the
+    first sweep those short at the floored lengths; and for each face a
+    sweep repairs, the faces on its edges, the later ones in that sweep
+    and the others, itself included, in the next. A face left out has had
+    no length moved since it was last found satisfied, and a satisfied
+    face is a no-op of the sweep, so the result has the bits of sweeps
+    over every face.
     """
     # plain floats: a numpy-scalar argument would slow the sweep or round in float32
     feas_margin, min_length = float(feas_margin), float(min_length)
@@ -518,8 +532,8 @@ def _bb_step(s: np.ndarray, y: np.ndarray, eta_used: float) -> float:
     the accepted step ``eta_used``. The trial step is capped at
     ``_BB_CAP * eta_used``, and it is ``2 * eta_used`` where ``s.y <= 0``.
     """
-    sy = float(s @ y)
-    return min(float(s @ s) / sy, _BB_CAP * eta_used) if sy > 0.0 else 2.0 * eta_used
+    sy = _sum_product(s, y)
+    return min(_sum_product(s, s) / sy, _BB_CAP * eta_used) if sy > 0.0 else 2.0 * eta_used
 
 
 def _candidate(mesh, metric, embedding, dataset, config, proj, g_len, g_coord, eta):
@@ -610,9 +624,9 @@ def run_optimization(
         )
         # the gradient is the last reader of the rows kept for this iterate
         object.__setattr__(metric, "_rows_memo", None)
-        sq = float(g_len @ g_len)
+        sq = _sum_product(g_len, g_len)
         if g_coord is not None:
-            sq += float(g_coord @ g_coord)
+            sq += _sum_product(g_coord, g_coord)
         grad_norm = math.sqrt(sq)
         row = TraceRow(
             iteration=k,

@@ -40,6 +40,17 @@ def _unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(values, -k), k
 
 
+def _sum_product(x: np.ndarray, y: np.ndarray) -> float:
+    """``x . y`` of two 1-D arrays, the same bits at any BLAS thread count.
+
+    ``x @ y`` goes to BLAS, and OpenBLAS splits a dot past 10,000 entries
+    over its threads, which adds in another order. numpy's own pairwise
+    sum runs in one thread, so a result depends only on the machine and
+    the numpy build.
+    """
+    return float(np.add.reduce(x * y))
+
+
 def _is_number(cell: str) -> bool:
     try:
         float(cell)
@@ -473,4 +484,4 @@ def isometry_coupling(mesh, metric, embedding: Embedding) -> float:
     """
     ext = embedding.edge_lengths(mesh)
     d = ext - metric.lengths
-    return float(d @ d)
+    return _sum_product(d, d)

@@ -16,7 +16,8 @@ One test per guarantee, so a verbose run reads as a checklist:
    feasible at the configured margin and length floor;
 7. with the data term alone, the edge-length gradient vanishes
    identically (the generator reads only vertex coordinates);
-8. the optimize command is byte-deterministic given a seed;
+8. the optimize command is byte-deterministic given a seed, at any
+   BLAS thread count;
 9. the curvature term regularizes: on a noisy point cloud some weight
    above zero fits held-out points better than no curvature term, and
    the largest weight tried fits them worse than the best.
@@ -26,8 +27,12 @@ under ``pytest -rA`` or ``-s``.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +367,33 @@ class TestCriterion8Determinism:
         lengths_a = (outs[0] / "lengths_final.csv").read_bytes()
         assert lengths_a == (outs[1] / "lengths_final.csv").read_bytes()
         report(8, f"two seeded runs wrote identical trace.csv ({len(trace_a)} bytes)")
+
+    def test_criterion_8_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        # icosphere(5) has 30720 edges: OpenBLAS splits a dot product past
+        # 10,000 entries over its threads, so a sum taken with ``@`` would
+        # round differently with one thread and with two
+        src = Path(mm.__file__).resolve().parents[1]
+        outs = []
+        for threads in ("1", "2"):
+            outdir = tmp_path / f"threads_{threads}"
+            cfg_path = tmp_path / f"threads_{threads}.cfg"
+            cfg_path.write_text(
+                "mesh = icosphere(5)\njitter = 0.5\nseed = 3\nfreeze_embedding = yes\n"
+                "p = 1.5\nmu_dirichlet = 0.1\nmu_volume = 1.0\nmax_iters = 3\n"
+                f"outdir = {outdir}\n"
+            )
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from metricmesh.cli import main; sys.exit(main())",
+                 "optimize", "--config", str(cfg_path)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(outdir)
+        for name in ("trace.csv", "lengths_final.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        report(8, "icosphere(5) runs at 1 and 2 BLAS threads wrote identical trace.csv")
 
 
 class TestCriterion9HeldOutRegularization:

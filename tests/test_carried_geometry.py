@@ -110,9 +110,10 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, freeze_em
         g_len, g_coord = rebuilding_gradient(
             mesh, metric, embedding, dataset, config, proj, freeze_embedding
         )
-        sq = float(g_len @ g_len)
+        # numpy's pairwise sums, not BLAS dots: the same bits at any thread count
+        sq = float(np.add.reduce(g_len * g_len))
         if g_coord is not None:
-            sq += float(g_coord @ g_coord)
+            sq += float(np.add.reduce(g_coord * g_coord))
         grad_norm = math.sqrt(sq)
         row = TraceRow(
             iteration=k,
@@ -144,8 +145,12 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, freeze_em
             eta = float(np.mean(metric.lengths)) / float(np.abs(grad).max())
         else:
             s, y = x - x_prev, grad - grad_prev
-            sy = float(s @ y)
-            eta = min(float(s @ s) / sy, 4.0 * eta_used) if sy > 0.0 else 2.0 * eta_used
+            sy = float(np.add.reduce(s * y))
+            eta = (
+                min(float(np.add.reduce(s * s)) / sy, 4.0 * eta_used)
+                if sy > 0.0
+                else 2.0 * eta_used
+            )
         x_prev, grad_prev = x, grad
         accepted = None
         for _ in range(optimize._MAX_BACKTRACKS + 1):

@@ -1031,9 +1031,11 @@ class TestStepRule:
             else:
                 (x0, g0), (x1, g1) = states[k - 2], states[k - 1]
                 s, y = x1 - x0, g1 - g0
-                sy = float(s @ y)
+                # the library's sums: numpy's pairwise reduction, not BLAS
+                sy = float(np.add.reduce(s * y))
                 last = res.rows[k - 1].eta
-                trial = min(float(s @ s) / sy, 4.0 * last) if sy > 0.0 else 2.0 * last
+                ss = float(np.add.reduce(s * s))
+                trial = min(ss / sy, 4.0 * last) if sy > 0.0 else 2.0 * last
             halvings = [j for j in range(optimize._MAX_BACKTRACKS + 1)
                         if res.rows[k].eta == trial * 0.5**j]
             assert halvings, k
