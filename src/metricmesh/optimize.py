@@ -60,8 +60,8 @@ from .geometry import MetricField
 from .projection import (
     Dataset,
     Embedding,
-    _unit_scaled,
     _sum_product,
+    _unit_scaled,
     isometry_coupling,
     project_dataset_arrays,
 )

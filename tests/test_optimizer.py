@@ -599,14 +599,13 @@ def same_outcome(got, want):
     return not isinstance(got, tuple) and got.tobytes() == want.tobytes()
 
 
-def push_short(mesh, lengths, face, by):
-    """Lengthen the last side of ``face`` until the face is ``by`` short of nothing.
+def push_short(mesh, lengths, face, slack):
+    """Lengthen the last side of ``face`` until the face's slack is ``slack``.
 
-    The face's slack against that side becomes ``-by`` plus rounding; the
-    other face on the side, if any, loses the same length.
+    Up to rounding. The other face on that side, if any, loses slack too.
     """
     e0, e1, e2 = mesh.face_edges[face]
-    lengths[e2] = lengths[e0] + lengths[e1] + by
+    lengths[e2] = lengths[e0] + lengths[e1] - slack
 
 
 class TestRepairVisitsOnlyShortFaces:
