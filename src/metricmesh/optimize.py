@@ -350,19 +350,20 @@ def feasibility_projection(
     for name, value in (("feas_margin", feas_margin), ("min_length", min_length)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    gathered = geometry._face_rows(mesh, metric, keep=True)
-    if (gathered.slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
+    slacks = geometry._face_rows(mesh, metric, keep=True).slacks
+    if (slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
         return metric
 
+    floored = np.maximum(metric.lengths, min_length)
     # The faces the first sweep visits: those short of the margin at the
     # floored lengths, by the sweep's own arithmetic. The lengths are finite
     # and positive, so no slack is NaN, and "deficit <= 0" below is exactly
     # "every slack >= margin".
-    x0, x1, x2 = np.maximum(gathered.rows, min_length)
+    x0, x1, x2 = floored[mesh.face_edges.T]
     short = (x0 + x1 - x2 < feas_margin) | (x1 + x2 - x0 < feas_margin)
     short |= x2 + x0 - x1 < feas_margin
     todo = bytearray(short)
-    lengths = np.maximum(metric.lengths, min_length).tolist()
+    lengths = floored.tolist()
     face_edges, offsets, edge_faces = mesh._edge_face_lists()
     for _ in range(_MAX_SWEEPS):
         changed = False
