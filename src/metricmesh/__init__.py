@@ -54,7 +54,6 @@ from .geometry import (
     face_areas,
     face_corner_angles,
     face_slacks,
-    max_feasibility_deficit,
     volume_penalty,
 )
 from .geodesic import (
@@ -73,7 +72,6 @@ from .optimize import (
     TraceRow,
     feasibility_projection,
     lambda_sweep,
-    loss_gradient,
     run_optimization,
     total_loss,
 )
@@ -131,7 +129,6 @@ __all__ = [
     "face_areas",
     "face_corner_angles",
     "face_slacks",
-    "max_feasibility_deficit",
     "volume_penalty",
     "DistanceField",
     "dijkstra_distances",
@@ -146,7 +143,6 @@ __all__ = [
     "TraceRow",
     "feasibility_projection",
     "lambda_sweep",
-    "loss_gradient",
     "run_optimization",
     "total_loss",
     "RunSettings",

@@ -1,0 +1,8 @@
+"""``python -m metricmesh``: the command line of :mod:`metricmesh.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,11 +11,11 @@ Every quantity has one implementation, vectorized over the faces:
 :func:`face_corner_angles`, :func:`face_areas`, :func:`face_slacks` and
 :func:`curvature_report`. The optimizer differentiates them in closed
 form; a single triangle is the one-face case. They work on whole rows
-of one gather of the face lengths, laid out (3, F) with row r holding
-edge r of every face; the public (F, 3) results are transposes. The
-descent keeps a line-search candidate's rows on it (:func:`_face_rows`),
-so its repair check, curvature report, Dirichlet term and gradient share
-one gather; the public functions read kept rows but never keep any.
+of one gather of the face lengths (:func:`_face_rows`), laid out (3, F)
+with row r holding edge r of every face; the public (F, 3) results are
+transposes. Each public function gathers afresh and keeps nothing; the
+loss hands its one gather to private cores (:func:`_report`,
+:func:`_dirichlet`) and returns it for the gradient.
 
 Angles, areas and slacks run on lengths scaled to unit magnitude, so no
 square or sum in them overflows or underflows at any length scale.
@@ -24,7 +24,7 @@ square or sum in them overflows or underflows at any length scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,9 +44,6 @@ class MetricField:
     """Positive per-edge lengths in the mesh's lexicographic edge order (read-only copy)."""
 
     lengths: np.ndarray
-    # (mesh.face_edges, _FaceRows) kept by _face_rows: keyed on the array the
-    # rows depend on besides the lengths, so a kept metric keeps no mesh alive
-    _rows_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = np.array(self.lengths, dtype=np.float64)
@@ -87,37 +84,29 @@ class _FaceRows(NamedTuple):
 
     unit: np.ndarray    # rows * 2**-k, largest magnitude in [0.5, 1)
     k: int
-    slacks: np.ndarray  # (F,) as face_slacks, read-only
-    rows: np.ndarray | None  # row r holds edge r, face_edges[:, r], of every face
-    logs: np.ndarray | None  # log(rows); both only in kept rows
+    slacks: np.ndarray  # (F,) as face_slacks
+    rows: np.ndarray    # row r holds edge r, face_edges[:, r], of every face
 
 
-def _face_rows(mesh, metric: MetricField, keep: bool = False) -> _FaceRows:
-    """The face lengths of ``metric`` gathered once, as C-contiguous rows.
-
-    k comes from the longest edge, which is the rows' own scale because
-    every edge lies on a face. With ``keep`` the rows and their logs are
-    kept on the metric and returned to later calls with the same mesh;
-    without, only the unit rows are made, over the gathered ones.
-    """
-    memo = metric._rows_memo
-    if memo is not None and memo[0] is mesh.face_edges:
-        return memo[1]
+def _require_edge_count(mesh, metric: MetricField) -> None:
     if metric.edge_count != mesh.edge_count:
         raise ValueError(
             f"metric has {metric.edge_count} lengths, mesh has {mesh.edge_count} edges"
         )
+
+
+def _face_rows(mesh, metric: MetricField) -> _FaceRows:
+    """The face lengths of ``metric`` gathered once, as C-contiguous rows.
+
+    k comes from the longest edge, which is the rows' own scale because
+    every edge lies on a face.
+    """
+    _require_edge_count(mesh, metric)
     rows = metric.lengths[mesh.face_edges.T]
     # math.frexp: np.frexp on a numpy scalar costs more than the rest together
     _, k = math.frexp(float(metric.lengths.max()))
-    unit = np.ldexp(rows, -k, out=None if keep else rows)
-    slacks = _slacks(unit, k)
-    slacks.setflags(write=False)
-    if not keep:
-        return _FaceRows(unit, k, slacks, None, None)
-    found = _FaceRows(unit, k, slacks, rows, np.log(rows))
-    object.__setattr__(metric, "_rows_memo", (mesh.face_edges, found))
-    return found
+    unit = np.ldexp(rows, -k)
+    return _FaceRows(unit, k, _slacks(unit, k), rows)
 
 
 # The per-face formulas below take the unit rows (and k) of one
@@ -153,10 +142,16 @@ def _areas(unit: np.ndarray, k: int) -> np.ndarray:
     return np.ldexp(0.25 * np.sqrt(np.maximum(prod, 0.0)), 2 * k)
 
 
+def _sums(rows: np.ndarray) -> np.ndarray:
+    """(3, F) triangle-inequality sums; row r is edge r + edge r+1 - edge r-1."""
+    sums = rows[_NEXT]  # rows + rows[_NEXT] - rows[_PREV], in place
+    sums += rows
+    sums -= rows[_PREV]
+    return sums
+
+
 def _slacks(unit: np.ndarray, k: int) -> np.ndarray:
-    sums = unit[_NEXT]  # unit + unit[_NEXT] - unit[_PREV], in place
-    sums += unit
-    sums -= unit[_PREV]
+    sums = _sums(unit)
     return np.ldexp(np.minimum(np.minimum(sums[0], sums[1]), sums[2]), k)
 
 
@@ -223,13 +218,17 @@ def curvature_report(mesh, metric: MetricField) -> CurvatureReport:
     areas in float range (``ValueError`` otherwise). Reductions run in
     fixed index order (bincount), so results are deterministic.
     """
+    return _report(mesh, metric, _face_rows(mesh, metric))
+
+
+def _report(mesh, metric: MetricField, rows: _FaceRows) -> CurvatureReport:
+    """:func:`curvature_report` from ``rows``, the metric's :func:`_face_rows`."""
     isolated = mesh.isolated_vertices
     if isolated.size:
         raise IsolatedVertexError(
             f"vertex {int(isolated[0])} belongs to no face, so its curvature density "
             f"is undefined ({isolated.size} isolated vertices in the mesh)"
         )
-    rows = _face_rows(mesh, metric)
     slacks = rows.slacks
     _require_feasible(mesh, metric, slacks)
     angles = np.ascontiguousarray(_corner_angles(rows.unit).T)
@@ -275,9 +274,12 @@ def dirichlet_energy(mesh, metric: MetricField) -> float:
     Scale-invariant by construction: multiplying every length by s shifts
     all logs equally.
     """
-    logs = _face_rows(mesh, metric).logs
-    if logs is None:
-        logs = np.log(metric.lengths)[mesh.face_edges.T]
+    _require_edge_count(mesh, metric)
+    return _dirichlet(np.log(metric.lengths)[mesh.face_edges.T])
+
+
+def _dirichlet(logs: np.ndarray) -> float:
+    """:func:`dirichlet_energy` from the logs of the (3, F) face rows."""
     d = logs - logs[_NEXT]  # log(l0 / l1), log(l1 / l2), log(l2 / l0)
     sq = d * d
     return float(np.sum(sq[0] + sq[1] + sq[2]))

@@ -29,14 +29,15 @@ The sums the descent takes (the gradient norm, the Barzilai-Borwein
 products) are numpy's own pairwise reductions, not BLAS dot products,
 so a run writes the same bytes at any BLAS thread count.
 
-Each candidate's geometry is computed once and carried. The repair's
-entry check gathers its face lengths once and keeps them (as rows, see
-:func:`geometry._face_rows`; the loss keeps a repaired candidate's), and
-the loss's curvature report and Dirichlet term read them. Once the
-candidate is accepted, its gradient reads the rows and the report the
-loss returned, and its trace row the report; the descent drops the rows
-after the gradient, their last reader. The extrinsic edge lengths need
-no carrier: the candidate's embedding memoizes them.
+Each candidate's geometry is computed once and carried as explicit
+values. The loss gathers the face lengths once (as rows, see
+:func:`geometry._face_rows`), takes their logs once, and returns both
+with the curvature report it built from them. Once the candidate is
+accepted, its gradient reads that breakdown, and its trace row the
+report. The repair keeps nothing: its one check on the floored lengths
+both certifies feasible input and picks the faces its first sweep
+visits. The extrinsic edge lengths need no carrier: the candidate's
+embedding memoizes them.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ class LossConfig:
 class LossBreakdown:
     """Unweighted term values plus the weighted total.
 
-    ``report`` is the curvature report the terms were computed from; it
-    takes no part in equality or ``repr``. The descent carries it to the
-    gradient and trace row of the iterate it accepts.
+    ``report`` is the curvature report the terms were computed from,
+    ``rows`` the metric's face rows it was built from and ``logs`` their
+    logs; they take no part in equality or ``repr``. The descent carries
+    them to the gradient and trace row of the iterate it accepts.
     """
 
     data: float
@@ -122,6 +124,8 @@ class LossBreakdown:
     iso: float
     total: float
     report: geometry.CurvatureReport | None = field(default=None, compare=False, repr=False)
+    rows: geometry._FaceRows | None = field(default=None, compare=False, repr=False)
+    logs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def total_loss(
@@ -139,14 +143,18 @@ def total_loss(
     when omitted and a dataset is present, points are reprojected, which
     is what makes the reported loss the true one. A positive
     ``mu_volume`` without a ``v_target`` raises ``ValueError``.
+
+    The face lengths are gathered once; the curvature report, the
+    Dirichlet term and, through the returned breakdown, the gradient all
+    read that one gather and its logs.
     """
     if config.mu_volume > 0.0 and config.v_target is None:
         raise ValueError("mu_volume > 0 requires v_target")
-    # the report, the Dirichlet term and the gradient read these rows
-    geometry._face_rows(mesh, metric, keep=True)
-    report = geometry.curvature_report(mesh, metric)
+    rows = geometry._face_rows(mesh, metric)
+    logs = np.log(rows.rows)
+    report = geometry._report(mesh, metric, rows)
     curv = geometry.curvature_energy(report, config.p)
-    diri = geometry.dirichlet_energy(mesh, metric)
+    diri = geometry._dirichlet(logs)
     vol = (
         geometry.volume_penalty(report, config.v_target)
         if config.v_target is not None
@@ -170,6 +178,8 @@ def total_loss(
         iso=iso,
         total=total,
         report=report,
+        rows=rows,
+        logs=logs,
     )
 
 
@@ -184,17 +194,18 @@ def _gradient(
     dataset: Dataset | None,
     config: LossConfig,
     projections: Projections | None,
-    report: geometry.CurvatureReport,
+    losses: LossBreakdown,
     freeze_embedding: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(length gradient, flattened coordinate gradient or None if frozen).
 
     Closed form of the gradient of :func:`total_loss` with the faces and
-    barycentric coordinates of ``projections`` held fixed. ``report`` is
-    the curvature report of :func:`total_loss` at the same point, and the
-    extrinsic lengths are the ones :func:`isometry_coupling` memoized on
-    the embedding there: neither is computed again. Corner angles and face
-    areas are differentiated with the edge-length identities
+    barycentric coordinates of ``projections`` held fixed. ``losses`` is
+    the breakdown of :func:`total_loss` at the same point, whose report,
+    face rows and logs are read here, and the extrinsic lengths are the
+    ones :func:`isometry_coupling` memoized on the embedding there: none
+    is computed again. Corner angles and face areas are differentiated
+    with the edge-length identities
     d(theta_i)/d(l_i) = l_i / (2A), d(theta_i)/d(l_j) = -l_i cos(theta_k) / (2A)
     and dA/d(l_i) = l_i cot(theta_i) / 2 (Springborn, Schroeder & Pinkall,
     "Conformal equivalence of triangle meshes", 2008).
@@ -231,6 +242,7 @@ def _gradient(
             g_coord += scatter(edges, np.stack((pull, -pull), axis=1))
 
     if config.lambda_ > 0.0:
+        report = losses.report
         p = config.p
         mag = np.abs(report.defect)
         sign = np.where(report.defect >= 0.0, 1.0, -1.0)
@@ -239,7 +251,8 @@ def _gradient(
         # Face terms in geometry's edge rows: row r is edge r of each face,
         # opposite corner r - 1, so corner rows are read through prv.
         nxt, prv = geometry._NEXT, geometry._PREV
-        unit_sides, k, _, sides, logs = geometry._face_rows(mesh, metric, keep=True)
+        unit_sides, k, _, sides = losses.rows
+        logs = losses.logs
         cos = np.cos(report.corner_angle.T[prv])
         w_angle = -d_defect[mesh.faces.T[prv]] * sides
         corner_area = d_vertex_area[mesh.faces.T]
@@ -276,29 +289,6 @@ def _gradient(
     return g_len, g_coord
 
 
-def loss_gradient(
-    mesh,
-    metric: MetricField,
-    embedding: Embedding,
-    dataset: Dataset | None,
-    config: LossConfig,
-    freeze_embedding: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """One-shot (value, length gradient, coordinate gradient).
-
-    The value is the true numeric loss; the gradients are its closed form
-    with the closest-point faces and barycentric coordinates held fixed.
-    """
-    proj = None
-    if dataset is not None:
-        proj = project_dataset_arrays(dataset.points, embedding, mesh)
-    losses = total_loss(mesh, metric, embedding, dataset, config, projections=proj)
-    g_len, g_coord = _gradient(
-        mesh, metric, embedding, dataset, config, proj, losses.report, freeze_embedding
-    )
-    return losses.total, g_len, g_coord
-
-
 # --------------------------------------------------------------------------
 # Feasibility projection
 
@@ -329,10 +319,10 @@ def feasibility_projection(
     deficits too small to register in one addition still make progress.
     Each repair sees the lengths the faces before it left, so the order is
     part of the result; an oracle test pins it bit for bit. Lengths never
-    drop below ``min_length``. Already feasible input is returned unchanged
-    (the same object), keeping the face rows its check gathered (see
-    :func:`geometry._face_rows`). A sweep that repairs no face certifies
-    its result; only when the sweeps run out does
+    drop below ``min_length``. Input with no length below the floor and no
+    face short of the margin, by the sweep's own arithmetic, is returned
+    unchanged: the same object, with nothing added to it. A sweep that
+    repairs no face certifies its result; only when the sweeps run out does
     :func:`geometry.check_feasible` run, and the faces it finds raise
     :class:`FeasibilityProjectionError`. A margin or floor that is not
     finite and positive raises ``ValueError``.
@@ -350,19 +340,18 @@ def feasibility_projection(
     for name, value in (("feas_margin", feas_margin), ("min_length", min_length)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    slacks = geometry._face_rows(mesh, metric, keep=True).slacks
-    if (slacks >= feas_margin).all() and (metric.lengths >= min_length).all():
-        return metric
-
+    geometry._require_edge_count(mesh, metric)
     floored = np.maximum(metric.lengths, min_length)
     # The faces the first sweep visits: those short of the margin at the
-    # floored lengths, by the sweep's own arithmetic. The lengths are finite
-    # and positive, so no slack is NaN, and "deficit <= 0" below is exactly
-    # "every slack >= margin".
-    x0, x1, x2 = floored[mesh.face_edges.T]
-    short = (x0 + x1 - x2 < feas_margin) | (x1 + x2 - x0 < feas_margin)
-    short |= x2 + x0 - x1 < feas_margin
-    todo = bytearray(short)
+    # floored lengths, by the sweep's own arithmetic (its s0, s1, s2 are
+    # the sums' rows 0, 1, 2, up to the order of one addition). The lengths
+    # are finite and positive, so no sum is NaN, and "deficit <= 0" below
+    # is exactly "every sum >= margin". With none short and none floored,
+    # the sweep would repair nothing.
+    short = geometry._sums(floored[mesh.face_edges.T]) < feas_margin
+    if not short.any() and metric.lengths.min() >= min_length:
+        return metric
+    todo = bytearray(short[0] | short[1] | short[2])
     lengths = floored.tolist()
     face_edges, offsets, edge_faces = mesh._edge_face_lists()
     for _ in range(_MAX_SWEEPS):
@@ -621,10 +610,8 @@ def run_optimization(
     k = 0
     while True:
         g_len, g_coord = _gradient(
-            mesh, metric, embedding, dataset, config, proj, losses.report, freeze_embedding
+            mesh, metric, embedding, dataset, config, proj, losses, freeze_embedding
         )
-        # the gradient is the last reader of the rows kept for this iterate
-        object.__setattr__(metric, "_rows_memo", None)
         sq = _sum_product(g_len, g_len)
         if g_coord is not None:
             sq += _sum_product(g_coord, g_coord)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import metricmesh as mm
+from metricmesh import optimize
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +56,19 @@ def fit_case(seed=4, n=120):
     pts[:, 2] *= 2.0
     metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(rng, 0.1)
     return mesh, emb, mm.Dataset(pts), metric
+
+
+def loss_gradient(mesh, metric, embedding, dataset, config, freeze_embedding=False):
+    """One-shot (value, length gradient, coordinate gradient) of the descent's loss.
+
+    The value is the true numeric loss; the gradients are its closed form
+    with the closest-point faces and barycentric coordinates held fixed.
+    """
+    proj = None
+    if dataset is not None:
+        proj = mm.project_dataset_arrays(dataset.points, embedding, mesh)
+    losses = optimize.total_loss(mesh, metric, embedding, dataset, config, projections=proj)
+    g_len, g_coord = optimize._gradient(
+        mesh, metric, embedding, dataset, config, proj, losses, freeze_embedding
+    )
+    return losses.total, g_len, g_coord

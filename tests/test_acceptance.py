@@ -45,13 +45,12 @@ from metricmesh.optimize import (
     LossConfig,
     StopRule,
     feasibility_projection,
-    loss_gradient,
     run_optimization,
     total_loss,
 )
 from metricmesh.projection import Dataset, project_dataset_arrays
 
-from conftest import feasible_jittered
+from conftest import feasible_jittered, loss_gradient
 
 FOUR_PI = 4.0 * math.pi
 

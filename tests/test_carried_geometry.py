@@ -1,9 +1,9 @@
 """The descent computes each iterate's geometry once and carries it.
 
-``total_loss`` returns the curvature report it used, the repair and the
-loss keep the candidate's face rows on its metric, and the embedding
-memoizes its extrinsic edge lengths; ``run_optimization`` hands the
-accepted candidate's to the next gradient and trace row. The oracle
+``total_loss`` returns the curvature report, the face rows and their
+logs it used, and the embedding memoizes its extrinsic edge lengths;
+``run_optimization`` hands the accepted candidate's to the next gradient
+and trace row. The oracle
 below is the descent as it was before that, rebuilding the report, the
 corner angles, the slacks and the extrinsic lengths on every call;
 carrying them must not change a single bit of any trace row, final
@@ -373,71 +373,68 @@ class TestCarriedGeometry:
         )
         assert len(seen) == len(res.rows) > 1
         for state in seen:
-            expected = mm.max_feasibility_deficit(mesh, state.metric, res.config.feas_margin)
+            expected = geometry.max_feasibility_deficit(mesh, state.metric, res.config.feas_margin)
             assert state.row.max_deficit == expected
 
     def test_breakdown_equality_and_repr_ignore_carried_fields(self, case):
         mesh, emb, metric = case()
         out = optimize.total_loss(mesh, metric, emb, None, LossConfig(mu_iso=1.0))
-        bare = dataclasses.replace(out, report=None)
-        assert out.report is not None
+        carried = ("report", "rows", "logs")
+        bare = dataclasses.replace(out, **dict.fromkeys(carried))
+        assert all(getattr(out, name) is not None for name in carried)
         assert out == bare
         assert repr(out) == repr(bare)
-        assert "report" not in repr(out)
+        for name in carried:
+            assert f"{name}=" not in repr(out)
 
 
 @pytest.mark.parametrize("case", [closed_case, boundary_case], ids=["closed", "boundary"])
-class TestKeptRows:
-    # The repair and the loss keep a candidate's face rows on its metric, and
-    # the public functions then read them. A metric built from the same
-    # lengths has nothing kept, so it recomputes every quantity.
-    def test_kept_rows_give_the_bits_of_a_fresh_gather(self, case):
+class TestCarriedRows:
+    # total_loss returns the face rows and logs it gathered, and the gradient
+    # reads them; a metric built from the same lengths gathers them afresh.
+    # Nothing is kept on a metric, by the descent or by the public functions.
+    def test_rows_and_logs_are_a_fresh_gather(self, case):
         mesh, emb, repaired = case()
         metric = mm.MetricField(repaired.lengths)
         out = optimize.total_loss(mesh, metric, emb, None, LossConfig(mu_dirichlet=0.1))
-        assert metric._rows_memo is not None
         fresh = mm.MetricField(metric.lengths)
+        rows = geometry._face_rows(mesh, fresh)
+        assert out.rows.k == rows.k
+        for name in ("unit", "slacks", "rows"):
+            assert np.array_equal(getattr(out.rows, name), getattr(rows, name)), name
+        assert np.array_equal(out.rows.rows, fresh.lengths[mesh.face_edges.T])
+        assert np.array_equal(out.logs, np.log(fresh.lengths[mesh.face_edges]).T)
         ref = mm.curvature_report(mesh, fresh)
-        assert fresh._rows_memo is None
         for f in dataclasses.fields(ref):
             assert np.array_equal(getattr(out.report, f.name), getattr(ref, f.name)), f.name
         assert out.dirichlet == mm.dirichlet_energy(mesh, fresh)
-        for name in ("corner_angles", "areas", "slacks"):
-            quantity = getattr(mm, f"face_{name}")
-            assert np.array_equal(quantity(mesh, metric), quantity(mesh, fresh)), name
-        kept = geometry._face_rows(mesh, metric)
-        assert np.array_equal(kept.rows, fresh.lengths[mesh.face_edges.T])
-        assert np.array_equal(kept.logs, np.log(fresh.lengths[mesh.face_edges]).T)
-        g_kept = optimize._gradient(
-            mesh, metric, emb, None, LossConfig(mu_dirichlet=0.1), None, out.report, True
-        )
-        g_fresh = optimize._gradient(
-            mesh, fresh, emb, None, LossConfig(mu_dirichlet=0.1), None, ref, True
-        )
-        assert np.array_equal(g_kept[0], g_fresh[0])
 
-    def test_only_the_descent_keeps_rows(self, case):
+    def test_gradient_from_the_breakdown_matches_a_fresh_loss(self, case):
         mesh, emb, repaired = case()
         metric = mm.MetricField(repaired.lengths)
+        volume = mm.curvature_report(mesh, metric).total_volume
+        config = LossConfig(mu_dirichlet=0.1, mu_volume=1.0, v_target=1.1 * volume, mu_iso=0.5)
+        out = optimize.total_loss(mesh, metric, emb, None, config)
+        g_carried = optimize._gradient(mesh, metric, emb, None, config, None, out, False)
+        fresh = mm.MetricField(metric.lengths)
+        fresh_emb = mm.Embedding(emb.coords)
+        again = optimize.total_loss(mesh, fresh, fresh_emb, None, config)
+        g_fresh = optimize._gradient(mesh, fresh, fresh_emb, None, config, None, again, False)
+        assert np.array_equal(g_carried[0], g_fresh[0])
+        assert np.array_equal(g_carried[1], g_fresh[1])
+
+    def test_nothing_is_kept_on_a_metric(self, case):
+        mesh, emb, repaired = case()
+        metric = mm.MetricField(repaired.lengths)
+        assert mm.feasibility_projection(mesh, metric, 1e-6, 1e-9) is metric
         for quantity in (mm.curvature_report, mm.face_slacks, mm.dirichlet_energy):
             quantity(mesh, metric)
         mm.fast_marching(mesh, metric, 0)
-        assert metric._rows_memo is None
+        assert list(vars(metric)) == ["lengths"]
+        first, second = mm.face_slacks(mesh, metric), mm.face_slacks(mesh, metric)
+        assert not np.shares_memory(first, second)
         res = mm.run_optimization(
             mesh, metric, emb, None, FLOW, stop=StopRule(max_iters=3, grad_tol=0.0),
             freeze_embedding=True,
         )
-        assert res.metric is not metric and res.metric._rows_memo is None
-
-    def test_rows_are_kept_for_one_mesh(self, case):
-        # a second mesh with the same faces has its own face_edges array
-        mesh, _, repaired = case()
-        metric = mm.MetricField(repaired.lengths)
-        twin = mm.Mesh(mesh.vertex_count, mesh.faces)
-        kept = geometry._face_rows(mesh, metric, keep=True)
-        other = geometry._face_rows(twin, metric)
-        assert other is not kept and other.logs is None
-        assert geometry._face_rows(mesh, metric) is kept
-        assert np.array_equal(other.unit, kept.unit)
-        assert np.array_equal(other.slacks, kept.slacks)
-        assert not kept.slacks.flags.writeable
+        assert res.metric is not metric and list(vars(res.metric)) == ["lengths"]

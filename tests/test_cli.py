@@ -1,9 +1,12 @@
 import codecs
 import json
 import math
+import os
 import random
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -700,3 +703,25 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv):
+        """``python -m metricmesh argv`` in a fresh interpreter on this source tree."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-m", "metricmesh", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+
+    def test_python_dash_m_runs_the_cli(self):
+        ok = self.run_module("validate", "--mesh", "icosphere(1)")
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.startswith("ok: 42 vertices, 120 edges, 80 faces")
+        bad = self.run_module("validate", "--mesh", "icosphere(x)")
+        assert bad.returncode == 1
+        assert bad.stderr.startswith("error: bad mesh spec 'icosphere(x)'")
+        assert "Traceback" not in bad.stderr

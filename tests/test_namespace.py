@@ -61,3 +61,10 @@ def test_tape_names_left_the_namespace():
         assert name not in mm.__all__ and not hasattr(mm, name)
     for name in ("TapeError", "TapeDomainError", "TapeNonFiniteError"):
         assert name in mm.__all__
+
+
+def test_test_only_exports_left_the_namespace():
+    # only tests used them; the tests keep what they need as helpers
+    for name in ("loss_gradient", "max_feasibility_deficit"):
+        assert name not in mm.__all__ and not hasattr(mm, name)
+    assert not hasattr(mm.optimize, "loss_gradient")

@@ -18,12 +18,11 @@ from metricmesh.optimize import (
     TraceRow,
     feasibility_projection,
     lambda_sweep,
-    loss_gradient,
     run_optimization,
     total_loss,
 )
 
-from conftest import FIT, FLOW, feasible_jittered, fit_case, flow_case
+from conftest import FIT, FLOW, feasible_jittered, fit_case, flow_case, loss_gradient
 from traced_geometry import interior_angles, triangle_area
 
 
@@ -679,6 +678,51 @@ class TestRepairVisitsOnlyShortFaces:
         metric = mm.MetricField.from_embedding(mesh, emb)
         assert feasibility_projection(mesh, metric, 1e-6, 1e-9) is metric
         assert mesh._lists_memo is None
+
+
+class TestRepairReturnsFeasibleInputAsIs:
+    """The repair's one entry check agrees with ``check_feasible`` and the floor.
+
+    It tests the floored lengths with the sweep's raw sums, so it must give
+    the verdict of the unit-scaled slacks at any length scale.
+    """
+
+    @given(
+        kind=st.sampled_from(["icosphere(1)", "torus(8,4,2.0,0.7)", "grid(5,4,1.0)"]),
+        scale=st.integers(-900, 900),
+        amount=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+        margin_scale=st.floats(1e-6, 1e-2),
+        pushed=st.integers(0, 3),
+        ulps=st.integers(-4, 4),
+        floor_at=st.sampled_from(["far below", "the shortest", "just above"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_object_exactly_when_feasible(
+        self, kind, scale, amount, seed, margin_scale, pushed, ulps, floor_at
+    ):
+        mesh, emb = repair_mesh(kind)
+        rng = np.random.default_rng(seed)
+        metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(rng, amount)
+        lengths = np.ldexp(metric.lengths, scale)
+        margin = margin_scale * float(np.mean(lengths))
+        # faces whose slack lies within a few ulps of the lengths from the margin
+        for f in rng.choice(mesh.face_count, pushed, replace=False):
+            e0, e1, _ = mesh.face_edges[f]
+            push_short(mesh, lengths, f, margin + ulps * math.ulp(lengths[e0] + lengths[e1]))
+        shortest = float(lengths.min())
+        floor = {
+            "far below": 1e-3 * shortest,
+            "the shortest": shortest,
+            "just above": math.nextafter(shortest, math.inf),
+        }[floor_at]
+        metric = mm.MetricField(lengths)
+        feasible = mm.check_feasible(mesh, metric, margin) == [] and shortest >= floor
+        try:
+            out = feasibility_projection(mesh, metric, margin, floor)
+        except FeasibilityProjectionError:
+            out = None
+        assert (out is metric) == feasible
 
 
 class TestOverRelaxedRepair:
