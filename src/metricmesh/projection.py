@@ -331,14 +331,17 @@ def _first_least(pi, sq):
 
 
 # Points go through the bound stage in blocks of about _BLOCK_PAIRS point
-# x face (or point x vertex) entries, which keeps the temporaries small; the
-# pairs that pass go to the kernel once whole blocks hold _KERNEL_PAIRS.
-# Past _BLOCK_PAIRS faces (or vertices) one point alone is a bigger block,
-# and a block pays about 20 numpy calls however few points it holds, so
-# blocks there take _BLOCK_FLOOR points and write into buffers made once
-# per call: fresh temporaries of that size, past glibc's mmap threshold,
-# made the heap shrink and regrow each block, a page fault per 4 KiB.
-_BLOCK_PAIRS = 1 << 14
+# x face (or point x vertex) entries; the pairs that pass go to the kernel
+# once whole blocks hold _KERNEL_PAIRS. A block costs a few numpy calls
+# however few points it holds and makes one float temporary of its size,
+# about 512 KiB. glibc maps the first such temporary and, when it is
+# freed, raises its mmap threshold to its size and its trim threshold to
+# twice that, so later blocks reuse the heap without trimming it. At half
+# the size the fit shape's heap was still trimmed and regrown: about 1M
+# page faults per 40-s perfbench fit run, against 7k. Blocks take at least
+# _BLOCK_FLOOR points, which binds past _BLOCK_PAIRS / _BLOCK_FLOOR faces
+# (or vertices).
+_BLOCK_PAIRS = 1 << 16
 _KERNEL_PAIRS = 1 << 11
 _BLOCK_FLOOR = 8
 
@@ -361,22 +364,28 @@ def project_points(points, coords, faces):
     win only if its bounding sphere (centroid ``c``, farthest corner ``r``)
     comes within ``reach`` of the point, ``|p - c| <= reach + r``. Per block
     of points the vertex is the argmin of ``|v|^2 - 2 p.v``, and the test,
-    squared and expanded, is one matrix product against a row term plus a
-    column term:
+    squared and expanded, is one matrix product of the rows
+    ``[p, reach, -1]`` and the columns ``[2 c, 2 r, col]`` against a row
+    term, with the column term ``col = (1-d) |c|^2 - r^2``:
 
-        2 (p.c + reach r) >= [(1-d) |p|^2 - reach^2] + [(1-d) |c|^2 - r^2]
+        2 (p.c + reach r) - [(1-d) |c|^2 - r^2] >= (1-d) |p|^2 - reach^2
 
-    The margin ``d = 8 (n + 5) eps`` in ambient dimension n covers all the
+    The margin ``d = 8 (n + 6) eps`` in ambient dimension n covers all the
     rounding. With ``s = |p|^2 + |c|^2``, to first order in eps: only a
     face near the boundary ``|p - c| = reach + r`` can be misjudged, and
     there ``(reach + r)^2 <= 2 s`` and ``|p| + |c| + reach + r <= 3 sqrt(s)``.
-    At such a face the expanded form, n + 2 terms a side of total size at
-    most ``4 s``, is rounded by at most ``2 (n + 2) eps s``. ``reach``,
+    The product sums n + 2 terms, and ``col`` and the row term are each
+    rounded in n + 2 steps, so the test is rounded by at most
+    ``(n + 2) eps / 2`` times the magnitudes ``2 |p| |c| + 2 reach r + |col|``
+    of the product's terms plus ``|c|^2 + r^2 + |p|^2 + reach^2``. With
+    ``|col| <= max(|c|^2, r^2)`` those come to at most
+    ``(|p| + |c|)^2 + (reach + r)^2 + max(|c|^2, r^2) <= 6 s``, so the
+    rounding is at most ``3 (n + 2) eps s``. ``reach``,
     ``r`` and the kernel's distance, roots of sums of n squares, are each
     within ``(n + 4) eps / 4`` relative, which moves ``(reach + r)^2`` by at
     most ``3 (n + 4) eps s``. The kernel's point and the centroid, rounded
     by at most ``3 eps`` times the coordinates they combine, add at most
-    ``26 eps s``. The sum, ``(5 n + 42) eps s``, stays below ``d s``. A
+    ``26 eps s``. The sum, ``(6 n + 44) eps s``, stays below ``d s``. A
     point whose row term is not finite keeps every face, so its overflow
     is reported.
 
@@ -407,37 +416,31 @@ def project_points(points, coords, faces):
     centroid = (a + b + c) / 3.0
     radius_sq = np.maximum.reduce([_sq_distances(x, centroid) for x in (a, b, c)])
     npts, dim = points.shape
-    shrink = 1.0 - 8 * (dim + 5) * np.finfo(np.float64).eps
+    shrink = 1.0 - 8 * (dim + 6) * np.finfo(np.float64).eps
     to_vertex = np.vstack((-2.0 * used.T, np.einsum("vk,vk->v", used, used)))
-    to_face = 2.0 * np.vstack((centroid.T, np.sqrt(radius_sq)))
     col = shrink * np.einsum("fk,fk->f", centroid, centroid) - radius_sq
+    to_face = np.vstack((2.0 * centroid.T, 2.0 * np.sqrt(radius_sq), col))
+    # rows [p, 1] for the vertex product and [p, reach, -1] for the face one
+    lifted_v = np.hstack((points, np.ones((npts, 1))))
+    lifted_f = np.hstack((points, np.zeros((npts, 1)), np.full((npts, 1), -1.0)))
+    shrunk_sq = shrink * np.einsum("ik,ik->i", points, points)
     out_face = np.empty(npts, dtype=np.int64)
     out_bary = np.empty((npts, 3), dtype=np.float64)
     out_sq = np.empty(npts, dtype=np.float64)
-    per_point = max(faces.shape[0], used.shape[0])
-    if per_point <= _BLOCK_PAIRS:
-        step, buffers = _BLOCK_PAIRS // per_point, None
-    else:
-        step, height = _BLOCK_FLOOR, min(_BLOCK_FLOOR, npts)
-        widths = (used.shape[0], faces.shape[0], faces.shape[0])
-        buffers = [np.empty((height, w)) for w in widths] + [np.empty((height, faces.shape[0]), bool)]
+    step = max(_BLOCK_FLOOR, _BLOCK_PAIRS // max(faces.shape[0], used.shape[0]))
     pending, first = [], 0
     for start in range(0, npts, step):
-        block = points[start : start + step]
-        n = len(block)
-        by_vertex, by_face, bound, keep = [None] * 4 if buffers is None else [x[:n] for x in buffers]
-        lifted = np.hstack((block, np.ones((n, 1))))
-        nearest = np.argmin(np.matmul(lifted, to_vertex, out=by_vertex), axis=1)
+        span = slice(start, start + step)
+        block = points[span]
+        nearest = np.argmin(lifted_v[span] @ to_vertex, axis=1)
         reach_sq = _sq_distances(block, used[nearest])
-        lifted[:, dim] = np.sqrt(reach_sq)
-        row = shrink * np.einsum("ik,ik->i", block, block) - reach_sq
-        keep = np.greater_equal(
-            np.matmul(lifted, to_face, out=by_face), np.add(row[:, None], col, out=bound), out=keep
-        )
+        lifted_f[span, dim] = np.sqrt(reach_sq)
+        row = shrunk_sq[span] - reach_sq
+        keep = lifted_f[span] @ to_face >= row[:, None]
         keep[~np.isfinite(row)] = True
         pi, fi = np.divmod(np.flatnonzero(keep), keep.shape[1])
         pending.append((pi + start, fi))
-        stop = start + n
+        stop = start + len(block)
         if sum(x.size for x, _ in pending) < _KERNEL_PAIRS and stop < npts:
             continue
         pi, fi = map(np.concatenate, zip(*pending))

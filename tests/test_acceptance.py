@@ -338,11 +338,16 @@ class TestCriterion7Decoupling:
 
 
 class TestCriterion8Determinism:
-    def test_criterion_8_optimize_reruns_byte_identical(self, tmp_path):
-        pts = ellipsoid_cloud(np.random.default_rng(2), 40)
+    @staticmethod
+    def write_points(path, count):
+        """Write ``count`` seeded ellipsoid points to ``path`` as a dataset CSV."""
+        pts = ellipsoid_cloud(np.random.default_rng(2), count)
         lines = ["x,y,z"] + [",".join(repr(float(v)) for v in row) for row in pts.points]
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_criterion_8_optimize_reruns_byte_identical(self, tmp_path):
         data_path = tmp_path / "points.csv"
-        data_path.write_text("\n".join(lines) + "\n")
+        self.write_points(data_path, 40)
         config = (
             "mesh = icosphere(1)\n"
             f"dataset = {data_path}\n"
@@ -370,29 +375,36 @@ class TestCriterion8Determinism:
     def test_criterion_8_same_bytes_at_any_blas_thread_count(self, tmp_path):
         # icosphere(5) has 30720 edges: OpenBLAS splits a dot product past
         # 10,000 entries over its threads, so a sum taken with ``@`` would
-        # round differently with one thread and with two
+        # round differently with one thread and with two. The fit projects
+        # its points through the pruning bound's matrix products, which
+        # OpenBLAS also splits once they are large enough.
+        data_path = tmp_path / "points.csv"
+        self.write_points(data_path, 2000)
+        configs = {
+            "flow": "mesh = icosphere(5)\njitter = 0.5\nseed = 3\nfreeze_embedding = yes\n"
+            "p = 1.5\nmu_dirichlet = 0.1\nmu_volume = 1.0\nmax_iters = 3\n",
+            "fit": f"mesh = icosphere(3)\ndataset = {data_path}\nlambda = 1e-3\nmu_iso = 1e-2\n"
+            "max_iters = 3\n",
+        }
         src = Path(mm.__file__).resolve().parents[1]
-        outs = []
-        for threads in ("1", "2"):
-            outdir = tmp_path / f"threads_{threads}"
-            cfg_path = tmp_path / f"threads_{threads}.cfg"
-            cfg_path.write_text(
-                "mesh = icosphere(5)\njitter = 0.5\nseed = 3\nfreeze_embedding = yes\n"
-                "p = 1.5\nmu_dirichlet = 0.1\nmu_volume = 1.0\nmax_iters = 3\n"
-                f"outdir = {outdir}\n"
-            )
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-            proc = subprocess.run(
-                [sys.executable, "-c", "import sys; from metricmesh.cli import main; sys.exit(main())",
-                 "optimize", "--config", str(cfg_path)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.append(outdir)
-        for name in ("trace.csv", "lengths_final.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-        report(8, "icosphere(5) runs at 1 and 2 BLAS threads wrote identical trace.csv")
+        for run, config in configs.items():
+            outs = []
+            for threads in ("1", "2"):
+                outdir = tmp_path / f"{run}_{threads}"
+                cfg_path = tmp_path / f"{run}_{threads}.cfg"
+                cfg_path.write_text(config + f"outdir = {outdir}\n")
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+                proc = subprocess.run(
+                    [sys.executable, "-c", "import sys; from metricmesh.cli import main; sys.exit(main())",
+                     "optimize", "--config", str(cfg_path)],
+                    env=env, capture_output=True, text=True, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outs.append(outdir)
+            for name in ("trace.csv", "lengths_final.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (run, name)
+        report(8, "icosphere(5) flow and icosphere(3) fit at 1 and 2 BLAS threads wrote identical trace.csv")
 
 
 class TestCriterion9HeldOutRegularization:

@@ -188,9 +188,17 @@ def oracle_case(name):
         # near it have it as their nearest vertex but must land on a face
         coords = np.vstack([coords, [[4.0, 0.0, 0.0]]])
         mesh = mm.Mesh(coords.shape[0], mesh.faces)
+    elif variant == "fit":
+        # the fit workload's shape: the mesh at the volume of the (1, 1, 2)
+        # ellipsoid that its 500 points lie on
+        coords = coords * 2.0 ** (1.0 / 3.0)
     points = oracle_points(mesh, coords, rng)
     if variant == "isolated":
         points = np.vstack([points, [[4.0, 0.0, 0.0], [3.9, 0.2, -0.1]]])
+    elif variant == "fit":
+        points = rng.normal(size=(500, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        points[:, 2] *= 2.0
     return np.ascontiguousarray(points), coords, mesh.faces
 
 
@@ -204,6 +212,7 @@ ORACLE_CASES = [
     "torus(16,8,2.0,0.7) flat",
     "icosphere(2) collinear",
     "icosphere(1) isolated",
+    "icosphere(2) fit",
 ]
 
 
@@ -242,7 +251,7 @@ class TestPrunedProjectionMatchesScan:
         for g, w in zip(got, scan_all_faces(points, coords, faces)):
             np.testing.assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("block_pairs", [1, 1 << 14])
+    @pytest.mark.parametrize("block_pairs", [1, projection._BLOCK_PAIRS])
     def test_overflow_reported_for_the_right_point(self, monkeypatch, block_pairs):
         points, coords, faces = oracle_case("icosphere(2)")
         points = np.insert(points, [150, 170], [[1e200, 0.0, 0.0], [0.0, -1e250, 0.0]], axis=0)
