@@ -20,7 +20,6 @@ from .errors import (
     NonManifoldEdgeError,
     NonTriangleFaceError,
     OFFParseError,
-    TapeDomainError,
     TapeError,
     TapeNonFiniteError,
 )
@@ -60,7 +59,6 @@ from .geodesic import (
     DistanceField,
     dijkstra_distances,
     fast_marching,
-    triangle_update,
 )
 from .optimize import (
     IterationState,
@@ -81,10 +79,7 @@ __version__ = "0.1.0"
 
 
 def backend_name() -> str:
-    """Name of the numeric path, recorded in every run manifest.
-
-    There is one path, plain numpy, so this is always ``"numpy"``.
-    """
+    """Name of the numeric path: always ``"numpy"``, the one path there is."""
     return "numpy"
 
 
@@ -100,7 +95,6 @@ __all__ = [
     "NonManifoldEdgeError",
     "NonTriangleFaceError",
     "OFFParseError",
-    "TapeDomainError",
     "TapeError",
     "TapeNonFiniteError",
     "backend_name",
@@ -133,7 +127,6 @@ __all__ = [
     "DistanceField",
     "dijkstra_distances",
     "fast_marching",
-    "triangle_update",
     "IterationState",
     "LossBreakdown",
     "LossConfig",

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import backend_name, outputs
+from . import outputs
 from .errors import ConfigError, MetricMeshError
 from .geodesic import dijkstra_distances, fast_marching
 from .geometry import MetricField, curvature_report
@@ -146,7 +146,6 @@ def _cmd_optimize(args) -> int:
     )
     manifest = {
         "command": "optimize",
-        "backend": backend_name(),
         "settings": settings_echo(settings),
         "result": {
             "iterations": result.iterations,
@@ -196,7 +195,6 @@ def _cmd_sweep(args) -> int:
         written.insert(1, "lengths_final.csv")
     manifest = {
         "command": "sweep",
-        "backend": backend_name(),
         "settings": settings_echo(settings),
         "lambdas": lambdas,
         "records": [

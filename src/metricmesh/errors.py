@@ -49,7 +49,7 @@ class TapeDomainError(TapeError):
 
 
 class TapeNonFiniteError(TapeError):
-    """A tape operation or the optimizer's loss gradient produced a NaN or infinity."""
+    """A NaN or infinity from a tape operation, the optimizer's gradient or its start loss."""
 
 
 class FeasibilityProjectionError(MetricMeshError):

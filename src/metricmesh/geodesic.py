@@ -25,7 +25,7 @@ from .geometry import MetricField, _require_feasible, face_slacks
 from .projection import _unit_scaled
 
 
-def triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> float:
+def _triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> float:
     """Distance candidate at C of a triangle with known values at A and B.
 
     Side convention: la = |BC|, lb = |AC|, lc = |AB| (each side named for
@@ -36,17 +36,9 @@ def triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> 
     (causality); otherwise, and always as a floor, the edge-sum fallback
     min(d_a + lb, d_b + la) applies.
 
-    The unfold runs at unit scale (the finite arguments scaled by one power
-    of two), so any scale gives the same bits.
+    The unfold squares the sides, so the arguments must be near unit
+    scale; :func:`fast_marching` scales its lengths there once per metric.
     """
-    args = np.array([d_a, d_b, la, lb, lc], dtype=np.float64)
-    _, k = _unit_scaled(args[np.isfinite(args)])
-    with np.errstate(over="ignore"):  # a distance past the float range comes out as inf
-        return float(np.ldexp(_triangle_update(*np.ldexp(args, -k).tolist()), k))
-
-
-def _triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> float:
-    """:func:`triangle_update` on arguments already near unit scale."""
     fallback = min(d_a + lb, d_b + la)
     if not (math.isfinite(d_a) and math.isfinite(d_b)):
         return fallback

@@ -303,12 +303,3 @@ def check_feasible(mesh, metric: MetricField, margin: float = 0.0) -> list[tuple
     deficit = margin - face_slacks(mesh, metric)
     bad = np.flatnonzero(deficit > 0.0)
     return [(int(f), float(deficit[f])) for f in bad]
-
-
-def _max_deficit(slacks: np.ndarray, margin: float) -> float:
-    return float(np.max(margin - slacks))
-
-
-def max_feasibility_deficit(mesh, metric: MetricField, margin: float) -> float:
-    """Largest deficit at ``margin`` over all faces; negative means slack."""
-    return _max_deficit(face_slacks(mesh, metric), margin)

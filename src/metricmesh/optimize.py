@@ -556,6 +556,10 @@ def _candidate(mesh, metric, embedding, dataset, config, proj, g_len, g_coord, e
     return cand_metric, cand_emb, cand_proj, losses
 
 
+# An inf or nan is caught where it is used (the start's total, the gradient,
+# each candidate's total), so numpy warns of none. "all": a set error state
+# slows every numpy call, and ignoring every error skips its status check.
+@np.errstate(all="ignore")
 def run_optimization(
     mesh,
     metric: MetricField,
@@ -593,7 +597,8 @@ def run_optimization(
     loss rises. Stop reasons: ``grad_tol``, ``loss_tol``, ``max_iters``,
     ``stalled`` (every trial step was rejected). A mesh with a vertex
     that belongs to no face raises :class:`IsolatedVertexError` before
-    row 0, from the first curvature report.
+    row 0, from the first curvature report, and a start whose total loss
+    is not finite raises :class:`TapeNonFiniteError`.
     """
     stop = stop if stop is not None else StopRule()
     metric, config = _start(mesh, metric, config)
@@ -602,6 +607,8 @@ def run_optimization(
     if dataset is not None:
         proj = project_dataset_arrays(dataset.points, embedding, mesh)
     losses = total_loss(mesh, metric, embedding, dataset, config, projections=proj)
+    if not math.isfinite(losses.total):
+        raise TapeNonFiniteError(f"the total loss at the start is {losses.total!r}")
 
     rows: list[TraceRow] = []
     eta_init = None
@@ -625,7 +632,7 @@ def run_optimization(
             l_vol=losses.volume,
             l_iso=losses.iso,
             l_total=losses.total,
-            max_deficit=geometry._max_deficit(losses.report.face_slack, config.feas_margin),
+            max_deficit=float(np.max(config.feas_margin - losses.report.face_slack)),
             grad_norm=grad_norm,
         )
         rows.append(row)

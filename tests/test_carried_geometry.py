@@ -124,7 +124,7 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, freeze_em
             l_vol=losses.volume,
             l_iso=losses.iso,
             l_total=losses.total,
-            max_deficit=geometry.max_feasibility_deficit(mesh, metric, config.feas_margin),
+            max_deficit=float(np.max(config.feas_margin - mm.face_slacks(mesh, metric))),
             grad_norm=grad_norm,
         )
         rows.append(row)
@@ -373,7 +373,7 @@ class TestCarriedGeometry:
         )
         assert len(seen) == len(res.rows) > 1
         for state in seen:
-            expected = geometry.max_feasibility_deficit(mesh, state.metric, res.config.feas_margin)
+            expected = float(np.max(res.config.feas_margin - mm.face_slacks(mesh, state.metric)))
             assert state.row.max_deficit == expected
 
     def test_breakdown_equality_and_repr_ignore_carried_fields(self, case):

@@ -561,7 +561,8 @@ class TestOptimizeCommand:
 
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "optimize"
-        assert manifest["backend"] == "numpy"
+        # there is one numeric path, so the manifest names none
+        assert "backend" not in manifest
         assert manifest["result"]["stop_reason"] in {
             "max_iters", "grad_tol", "loss_tol", "stalled"
         }
@@ -643,6 +644,7 @@ class TestSweepCommand:
 
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["command"] == "sweep"
+        assert "backend" not in manifest
         assert manifest["lambdas"] == [0.01, 0.1, 1.0]
         # each run sizes its own first trial step
         assert "eta_init" not in manifest["settings"]
@@ -705,23 +707,48 @@ class TestParser:
         assert exc.value.code == 2
 
 
-class TestModuleEntryPoint:
-    def run_module(self, *argv):
-        """``python -m metricmesh argv`` in a fresh interpreter on this source tree."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run(
-            [sys.executable, "-m", "metricmesh", *argv],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-        )
+def run_module(*argv, cwd=None):
+    """``python -m metricmesh argv`` in a fresh interpreter on this source tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "metricmesh", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+    )
 
+
+class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
-        ok = self.run_module("validate", "--mesh", "icosphere(1)")
+        ok = run_module("validate", "--mesh", "icosphere(1)")
         assert ok.returncode == 0, ok.stderr
         assert ok.stdout.startswith("ok: 42 vertices, 120 edges, 80 faces")
-        bad = self.run_module("validate", "--mesh", "icosphere(x)")
+        bad = run_module("validate", "--mesh", "icosphere(x)")
         assert bad.returncode == 1
         assert bad.stderr.startswith("error: bad mesh spec 'icosphere(x)'")
         assert "Traceback" not in bad.stderr
+
+
+class TestNonFiniteLoss:
+    # A fresh interpreter: numpy's RuntimeWarnings print to stderr there,
+    # where in-process pytest would raise them.
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            # the curvature term is 0 * inf = nan at p = 600, and a zero
+            # weight does not drop it: 0 * nan
+            "jitter = 0.2\nlambda = 0\nmu_iso = 0.01\np = 600",
+            # each power overflows or underflows: inf * 0 = nan
+            "lambda = 1\np = 1e300",
+        ],
+        ids=["zero-weight-nan", "overflow"],
+    )
+    def test_optimize_exits_one_with_one_error_line(self, tmp_path, settings):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mesh = icosphere(1)\n{settings}\nmax_iters = 3\noutdir = run\n")
+        proc = run_module("optimize", "--config", str(cfg), cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: the total loss at the start is nan\n"
+        assert not (tmp_path / "run").exists()

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import metricmesh as mm
 from metricmesh.errors import InfeasibleMetricError
-from metricmesh.geodesic import _validated
+from metricmesh.geodesic import _triangle_update, _validated
+from metricmesh.projection import _unit_scaled
 
 from conftest import feasible_jittered, two_triangle_strip
 
@@ -19,31 +20,31 @@ class TestTriangleUpdate:
     def test_two_point_update_equilateral(self):
         # both supports at 0 on a unit equilateral: the apex sits at height
         # sqrt(3)/2 and the planar update finds exactly that
-        assert mm.triangle_update(0.0, 0.0, 1.0, 1.0, 1.0) == pytest.approx(SQRT3 / 2, rel=1e-15)
+        assert _triangle_update(0.0, 0.0, 1.0, 1.0, 1.0) == pytest.approx(SQRT3 / 2, rel=1e-15)
 
     def test_gradient_too_steep_falls_back(self):
         # d_b - d_a equals the connecting edge: wavefront runs along it, the
         # two-point stencil is invalid and the one-point bound takes over
-        assert mm.triangle_update(0.0, 1.0, 1.0, 1.0, 1.0) == 1.0
-        assert mm.triangle_update(0.0, 1.0, math.sqrt(2.0), 1.0, 1.0) == 1.0
+        assert _triangle_update(0.0, 1.0, 1.0, 1.0, 1.0) == 1.0
+        assert _triangle_update(0.0, 1.0, math.sqrt(2.0), 1.0, 1.0) == 1.0
 
     def test_stale_support_ignored(self):
         # the far support is useless; result is the direct hop from A
-        assert mm.triangle_update(0.0, 50.0, 1.0, 1.0, 1.0) == 1.0
+        assert _triangle_update(0.0, 50.0, 1.0, 1.0, 1.0) == 1.0
 
     def test_degenerate_unfold_falls_back(self):
         # sides BC = 2, CA = 1, AB = 1 put C on the line through A and B:
         # the unfold has no height
-        assert mm.triangle_update(0.0, 0.5, 2.0, 1.0, 1.0) == 1.0
+        assert _triangle_update(0.0, 0.5, 2.0, 1.0, 1.0) == 1.0
 
     def test_nonfinite_support(self):
-        assert mm.triangle_update(0.0, math.inf, 1.0, 1.0, 1.0) == 1.0
-        assert math.isinf(mm.triangle_update(math.inf, math.inf, 1.0, 1.0, 1.0))
+        assert _triangle_update(0.0, math.inf, 1.0, 1.0, 1.0) == 1.0
+        assert math.isinf(_triangle_update(math.inf, math.inf, 1.0, 1.0, 1.0))
 
     def test_frozen_oblique_case(self):
         # 3-4-5 right triangle, supports 0 and 0.5; value pinned from the
         # planar unfolding worked by hand
-        got = mm.triangle_update(0.0, 0.5, 4.0, 3.0, 5.0)
+        got = _triangle_update(0.0, 0.5, 4.0, 3.0, 5.0)
         a = np.array([0.0, 0.0])
         b = np.array([5.0, 0.0])
         c = np.array([9.0 / 5.0, 12.0 / 5.0])  # law-of-cosines placement
@@ -55,18 +56,6 @@ class TestTriangleUpdate:
         assert got == pytest.approx(expected, rel=1e-15)
         assert got <= min(0.0 + 3.0, 0.5 + 4.0)
 
-    @pytest.mark.parametrize("exponent", [600, -600])
-    def test_far_from_unit_scale(self, exponent):
-        # the unfold squares the sides, which at 2**600 overflows and at
-        # 2**-600 underflows; the distance itself scales with the lengths
-        cases = [(0.0, 0.0, 1.0, 1.0, 1.0), (0.0, 0.5, 4.0, 3.0, 5.0), (0.3, 0.1, 1.1, 0.9, 1.3)]
-        for args in cases:
-            base = mm.triangle_update(*args)
-            got = mm.triangle_update(*(math.ldexp(x, exponent) for x in args))
-            assert got == math.ldexp(base, exponent), args
-        assert mm.triangle_update(0.0, 0.0, 1e200, 1e200, 1e200) == pytest.approx(SQRT3 / 2 * 1e200)
-        assert mm.triangle_update(0.0, math.inf, 1e-200, 1e-200, 1e-200) == 1e-200
-
     @given(
         st.floats(0.0, 5.0),
         st.floats(0.0, 5.0),
@@ -77,7 +66,7 @@ class TestTriangleUpdate:
     @settings(max_examples=200, deadline=None)
     def test_never_worse_than_one_point(self, d_a, d_b, sides):
         la, lb, lc = sides
-        got = mm.triangle_update(d_a, d_b, la, lb, lc)
+        got = _triangle_update(d_a, d_b, la, lb, lc)
         assert got <= min(d_a + lb, d_b + la) + 1e-12
 
     @given(
@@ -90,8 +79,8 @@ class TestTriangleUpdate:
     @settings(max_examples=200, deadline=None)
     def test_support_swap_symmetry(self, d_a, d_b, sides):
         la, lb, lc = sides
-        forward = mm.triangle_update(d_a, d_b, la, lb, lc)
-        swapped = mm.triangle_update(d_b, d_a, lb, la, lc)
+        forward = _triangle_update(d_a, d_b, la, lb, lc)
+        swapped = _triangle_update(d_b, d_a, lb, la, lc)
         assert forward == pytest.approx(swapped, rel=1e-12, abs=1e-12)
 
 
@@ -212,7 +201,8 @@ def numpy_scalar_fast_marching(mesh, metric, source):
     """Reference fast marching on numpy arrays and scalars.
 
     This is the loop ``fast_marching`` ran before it moved to Python
-    lists and floats; the distances must stay bit for bit the same.
+    lists and floats; the distances must stay bit for bit the same. Like
+    ``fast_marching`` it unfolds at unit scale, which is exact.
     """
     _validated(mesh, metric, source)
     dist = np.full(mesh.vertex_count, np.inf)
@@ -221,7 +211,7 @@ def numpy_scalar_fast_marching(mesh, metric, source):
     heap = [(0.0, source)]
     faces = mesh.faces
     face_edges = mesh.face_edges
-    lengths = metric.lengths
+    lengths, k = _unit_scaled(metric.lengths)
     while heap:
         d, u = heapq.heappop(heap)
         if accepted[u] or d > dist[u]:
@@ -242,14 +232,14 @@ def numpy_scalar_fast_marching(mesh, metric, source):
                 if accepted[w]:
                     cand = min(
                         cand,
-                        mm.triangle_update(
+                        _triangle_update(
                             dist[u], dist[w], la=opp[pos_u], lb=opp[pos_w], lc=opp[pos_c]
                         ),
                     )
                 if cand < dist[c]:
                     dist[c] = cand
                     heapq.heappush(heap, (cand, c))
-    return dist
+    return np.ldexp(dist, k)
 
 
 def numpy_scalar_dijkstra(mesh, metric, source):

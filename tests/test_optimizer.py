@@ -800,6 +800,19 @@ class TestRunOptimization:
             )
         assert seen == []
 
+    def test_non_finite_start_loss_raises_before_row_zero(self, icosphere1):
+        # at p = 600 the curvature term is 0 * inf = nan, and its zero
+        # weight keeps it: 0 * nan
+        mesh, emb = icosphere1
+        metric = feasible_jittered(mesh, emb, seed=0, amount=0.2)
+        seen = []
+        with pytest.raises(mm.TapeNonFiniteError, match="the total loss at the start is nan"):
+            run_optimization(
+                mesh, metric, emb, None, LossConfig(lambda_=0.0, p=600.0, mu_iso=0.01),
+                stop=StopRule(max_iters=3), on_iteration=seen.append,
+            )
+        assert seen == []
+
     def test_overflowing_candidate_projection_is_rejected(self, icosphere1, monkeypatch):
         # a candidate embedding whose squared distances overflow is one more
         # rejected step, not the end of the run
@@ -1151,6 +1164,19 @@ class TestLambdaSweep:
         assert "InfeasibleMetricError" in records[1].detail
         # the failed weight leaves the warm-start state untouched
         assert seen_starts[2] is records[0].result.metric
+
+    def test_non_finite_start_loss_fails_its_weight(self, icosphere1):
+        # at p = 600 the curvature term is nan at every weight: the sweep
+        # records each weight as failed and goes on to the next
+        mesh, emb = icosphere1
+        metric = feasible_jittered(mesh, emb, seed=0, amount=0.2)
+        records = lambda_sweep(
+            mesh, metric, emb, None, LossConfig(p=600.0, mu_iso=0.01), [0.0, 1.0],
+            stop=StopRule(max_iters=3), freeze_embedding=True,
+        )
+        assert [r.status for r in records] == ["failed", "failed"]
+        assert all(r.result is None for r in records)
+        assert records[0].detail == "TapeNonFiniteError: the total loss at the start is nan"
 
     def test_auto_margin_resolved_once_from_start(self, icosphere1):
         # every weight runs at the margin and floor of the starting metric,
