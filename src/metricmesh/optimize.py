@@ -51,12 +51,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import geometry
-from .errors import (
-    FeasibilityProjectionError,
-    InfeasibleMetricError,
-    TapeError,
-    TapeNonFiniteError,
-)
+from .errors import FeasibilityProjectionError, TapeNonFiniteError
 from .geometry import MetricField
 from .projection import (
     Dataset,
@@ -531,9 +526,9 @@ def _candidate(mesh, metric, embedding, dataset, config, proj, g_len, g_coord, e
 
     Returns its (repaired metric, embedding, projections, losses), or None
     when it cannot be evaluated: its lengths are not finite or their repair
-    fails, its coordinates are not finite, or a point's squared distance to
-    it overflows. Without ``g_coord`` the embedding and projections are
-    ``embedding`` and ``proj``.
+    fails, its coordinates are not finite, a point's squared distance to it
+    overflows, or its loss cannot be evaluated. Without ``g_coord`` the
+    embedding and projections are ``embedding`` and ``proj``.
     """
     try:
         cand_metric = feasibility_projection(
@@ -544,15 +539,12 @@ def _candidate(mesh, metric, embedding, dataset, config, proj, g_len, g_coord, e
         )
         cand_emb, cand_proj = embedding, proj
         if g_coord is not None:
-            cand_emb = embedding.with_coords(
-                embedding.coords - eta * g_coord.reshape(embedding.coords.shape)
-            )
+            cand_emb = Embedding(embedding.coords - eta * g_coord.reshape(embedding.coords.shape))
             if dataset is not None:
                 cand_proj = project_dataset_arrays(dataset.points, cand_emb, mesh)
+        losses = total_loss(mesh, cand_metric, cand_emb, dataset, config, projections=cand_proj)
     except (ValueError, FeasibilityProjectionError):
         return None
-    # cannot raise InfeasibleMetricError: every slack is >= feas_margin > 0
-    losses = total_loss(mesh, cand_metric, cand_emb, dataset, config, projections=cand_proj)
     return cand_metric, cand_emb, cand_proj, losses
 
 
@@ -593,7 +585,8 @@ def run_optimization(
     The start metric and the candidates are repaired by the same
     :func:`feasibility_projection`. A candidate is rejected, one more
     halving of the step, when its repair fails, its lengths or coordinates
-    are not finite, a point's squared distance to it overflows, or its
+    are not finite, a point's squared distance to it overflows, its loss
+    cannot be evaluated (face areas past the float range, say), or its
     loss rises. Stop reasons: ``grad_tol``, ``loss_tol``, ``max_iters``,
     ``stalled`` (every trial step was rejected). A mesh with a vertex
     that belongs to no face raises :class:`IsolatedVertexError` before
@@ -623,6 +616,10 @@ def run_optimization(
         if g_coord is not None:
             sq += _sum_product(g_coord, g_coord)
         grad_norm = math.sqrt(sq)
+        if grad_norm == math.inf:
+            # the squares of a finite gradient overflow: sum them at unit scale
+            unit, j = _unit_scaled(_joint(g_len, g_coord))
+            grad_norm = float(np.ldexp(math.sqrt(_sum_product(unit, unit)), j))
         row = TraceRow(
             iteration=k,
             eta=eta_used,
@@ -716,9 +713,11 @@ def lambda_sweep(
     margin, floor and volume target are derived from the starting metric
     and shared by every run, and a starting metric that cannot be repaired
     raises :class:`FeasibilityProjectionError` before the first weight. A
-    failed run is recorded and the sweep continues from the last
-    successful state, so one bad weight does not void the rest. Each run
-    sizes its first trial step to its own start gradient.
+    run whose start loss or a gradient is not finite
+    (:class:`TapeNonFiniteError`) is recorded as failed and the sweep
+    continues from the last successful state, so one bad weight does not
+    void the rest. Each run sizes its first trial step to its own start
+    gradient.
     """
     lam = sweep_weights(lambdas)
     metric, config = _start(mesh, metric, config)
@@ -736,10 +735,8 @@ def lambda_sweep(
                 stop=stop,
                 freeze_embedding=freeze_embedding,
             )
-        except (InfeasibleMetricError, FeasibilityProjectionError, TapeError) as exc:
-            records.append(
-                SweepRecord(lv, "failed", f"{type(exc).__name__}: {exc}", None)
-            )
+        except TapeNonFiniteError as exc:
+            records.append(SweepRecord(lv, "failed", f"{type(exc).__name__}: {exc}", None))
             continue
         records.append(SweepRecord(lv, "ok", res.stop_reason, res))
         cur_metric, cur_emb = res.metric, res.embedding

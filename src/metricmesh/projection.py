@@ -84,10 +84,6 @@ class Embedding:
         object.__setattr__(self, "coords", coords)
 
     @property
-    def vertex_count(self) -> int:
-        return int(self.coords.shape[0])
-
-    @property
     def ambient_dim(self) -> int:
         return int(self.coords.shape[1])
 
@@ -103,31 +99,24 @@ class Embedding:
         object.__setattr__(self, "_edge_memo", (mesh.edges, lengths))
         return lengths
 
-    def with_coords(self, coords: np.ndarray) -> "Embedding":
-        return Embedding(coords)
-
 
 @dataclass(frozen=True)
 class Dataset:
-    """Point cloud in data space; ids are the row order of the source."""
+    """Point cloud in data space; ids are the row order of the source.
+
+    ``points`` is a read-only copy of the given array.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
             raise DatasetError(f"dataset must have shape (N, n), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise DatasetError("dataset contains non-finite values")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    @property
-    def size(self) -> int:
-        return int(self.points.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.points.shape[1])
 
     @classmethod
     def from_csv(cls, source) -> "Dataset":

@@ -131,7 +131,7 @@ def ellipsoid_fit_run(icosphere2):
     mesh, emb_unit = icosphere2
     # volume-matched start: the (1, 1, 2) ellipsoid encloses twice the
     # unit-ball volume, so scale the round start by 2^(1/3)
-    emb = emb_unit.with_coords(emb_unit.coords * 2.0 ** (1.0 / 3.0))
+    emb = mm.Embedding(emb_unit.coords * 2.0 ** (1.0 / 3.0))
     dataset = ellipsoid_cloud(np.random.default_rng(3), 200)
     start = mm.MetricField.from_embedding(mesh, emb)
     mean = float(np.mean(start.lengths))
@@ -201,7 +201,7 @@ class TestCriterion2GradientOracle:
 
         def f(lengths, coords):
             return total_loss(
-                mesh, mm.MetricField(lengths), emb.with_coords(coords.reshape(-1, 3)),
+                mesh, mm.MetricField(lengths), mm.Embedding(coords.reshape(-1, 3)),
                 dataset, cfg,
             ).total
 
@@ -432,7 +432,7 @@ class TestCriterion9HeldOutRegularization:
         train = self.surface_points(rng, 40) + rng.normal(scale=0.1, size=(40, 3))
         held_out = self.surface_points(rng, 1000)
         mesh, unit = icosphere2
-        emb = unit.with_coords(unit.coords * 1.5 ** (1.0 / 3.0))
+        emb = mm.Embedding(unit.coords * 1.5 ** (1.0 / 3.0))
         metric = mm.MetricField.from_embedding(mesh, emb)
         errors = []
         for lam in self.LAMBDAS:

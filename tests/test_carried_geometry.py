@@ -165,7 +165,7 @@ def rebuilding_descent(mesh, metric, embedding, dataset, config, stop, freeze_em
             if g_coord is not None:
                 new_coords = embedding.coords - eta * g_coord.reshape(embedding.coords.shape)
                 try:
-                    cand_emb = embedding.with_coords(new_coords)
+                    cand_emb = mm.Embedding(new_coords)
                 except ValueError:
                     eta *= 0.5
                     continue

@@ -15,7 +15,7 @@ import pytest
 import metricmesh as mm
 from metricmesh import optimize, outputs
 from metricmesh.cli import main
-from metricmesh.errors import InfeasibleMetricError
+from metricmesh.errors import TapeNonFiniteError
 from metricmesh.optimize import sweep_weights
 from metricmesh.runconfig import read_config
 
@@ -657,7 +657,7 @@ class TestSweepCommand:
 
         def flaky(mesh, metric, embedding, dataset, config, **kwargs):
             if config.lambda_ == 0.1:
-                raise InfeasibleMetricError("injected failure")
+                raise TapeNonFiniteError("injected failure")
             return real(mesh, metric, embedding, dataset, config, **kwargs)
 
         monkeypatch.setattr(optimize, "run_optimization", flaky)
@@ -666,7 +666,7 @@ class TestSweepCommand:
                            freeze_embedding="true")
         assert main(["sweep", "--config", str(cfg), "--lambdas", "0.01,0.1,1.0"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == "lambda 0.1: failed (InfeasibleMetricError: injected failure)"
+        assert lines[1] == "lambda 0.1: failed (TapeNonFiniteError: injected failure)"
         assert lines[0].startswith("lambda 0.01: max_iters after 2 iterations")
         assert lines[2].startswith("lambda 1.0: max_iters after 2 iterations")
         rows = (outdir / "sweep.csv").read_text().splitlines()[1:]

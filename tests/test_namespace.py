@@ -72,3 +72,14 @@ def test_test_only_exports_left_the_namespace():
     assert not hasattr(mm.geodesic, "triangle_update")
     assert not hasattr(mm.geometry, "max_feasibility_deficit")
     assert not hasattr(mm.geometry, "_max_deficit")
+
+
+def test_value_type_repeats_are_gone():
+    # each repeated a field's shape or the constructor
+    for owner, name in (
+        (mm.Embedding, "vertex_count"),
+        (mm.Embedding, "with_coords"),
+        (mm.Dataset, "size"),
+        (mm.Dataset, "dim"),
+    ):
+        assert not hasattr(owner, name), name

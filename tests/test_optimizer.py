@@ -813,6 +813,39 @@ class TestRunOptimization:
             )
         assert seen == []
 
+    def test_candidate_whose_areas_overflow_is_rejected(self):
+        # at 4e153 the start's total area is 1.6e308, and the first trial
+        # candidate's areas leave the float range: its loss raises
+        # ValueError, which is one halving, not the end of the run
+        mesh, emb = mm.make_icosphere(2)
+        emb = mm.Embedding(emb.coords * 4e153)
+        rng = np.random.default_rng(1)
+        metric = mm.MetricField.from_embedding(mesh, emb).with_jitter(rng, 0.5)
+        res = run_optimization(
+            mesh, metric, emb, None, FLOW, stop=StopRule(max_iters=30, grad_tol=0.0),
+            freeze_embedding=True,
+        )
+        assert res.stop_reason == "max_iters"
+        assert res.rows[1].eta < res.eta_init
+        assert res.final.l_total < res.rows[0].l_total
+
+    def test_grad_norm_of_overflowing_squares_is_finite(self, icosphere1):
+        # at p = 300 the gradient is finite, but its sum of squares is not
+        mesh, emb = icosphere1
+        metric = feasible_jittered(mesh, emb, seed=0, amount=0.2)
+        grads = []
+        res = run_optimization(
+            mesh, metric, emb, None, LossConfig(lambda_=1.0, p=300.0, mu_iso=0.01),
+            stop=StopRule(max_iters=2),
+            on_iteration=lambda s: grads.append(np.concatenate((s.grad_lengths, s.grad_coords))),
+        )
+        assert len(res.rows) == 3
+        for row, g in zip(res.rows, grads):
+            with np.errstate(over="ignore"):
+                assert math.isinf(float(np.add.reduce(g * g)))
+            top = float(np.abs(g).max())
+            assert row.grad_norm == pytest.approx(top * math.sqrt(np.add.reduce((g / top) ** 2)))
+
     def test_overflowing_candidate_projection_is_rejected(self, icosphere1, monkeypatch):
         # a candidate embedding whose squared distances overflow is one more
         # rejected step, not the end of the run
@@ -841,15 +874,20 @@ class TestRunOptimization:
         [
             ("flow", optimize, "feasibility_projection", FeasibilityProjectionError("forced")),
             ("fit", optimize, "feasibility_projection", FeasibilityProjectionError("forced")),
-            ("fit", mm.Embedding, "with_coords", ValueError("forced")),
+            ("fit", optimize, "Embedding", ValueError("forced")),
             ("fit", optimize, "project_dataset_arrays", ValueError("forced")),
             ("flow", optimize, "MetricField", ValueError("forced")),
+            ("flow", optimize, "total_loss", ValueError("forced")),
         ],
-        ids=["flow-repair", "fit-repair", "fit-coordinates", "fit-projection", "flow-lengths"],
+        ids=[
+            "flow-repair", "fit-repair", "fit-coordinates", "fit-projection", "flow-lengths",
+            "flow-loss",
+        ],
     )
     def test_failed_candidate_halves_the_step(self, kind, owner, name, exc, monkeypatch):
-        # a failed repair, candidate lengths or coordinates refused, or an
-        # overflowing projection is one halving
+        # a failed repair, candidate lengths or coordinates refused, an
+        # overflowing projection or a loss that cannot be evaluated is one
+        # halving
         mesh, metric, emb, ds, cfg, freeze = step_rule_case(kind)
         arm = fail_first_candidate(monkeypatch, owner, name, exc)
         res = run_optimization(
@@ -1151,7 +1189,7 @@ class TestLambdaSweep:
             cfg = args[2]
             seen_starts.append(metric_)
             if cfg.lambda_ == 1.0:
-                raise InfeasibleMetricError("injected failure")
+                raise mm.TapeNonFiniteError("injected failure")
             return real(mesh_, metric_, *args, **kwargs)
 
         monkeypatch.setattr(optimize, "run_optimization", flaky)
@@ -1161,9 +1199,21 @@ class TestLambdaSweep:
         )
         assert [r.status for r in records] == ["ok", "failed", "ok"]
         assert records[1].result is None
-        assert "InfeasibleMetricError" in records[1].detail
+        assert records[1].detail == "TapeNonFiniteError: injected failure"
         # the failed weight leaves the warm-start state untouched
         assert seen_starts[2] is records[0].result.metric
+
+    def test_only_a_non_finite_run_is_recorded(self, icosphere1, monkeypatch):
+        # no run raises another error, so one that does is a fault to report
+        mesh, emb = icosphere1
+        metric = feasible_jittered(mesh, emb, seed=13, amount=0.15)
+
+        def failing(*args, **kwargs):
+            raise InfeasibleMetricError("injected failure")
+
+        monkeypatch.setattr(optimize, "run_optimization", failing)
+        with pytest.raises(InfeasibleMetricError, match="injected failure"):
+            lambda_sweep(mesh, metric, emb, None, LossConfig(), [0.1, 1.0])
 
     def test_non_finite_start_loss_fails_its_weight(self, icosphere1):
         # at p = 600 the curvature term is nan at every weight: the sweep

@@ -828,7 +828,6 @@ class TestDataset:
         path.write_text("x,y,z\n1,2,3\n4,5,6\n")
         ds = mm.Dataset.from_csv(path)
         np.testing.assert_array_equal(ds.points, [[1, 2, 3], [4, 5, 6]])
-        assert (ds.size, ds.dim) == (2, 3)
 
     def test_from_csv_headerless_and_filelike(self):
         ds = mm.Dataset.from_csv(io.StringIO("1.5,2.5\n-1,0\n"))
@@ -836,7 +835,7 @@ class TestDataset:
 
     def test_from_csv_blank_lines_skipped(self):
         ds = mm.Dataset.from_csv(io.StringIO("1,2\n\n3,4\n"))
-        assert ds.size == 2
+        np.testing.assert_array_equal(ds.points, [[1, 2], [3, 4]])
 
     def test_from_csv_errors_carry_row_numbers(self):
         with pytest.raises(DatasetError, match="row 3"):
@@ -862,6 +861,14 @@ class TestDataset:
             mm.Dataset(np.zeros((0, 3)))
         with pytest.raises(DatasetError):
             mm.Dataset(np.array([[1.0, np.inf]]))
+
+    def test_points_are_a_read_only_copy(self):
+        source = np.eye(3)
+        ds = mm.Dataset(source)
+        source[0, 0] = 5.0
+        assert ds.points[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ds.points[0, 0] = 2.0
 
 
 class TestIsometryCoupling:
@@ -897,7 +904,7 @@ class TestEmbedding:
     def test_edge_lengths_at_extreme_scale(self, icosphere1, power):
         # the squared differences leave float range unless scaled first
         mesh, emb = icosphere1
-        scaled = emb.with_coords(np.ldexp(emb.coords, power))
+        scaled = mm.Embedding(np.ldexp(emb.coords, power))
         np.testing.assert_array_equal(
             scaled.edge_lengths(mesh), np.ldexp(emb.edge_lengths(mesh), power)
         )
@@ -928,10 +935,3 @@ class TestEmbedding:
         back = pickle.loads(pickle.dumps(emb))
         np.testing.assert_array_equal(back.coords, emb.coords)
         np.testing.assert_array_equal(back.edge_lengths(mesh), emb.edge_lengths(mesh))
-
-    def test_with_coords(self, icosphere0):
-        _, emb = icosphere0
-        emb2 = emb.with_coords(emb.coords * 2.0)
-        assert emb2.vertex_count == emb.vertex_count
-        with pytest.raises(ValueError):
-            emb.with_coords(np.full_like(emb.coords, np.nan))
