@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,17 @@ class DistanceField:
         return np.isfinite(self.distances)
 
 
-def _validated(mesh, metric: MetricField, source: int) -> None:
+def _validated(mesh, metric: MetricField, source) -> int:
+    """``source`` as an int once it names a vertex and the metric is feasible."""
+    if not isinstance(source, numbers.Integral) or isinstance(source, bool):
+        raise ValueError(f"source vertex must be an integer, got {source!r}")
+    source = int(source)
     if not 0 <= source < mesh.vertex_count:
         raise ValueError(
             f"source vertex {source} out of range for {mesh.vertex_count} vertices"
         )
     _require_feasible(mesh, metric, face_slacks(mesh, metric))
+    return source
 
 
 @np.errstate(over="ignore")  # a distance past the float range comes out as inf
@@ -86,59 +92,62 @@ def fast_marching(mesh, metric: MetricField, source: int) -> DistanceField:
 
     Heap keys are (distance, vertex), so ties resolve by vertex index and
     runs are deterministic. When a vertex u is accepted, every incident
-    face relaxes its remaining corners: a one-point update from u always,
-    and the two-point update whenever the face's third corner is already
-    accepted. The loop runs on Python lists and floats, which give the
-    same IEEE results as numpy scalars at a fraction of the cost.
+    face relaxes its other corners c1 and c2, in corner order: a
+    one-point update from u always, and the two-point update whenever
+    the face's third corner is already accepted. The faces come from the
+    mesh's per-vertex fan table (``Mesh._vertex_fans``), built once per
+    mesh; each call gathers its lengths once, and the loop runs on
+    Python lists and floats, which give the same IEEE results as numpy
+    scalars at a fraction of the cost.
     """
-    _validated(mesh, metric, source)
+    source = _validated(mesh, metric, source)
+    others, opposite = mesh._vertex_fans()
+    lengths, k = _unit_scaled(metric.lengths)  # the unfold squares lengths
+    # Entry j is a vertex u and one of its faces: the sides opposite u, c1
+    # and c2, and the corners c1 and c2.
+    l_u, l_1, l_2 = lengths[opposite].tolist()
+    c_1, c_2 = others.tolist()
+    starts = mesh.vertex_face_csr[0].tolist()
     v = mesh.vertex_count
     dist = [math.inf] * v
     accepted = [False] * v
     dist[source] = 0.0
     heap: list[tuple[float, int]] = [(0.0, source)]
-    faces = mesh.faces.tolist()
-    lengths, k = _unit_scaled(metric.lengths)  # the unfold squares lengths
-    # Sides opposite each corner: corner 0 faces edge (j,k) etc.
-    opposite = lengths[mesh.face_edges[:, (1, 2, 0)]].tolist()
-    offsets, rows = (a.tolist() for a in mesh.vertex_face_csr)
+    push, pop = heapq.heappush, heapq.heappop
 
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if accepted[u] or d > dist[u]:
             continue
         accepted[u] = True
         du = dist[u]
-        for fi in rows[offsets[u] : offsets[u + 1]]:
-            corners = faces[fi]
-            opp = opposite[fi]
-            pos_u = corners.index(u)
-            for pos_c in range(3):
-                c = corners[pos_c]
-                if pos_c == pos_u or accepted[c]:
-                    continue
-                pos_w = 3 - pos_u - pos_c
-                w = corners[pos_w]
-                # Edge (u, c) is the side opposite w.
-                cand = du + opp[pos_w]
-                if accepted[w]:
-                    two_point = _triangle_update(
-                        du, dist[w],
-                        la=opp[pos_u],   # |w c|, opposite u
-                        lb=opp[pos_w],   # |u c|, opposite w
-                        lc=opp[pos_c],   # |u w|, opposite c
-                    )
+        for j in range(starts[u], starts[u + 1]):
+            c1 = c_1[j]
+            c2 = c_2[j]
+            if not accepted[c1]:
+                cand = du + l_2[j]  # edge (u, c1) is the side opposite c2
+                if accepted[c2]:
+                    two_point = _triangle_update(du, dist[c2], l_u[j], l_2[j], l_1[j])
                     if two_point < cand:
                         cand = two_point
-                if cand < dist[c]:
-                    dist[c] = cand
-                    heapq.heappush(heap, (cand, c))
+                if cand < dist[c1]:
+                    dist[c1] = cand
+                    push(heap, (cand, c1))
+            if not accepted[c2]:
+                cand = du + l_1[j]
+                if accepted[c1]:
+                    two_point = _triangle_update(du, dist[c1], l_u[j], l_1[j], l_2[j])
+                    if two_point < cand:
+                        cand = two_point
+                if cand < dist[c2]:
+                    dist[c2] = cand
+                    push(heap, (cand, c2))
     return DistanceField(source=source, distances=np.ldexp(np.array(dist), k))
 
 
 def dijkstra_distances(mesh, metric: MetricField, source: int) -> DistanceField:
     """Edge-graph shortest paths; the upper-bound reference for fast marching."""
-    _validated(mesh, metric, source)
+    source = _validated(mesh, metric, source)
     v = mesh.vertex_count
     offsets, rows = mesh.vertex_edge_csr
     # Entry k of the CSR pair is edge rows[k] at vertex `at[k]`; its far

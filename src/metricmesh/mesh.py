@@ -118,6 +118,7 @@ class Mesh:
         "boundary_vertex",
         "isolated_vertices",
         "_lists_memo",
+        "_fan_memo",
     )
 
     def __init__(self, vertex_count: int, faces):
@@ -168,8 +169,9 @@ class Mesh:
         bv = np.zeros(vertex_count, dtype=bool)
         bv[self.edges[self.boundary_edge].ravel()] = True
         self.boundary_vertex = _freeze(bv)
-        # _edge_face_lists builds it on first call
+        # _edge_face_lists and _vertex_fans build them on first call
         self._lists_memo = None
+        self._fan_memo = None
 
     def _edge_face_lists(self) -> tuple[list, list, list]:
         """(face_edges, offsets, rows) as Python lists, built on first call and kept.
@@ -185,6 +187,30 @@ class Mesh:
             offsets, rows = _incidence(self.face_edges, self.edge_count)
             self._lists_memo = (self.face_edges.tolist(), offsets.tolist(), rows.tolist())
         return self._lists_memo
+
+    def _vertex_fans(self) -> tuple[np.ndarray, np.ndarray]:
+        """The fan table (others, opposite), built on first call and kept.
+
+        Entry j of the CSR pair is vertex u and a face f holding it. Column
+        j of ``others`` (2, 3F) holds f's other two corners in corner
+        order, c1 before c2, and column j of ``opposite`` (3, 3F) the edges
+        opposite u, c1 and c2. Fast marching reads them one fan at a time.
+        Built lazily and read-only, and topology only: any metric on the
+        mesh can read them. Two threads that race here build equal arrays,
+        and either may be kept.
+        """
+        if self._fan_memo is None:
+            offsets, rows = self.vertex_face_csr
+            at = np.repeat(np.arange(self.vertex_count), np.diff(offsets))
+            first = 3 * rows  # flat index of corner 0 of each entry's face
+            flat = self.faces.ravel()
+            pos_u = (flat[first + 1] == at) + 2 * (flat[first + 2] == at)
+            # corner positions of u, c1 and c2; corner p is opposite side (p + 1) % 3
+            pos = np.stack((pos_u, pos_u == 0, 2 - (pos_u == 2)))
+            others = flat[first + pos[1:]]
+            opposite = self.face_edges.ravel()[first + (pos + 1) % 3]
+            self._fan_memo = (_freeze(others), _freeze(opposite))
+        return self._fan_memo
 
     @property
     def face_count(self) -> int:

@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,11 +159,22 @@ class TestFastMarching:
     def test_source_validation(self, icosphere0):
         mesh, emb = icosphere0
         metric = mm.MetricField.from_embedding(mesh, emb)
-        for bad in (-1, mesh.vertex_count):
-            with pytest.raises(ValueError):
+        # a float or a bool is no vertex, even where it equals one
+        for bad in (-1, mesh.vertex_count, 1.0, 2.5, np.float64(1.0), True, False, "1", None):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 mm.fast_marching(mesh, metric, bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 mm.dijkstra_distances(mesh, metric, bad)
+
+    @pytest.mark.parametrize("solver", [mm.fast_marching, mm.dijkstra_distances])
+    def test_numpy_integer_source(self, icosphere0, solver):
+        mesh, emb = icosphere0
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        want = solver(mesh, metric, 5)
+        for source in (np.int64(5), np.int32(5), np.uint8(5)):
+            got = solver(mesh, metric, source)
+            assert type(got.source) is int and got.source == 5
+            np.testing.assert_array_equal(got.distances, want.distances)
 
     def test_infeasible_metric_rejected(self, icosphere0):
         mesh, emb = icosphere0
@@ -280,6 +292,33 @@ def _two_spheres():
     return mm.Mesh(2 * mesh.vertex_count, faces), mm.Embedding(coords)
 
 
+def _alternating_icosphere():
+    """icosphere(2) with every other face reversed, so the faces' corner orders disagree."""
+    mesh, emb = mm.make_icosphere(2)
+    faces = mesh.faces.copy()
+    faces[1::2] = faces[1::2, ::-1]
+    return mm.Mesh(mesh.vertex_count, faces), emb
+
+
+def _isolated_source():
+    """torus(8,6) with an isolated vertex numbered 23, one of the oracle's sources."""
+    mesh, emb = mm.make_torus(8, 6, 2.0, 0.7)
+    iso = (mesh.vertex_count + 1) // 2 - 1
+    faces = np.where(mesh.faces >= iso, mesh.faces + 1, mesh.faces)
+    coords = np.insert(emb.coords, iso, [0.0, 0.0, 3.0], axis=0)
+    return mm.Mesh(mesh.vertex_count + 1, faces), mm.Embedding(coords)
+
+
+def _three_face_edge():
+    """icosphere(1) plus a third face, on a new vertex, on the first side of face 0."""
+    mesh, emb = mm.make_icosphere(1)
+    u, v = (int(x) for x in mesh.edges[mesh.face_edges[0, 0]])
+    faces = np.vstack((mesh.faces, [[v, mesh.vertex_count, u]]))
+    apex = 1.5 * (emb.coords[u] + emb.coords[v])
+    coords = np.vstack((emb.coords, apex))
+    return mm.Mesh(mesh.vertex_count + 1, faces), mm.Embedding(coords)
+
+
 ORACLE_MESHES = {
     "icosphere(2)": lambda: mm.make_icosphere(2),
     "icosphere(3)": lambda: mm.make_icosphere(3),
@@ -287,6 +326,9 @@ ORACLE_MESHES = {
     "grid(20,20,1.0)": lambda: mm.make_grid(20, 20, 1.0),
     "grid(30,7,0.5)": lambda: mm.make_grid(30, 7, 0.5),
     "two spheres": _two_spheres,
+    "icosphere(2) alternating orientation": _alternating_icosphere,
+    "isolated source": _isolated_source,
+    "edge on three faces": _three_face_edge,
 }
 
 
@@ -313,3 +355,32 @@ class TestListLoopsMatchNumpyScalars:
                 half = mesh.vertex_count // 2
                 assert np.isfinite(fmm[:half]).all() and np.isinf(fmm[half:]).all()
                 assert np.isinf(dij[half:]).all()
+
+    def test_oracle_mesh_shapes(self):
+        mesh, _ = _alternating_icosphere()
+        # not consistently oriented: some side runs the same way in two faces
+        sides = mesh.faces[:, (0, 1, 1, 2, 2, 0)].reshape(-1, 2).tolist()
+        assert len(set(map(tuple, sides))) < len(sides)
+        mesh, emb = _isolated_source()
+        iso = mesh.vertex_count // 2 - 1  # the second source of test_bitwise
+        assert mesh.isolated_vertices.tolist() == [iso]
+        field = mm.fast_marching(mesh, mm.MetricField.from_embedding(mesh, emb), iso)
+        assert field.reached().tolist() == [v == iso for v in range(mesh.vertex_count)]
+        mesh, _ = _three_face_edge()
+        assert sorted(mesh.edge_face_count.tolist())[-2:] == [2, 3]
+
+    def test_one_mesh_two_metrics(self):
+        # the fan table kept on the mesh is topology only: a second metric,
+        # and then the first again, read their own lengths through it
+        mesh, emb = _alternating_icosphere()
+        metrics = [feasible_jittered(mesh, emb, seed=s, amount=0.3) for s in (1, 2)]
+        for metric in metrics + metrics[:1]:
+            for source in (0, 77):
+                fmm = mm.fast_marching(mesh, metric, source).distances
+                np.testing.assert_array_equal(
+                    fmm, numpy_scalar_fast_marching(mesh, metric, source)
+                )
+        assert not np.array_equal(
+            mm.fast_marching(mesh, metrics[0], 0).distances,
+            mm.fast_marching(mesh, metrics[1], 0).distances,
+        )

@@ -278,12 +278,51 @@ class TestIncidence:
         assert offsets[-1] == len(rows) == 3 * mesh.face_count
         assert mesh._edge_face_lists() is mesh._lists_memo
 
+    @pytest.mark.parametrize("spec", MESHES + sorted(CRAFTED) + ["icosphere(1) with defects"])
+    def test_vertex_fans_match_brute_force(self, spec):
+        if spec in CRAFTED:
+            mesh = mm.Mesh(CRAFTED[spec][0], np.array(CRAFTED[spec][1]))
+        elif spec == "icosphere(1) with defects":
+            mesh = _icosphere_with_defects()
+        else:
+            mesh, _ = mm.generate_mesh(spec)
+        assert mesh._fan_memo is None, "built only when first used"
+        mm.fast_marching(mesh, mm.MetricField.uniform(mesh, 1.0), 0)
+        memo = mesh._fan_memo
+        assert memo is not None
+        assert mesh._vertex_fans() is memo
+        others, opposite = memo
+        assert others.shape == (2, 3 * mesh.face_count)
+        assert opposite.shape == (3, 3 * mesh.face_count)
+        offsets, _ = mesh.vertex_face_csr
+        for v in range(mesh.vertex_count):
+            for j, f in zip(range(offsets[v], offsets[v + 1]), mesh.vertex_faces(v)):
+                corners = mesh.faces[f].tolist()
+                rest = [c for c in corners if c != v]
+                assert others[:, j].tolist() == rest
+                # the side opposite a corner is the face's one edge without it
+                want = [
+                    next(e for e in mesh.face_edges[f] if c not in mesh.edges[e])
+                    for c in [v, *rest]
+                ]
+                assert opposite[:, j].tolist() == want
+
+    def test_optimization_builds_no_fans(self):
+        mesh, emb = mm.make_icosphere(1)
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        config = mm.LossConfig(lambda_=1.0, p=1.5, mu_dirichlet=0.1, mu_volume=1.0)
+        mm.run_optimization(
+            mesh, metric, emb, None, config, mm.StopRule(max_iters=2), freeze_embedding=True
+        )
+        assert mesh._fan_memo is None
+
     def test_read_only(self):
         mesh = mm.Mesh(5, np.array([[0, 1, 3], [1, 4, 3]]))
         offsets, rows = mesh.vertex_edge_csr
         assert mesh.vertex_faces(2).size == 0 and offsets[2] == offsets[3]
         arrays = [mesh.vertex_faces(1), rows[offsets[1] : offsets[2]]]
         arrays += [*mesh.vertex_face_csr, *mesh.vertex_edge_csr, mesh.isolated_vertices]
+        arrays += mesh._vertex_fans()
         assert mesh.isolated_vertices.tolist() == [2]
         for a in arrays:
             assert not a.flags.writeable
