@@ -119,6 +119,7 @@ class Mesh:
         "isolated_vertices",
         "_lists_memo",
         "_fan_memo",
+        "_ends_memo",
     )
 
     def __init__(self, vertex_count: int, faces):
@@ -169,9 +170,10 @@ class Mesh:
         bv = np.zeros(vertex_count, dtype=bool)
         bv[self.edges[self.boundary_edge].ravel()] = True
         self.boundary_vertex = _freeze(bv)
-        # _edge_face_lists and _vertex_fans build them on first call
+        # _edge_face_lists, _vertex_fans and _far_ends build them on first call
         self._lists_memo = None
         self._fan_memo = None
+        self._ends_memo = None
 
     def _edge_face_lists(self) -> tuple[list, list, list]:
         """(face_edges, offsets, rows) as Python lists, built on first call and kept.
@@ -211,6 +213,21 @@ class Mesh:
             opposite = self.face_edges.ravel()[first + (pos + 1) % 3]
             self._fan_memo = (_freeze(others), _freeze(opposite))
         return self._fan_memo
+
+    def _far_ends(self) -> np.ndarray:
+        """The far-end table, built on first call and kept.
+
+        Entry k of ``vertex_edge_csr`` is a vertex u and an edge holding
+        it; entry k of the table (int64, 2E) is that edge's other end.
+        Dijkstra reads it one vertex at a time. Built lazily and read-only,
+        and topology only, like :meth:`_vertex_fans`.
+        """
+        if self._ends_memo is None:
+            offsets, rows = self.vertex_edge_csr
+            at = np.repeat(np.arange(self.vertex_count), np.diff(offsets))
+            ends = self.edges[rows]
+            self._ends_memo = _freeze(ends[:, 0] + ends[:, 1] - at)
+        return self._ends_memo
 
     @property
     def face_count(self) -> int:

@@ -45,11 +45,10 @@ def trace_csv_text(rows: list[TraceRow]) -> str:
 
 
 def lengths_csv_text(mesh, metric: MetricField) -> str:
-    lines = [LENGTHS_HEADER]
+    # .tolist() gives Python floats, whose repr is fmt's form
     rows = zip(mesh.edges.tolist(), metric.lengths.tolist())
-    for e, ((v0, v1), length) in enumerate(rows):
-        lines.append(f"{e},{v0},{v1},{fmt(length)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{e},{v0},{v1},{x!r}" for e, ((v0, v1), x) in enumerate(rows)]
+    return "\n".join([LENGTHS_HEADER, *lines, ""])
 
 
 def read_lengths_csv(path, mesh) -> MetricField:
@@ -114,22 +113,18 @@ def read_lengths_csv(path, mesh) -> MetricField:
 
 
 def curvature_csv_text(report: CurvatureReport) -> str:
-    lines = [CURVATURE_HEADER]
     rows = zip(
         report.defect.tolist(),
         report.vertex_area.tolist(),
         report.defect_density.tolist(),
     )
-    for v, (defect, area, density) in enumerate(rows):
-        lines.append(f"{v},{fmt(defect)},{fmt(area)},{fmt(density)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{v},{k!r},{a!r},{q!r}" for v, (k, a, q) in enumerate(rows)]
+    return "\n".join([CURVATURE_HEADER, *lines, ""])
 
 
 def distances_csv_text(field: DistanceField) -> str:
-    lines = [DISTANCES_HEADER]
-    for v, d in enumerate(field.distances.tolist()):
-        lines.append(f"{v},{fmt(d)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{v},{d!r}" for v, d in enumerate(field.distances.tolist())]
+    return "\n".join([DISTANCES_HEADER, *lines, ""])
 
 
 def sweep_csv_text(records: list[SweepRecord]) -> str:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import shutil
 import subprocess
@@ -527,6 +528,21 @@ class TestGeodesicCommand:
         assert "strict triangle inequality" in want
         assert main(["geodesic", "--source", "0", *common, *extra]) == 1
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("extra", [[], ["--graph-only"]])
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, extra):
+        # lengths x 2**1023 are finite and feasible; the far side's distances are not
+        mesh, emb = mm.make_icosphere(3)
+        lengths = np.ldexp(mm.MetricField.from_embedding(mesh, emb).lengths, 1023)
+        lcsv = tmp_path / "big.csv"
+        outputs.write_text(lcsv, outputs.lengths_csv_text(mesh, mm.MetricField(lengths)))
+        outdir = tmp_path / "o"
+        argv = ["geodesic", "--mesh", "icosphere(3)", "--lengths", str(lcsv), "--source", "0"]
+        assert main([*argv, "--outdir", str(outdir), *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: the distance of vertex \d+ from source 0 overflows\n", err)
+        assert not (outdir / "distances.csv").exists()
 
     def test_source_out_of_range(self, tmp_path, capsys):
         assert main([

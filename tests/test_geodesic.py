@@ -1,6 +1,9 @@
+import collections
 import heapq
+import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import metricmesh as mm
 from metricmesh.errors import InfeasibleMetricError
-from metricmesh.geodesic import _triangle_update, _validated
+from metricmesh.geodesic import _validated
 from metricmesh.projection import _unit_scaled
 
 from conftest import feasible_jittered, two_triangle_strip
@@ -208,6 +211,74 @@ class TestFastMarching:
         np.testing.assert_array_equal(got, np.ldexp(base, power))
         assert (got < mm.dijkstra_distances(mesh, scaled, 3).distances).any()
 
+    @pytest.mark.parametrize("solver", [mm.fast_marching, mm.dijkstra_distances])
+    def test_overflow_names_the_first_vertex(self, solver):
+        # lengths x 2**1023 are finite (the longest is 1.48e307) and feasible,
+        # but the distances to the far side of the sphere are not
+        mesh, emb = mm.make_icosphere(3)
+        metric = mm.MetricField.from_embedding(mesh, emb)
+        big = mm.MetricField(np.ldexp(metric.lengths, 1023))
+        # scaling by a power of two is exact short of overflow, so the
+        # unit-scale solve scaled up says which distances leave the range
+        with np.errstate(over="ignore"):
+            over = np.isinf(np.ldexp(solver(mesh, metric, 0).distances, 1023))
+        assert 0 < over.sum() < mesh.vertex_count
+        ends = over[mesh.edges]
+        cut = ends[:, 0] != ends[:, 1]
+        first = int(mesh.edges[cut][ends[cut]].min())
+        with pytest.raises(ValueError, match=rf"^the distance of vertex {first} from source 0 overflows$"):
+            solver(mesh, big, 0)
+        # half the scale stays in range: no error, and every vertex reached
+        assert solver(mesh, mm.MetricField(np.ldexp(metric.lengths, 1022)), 0).reached().all()
+
+    @pytest.mark.parametrize("solver", [mm.fast_marching, mm.dijkstra_distances])
+    def test_unreached_is_not_overflow(self, solver):
+        # at lengths x 2**1020 every reached distance stays in range; the
+        # second sphere and two isolated vertices are unreached and hold inf
+        mesh, emb = _two_spheres()
+        mesh = mm.Mesh(mesh.vertex_count + 2, mesh.faces)
+        coords = np.vstack((emb.coords, [[9.0, 9.0, 9.0], [8.0, 8.0, 8.0]]))
+        lengths = mm.MetricField.from_embedding(mesh, mm.Embedding(coords)).lengths
+        field = solver(mesh, mm.MetricField(np.ldexp(lengths, 1020)), 0)
+        half = (mesh.vertex_count - 2) // 2
+        assert field.reached().tolist() == [True] * half + [False] * (half + 2)
+
+
+def _triangle_update(d_a: float, d_b: float, la: float, lb: float, lc: float) -> float:
+    """Distance candidate at C of a triangle with known values at A and B.
+
+    Side convention: la = |BC|, lb = |AC|, lc = |AB| (each side named for
+    the opposite corner). The triangle is unfolded with A at the origin
+    and B at (lc, 0); a planar front with unit normal n matching d_a and
+    d_b is extended to C. The update is used only when the characteristic
+    through C enters the triangle through the open interior of AB
+    (causality); otherwise, and always as a floor, the edge-sum fallback
+    min(d_a + lb, d_b + la) applies.
+
+    The unfold squares the sides, so the arguments must be near unit
+    scale; :func:`fast_marching` scales its lengths there once per metric.
+    """
+    fallback = min(d_a + lb, d_b + la)
+    if not (math.isfinite(d_a) and math.isfinite(d_b)):
+        return fallback
+    n_x = (d_b - d_a) / lc
+    if abs(n_x) >= 1.0:
+        # Front would be steeper along AB than unit speed allows.
+        return fallback
+    n_y = math.sqrt(1.0 - n_x * n_x)
+    c_x = (lb * lb + lc * lc - la * la) / (2.0 * lc)
+    cy2 = lb * lb - c_x * c_x
+    if cy2 <= 0.0:
+        # Degenerate unfold, the triangle is at or past collapse.
+        return fallback
+    c_y = math.sqrt(cy2)
+    # Foot of the characteristic through C on the line AB.
+    foot = c_x - (c_y / n_y) * n_x
+    if not (0.0 < foot < lc):
+        return fallback
+    cand = d_a + n_x * c_x + n_y * c_y
+    return min(cand, fallback)
+
 
 def numpy_scalar_fast_marching(mesh, metric, source):
     """Reference fast marching on numpy arrays and scalars.
@@ -332,6 +403,64 @@ ORACLE_MESHES = {
 }
 
 
+def _margin_icosphere():
+    """icosphere(2) at jitter 0.9, repaired: many faces needed the repair."""
+    mesh, emb = mm.make_icosphere(2)
+    return mesh, feasible_jittered(mesh, emb, seed=9, amount=0.9)
+
+
+def _sliver_strip():
+    """Two faces, the second with a slack of one ulp: its unfold has no height."""
+    mesh = two_triangle_strip()  # edges (0,1), (0,2), (1,2), (1,3), (2,3)
+    l12, l23 = 0.8252296381339081, 0.6944607119895518
+    lengths = [0.990417669388115, 0.8427709922403473, l12, np.nextafter(l12 + l23, 0.0), l23]
+    return mesh, mm.MetricField(np.array(lengths))
+
+
+# Metrics with faces near collapse. test_bitwise makes its metrics from a
+# mesh's embedding, uniform or jittered by 0.3, and those never come this
+# close; only a one-ulp sliver takes the update's degenerate-unfold branch.
+ORACLE_METRICS = {
+    "icosphere(2) jitter 0.9 repaired": _margin_icosphere,
+    "sliver strip": _sliver_strip,
+}
+
+
+def _margin_sources(mesh):
+    return range(0, mesh.vertex_count, max(1, mesh.vertex_count // 8))
+
+
+# The returns of _triangle_update, in source order.
+OUTCOMES = ["non-finite support", "steep front", "degenerate unfold", "foot outside AB", "two-point"]
+
+
+def _outcome_counts(run):
+    """How often each return of ``_triangle_update`` is taken while ``run()`` runs.
+
+    The last return counts as a two-point win when its value is below the
+    edge-sum fallback.
+    """
+    lines, first = inspect.getsourcelines(_triangle_update)
+    returns = [first + i for i, line in enumerate(lines) if line.lstrip().startswith("return")]
+    assert len(returns) == len(OUTCOMES)
+    names = dict(zip(returns, OUTCOMES))
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is _triangle_update.__code__:
+            name = names[frame.f_lineno]
+            if name == "two-point" and arg < frame.f_locals["fallback"]:
+                name = "two-point win"
+            counts[name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
 class TestListLoopsMatchNumpyScalars:
     @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
@@ -355,6 +484,45 @@ class TestListLoopsMatchNumpyScalars:
                 half = mesh.vertex_count // 2
                 assert np.isfinite(fmm[:half]).all() and np.isinf(fmm[half:]).all()
                 assert np.isinf(dij[half:]).all()
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_METRICS))
+    def test_bitwise_at_the_margin(self, name):
+        mesh, metric = ORACLE_METRICS[name]()
+        for source in _margin_sources(mesh):
+            fmm = mm.fast_marching(mesh, metric, source).distances
+            dij = mm.dijkstra_distances(mesh, metric, source).distances
+            np.testing.assert_array_equal(fmm, numpy_scalar_fast_marching(mesh, metric, source))
+            np.testing.assert_array_equal(dij, numpy_scalar_dijkstra(mesh, metric, source))
+
+    def test_margin_metrics(self):
+        # the jitter leaves over a hundred faces infeasible, and the repair
+        # leaves some of them close to collapse
+        mesh, metric = _margin_icosphere()
+        _, emb = mm.make_icosphere(2)
+        raw = mm.MetricField.from_embedding(mesh, emb).with_jitter(np.random.default_rng(9), 0.9)
+        assert (mm.face_slacks(mesh, raw) <= 0.0).sum() > 100
+        assert (mm.face_slacks(mesh, metric) < 1e-2 * metric.lengths.mean()).any()
+        mesh, metric = _sliver_strip()
+        assert mm.face_slacks(mesh, metric)[1] == np.spacing(metric.lengths[3])
+
+    def test_every_outcome_fires(self):
+        # fast_marching writes the update out in its loop; the oracle calls
+        # _triangle_update, so test_bitwise holds every branch to it
+        def run():
+            for name, make in ORACLE_MESHES.items():
+                mesh, emb = make()
+                metric = feasible_jittered(mesh, emb, seed=len(name), amount=0.3)
+                numpy_scalar_fast_marching(mesh, metric, 0)
+            for make in ORACLE_METRICS.values():
+                mesh, metric = make()
+                for source in _margin_sources(mesh):
+                    numpy_scalar_fast_marching(mesh, metric, source)
+
+        counts = _outcome_counts(run)
+        for outcome in ("steep front", "degenerate unfold", "foot outside AB", "two-point win"):
+            assert counts[outcome] > 0, outcome
+        # accepted supports are finite, so the loop drops this guard
+        assert counts["non-finite support"] == 0
 
     def test_oracle_mesh_shapes(self):
         mesh, _ = _alternating_icosphere()

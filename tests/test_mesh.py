@@ -307,6 +307,29 @@ class TestIncidence:
                 ]
                 assert opposite[:, j].tolist() == want
 
+    @pytest.mark.parametrize("spec", MESHES + sorted(CRAFTED) + ["icosphere(1) with defects"])
+    def test_far_ends_match_brute_force(self, spec):
+        if spec in CRAFTED:
+            mesh = mm.Mesh(CRAFTED[spec][0], np.array(CRAFTED[spec][1]))
+        elif spec == "icosphere(1) with defects":
+            mesh = _icosphere_with_defects()
+        else:
+            mesh, _ = mm.generate_mesh(spec)
+        assert mesh._ends_memo is None, "built only when first used"
+        mm.dijkstra_distances(mesh, mm.MetricField.uniform(mesh, 1.0), 0)
+        memo = mesh._ends_memo
+        assert memo is not None
+        assert mesh._far_ends() is memo
+        assert memo.dtype == np.int64 and memo.shape == (2 * mesh.edge_count,)
+        offsets, rows = mesh.vertex_edge_csr
+        edges = mesh.edges.tolist()
+        want = []
+        for v in range(mesh.vertex_count):
+            for e in rows[offsets[v] : offsets[v + 1]].tolist():
+                (other,) = set(edges[e]) - {v}
+                want.append(other)
+        assert memo.tolist() == want
+
     def test_optimization_builds_no_fans(self):
         mesh, emb = mm.make_icosphere(1)
         metric = mm.MetricField.from_embedding(mesh, emb)
@@ -315,6 +338,7 @@ class TestIncidence:
             mesh, metric, emb, None, config, mm.StopRule(max_iters=2), freeze_embedding=True
         )
         assert mesh._fan_memo is None
+        assert mesh._ends_memo is None
 
     def test_read_only(self):
         mesh = mm.Mesh(5, np.array([[0, 1, 3], [1, 4, 3]]))
@@ -322,7 +346,7 @@ class TestIncidence:
         assert mesh.vertex_faces(2).size == 0 and offsets[2] == offsets[3]
         arrays = [mesh.vertex_faces(1), rows[offsets[1] : offsets[2]]]
         arrays += [*mesh.vertex_face_csr, *mesh.vertex_edge_csr, mesh.isolated_vertices]
-        arrays += mesh._vertex_fans()
+        arrays += [*mesh._vertex_fans(), mesh._far_ends()]
         assert mesh.isolated_vertices.tolist() == [2]
         for a in arrays:
             assert not a.flags.writeable
