@@ -112,7 +112,7 @@ def fast_marching(mesh, metric: MetricField, source: int) -> DistanceField:
     host, once the fan table is built.
     """
     source = _validated(mesh, metric, source)
-    others, opposite = mesh._vertex_fans()
+    others, opposite = mesh._vertex_fans
     lengths, k = _unit_scaled(metric.lengths)  # the unfold squares lengths
     # Entry j is a vertex u and one of its faces: the sides opposite u, c1
     # and c2, and the corners c1 and c2.
@@ -189,7 +189,7 @@ def dijkstra_distances(mesh, metric: MetricField, source: int) -> DistanceField:
     source = _validated(mesh, metric, source)
     v = mesh.vertex_count
     offsets, rows = mesh.vertex_edge_csr
-    tails = _shared(np.arange(v), mesh._far_ends())
+    tails = _shared(np.arange(v), mesh._far_ends)
     wts = _shared(metric.lengths, rows)
     starts = offsets.tolist()
 

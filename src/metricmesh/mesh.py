@@ -3,9 +3,10 @@
 A :class:`Mesh` is pure topology: vertex count, faces, and the derived
 edge tables. Vertex positions travel separately as an
 :class:`~metricmesh.projection.Embedding` so the same connectivity can
-carry many geometries. Meshes are immutable after construction; all
-derived arrays are precomputed and marked read-only, which makes sharing
-one mesh across threads safe.
+carry many geometries. Construction builds the edge tables, the boundary
+flags and the isolated vertices; the incidence tables that only the
+solvers and the repair read are built on first read and kept. Every
+table is read-only and a mesh never changes, so threads can share one.
 
 Edges are stored as sorted vertex pairs in lexicographic order, so edge
 indices are a stable function of connectivity alone. Everything that
@@ -16,8 +17,10 @@ that ordering.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import IO, NoReturn
@@ -97,40 +100,34 @@ class Mesh:
     """Immutable fixed-topology triangle mesh.
 
     Args:
-        vertex_count: number of vertices; faces index into this range.
+        vertex_count: integer number of vertices; faces index into this range.
         faces: integer array of shape (F, 3), three distinct vertex
             indices per face.
+
+    Construction builds the edge tables, the boundary flags and
+    ``isolated_vertices``. ``vertex_face_csr``, ``vertex_edge_csr`` and
+    the private tables of the solvers and the repair are built on first
+    read and kept; two threads that race there build equal tables.
 
     Construction tolerates edges on more than two faces and vertices on no
     face (``isolated_vertices``) so that :func:`validate_manifold` can
     report them; the OFF loader rejects such edges outright.
     """
 
-    __slots__ = (
-        "vertex_count",
-        "faces",
-        "edges",
-        "face_edges",
-        "edge_face_count",
-        "vertex_face_csr",
-        "vertex_edge_csr",
-        "boundary_edge",
-        "boundary_vertex",
-        "isolated_vertices",
-        "_lists_memo",
-        "_fan_memo",
-        "_ends_memo",
-    )
-
     def __init__(self, vertex_count: int, faces):
-        faces = np.ascontiguousarray(faces, dtype=np.int64)
+        if not isinstance(vertex_count, numbers.Integral) or isinstance(vertex_count, bool):
+            raise MeshError(f"vertex count must be an integer, got {vertex_count!r}")
+        vertex_count = int(vertex_count)
+        faces = np.asarray(faces)
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise NonTriangleFaceError(
                 f"faces must have shape (F, 3), got {faces.shape}"
             )
         if faces.shape[0] == 0:
             raise MeshError("mesh has no faces")
-        vertex_count = int(vertex_count)
+        if faces.dtype.kind not in "iu":
+            raise MeshError(f"face indices must be integers, got dtype {faces.dtype}")
+        faces = np.ascontiguousarray(faces, dtype=np.int64)
         if faces.min() < 0 or faces.max() >= vertex_count:
             bad = int(np.flatnonzero((faces < 0) | (faces >= vertex_count)).ravel()[0] // 3)
             raise FaceIndexError(
@@ -158,76 +155,70 @@ class Mesh:
             np.bincount(inverse, minlength=edges.shape[0]).astype(np.int64)
         )
         self.boundary_edge = _freeze(self.edge_face_count == 1)
-
-        # (offsets, rows): the faces incident to vertex v are
-        # ``rows[offsets[v]:offsets[v + 1]]``, ascending.
-        self.vertex_face_csr = _incidence(self.faces, vertex_count)
         # Vertices on no face, ascending: they have no area and no curvature.
-        self.isolated_vertices = _freeze(np.flatnonzero(np.diff(self.vertex_face_csr[0]) == 0))
-        # Same layout for the edges incident to each vertex.
-        self.vertex_edge_csr = _incidence(self.edges, vertex_count)
+        self.isolated_vertices = _freeze(
+            np.flatnonzero(np.bincount(faces.ravel(), minlength=vertex_count) == 0)
+        )
 
         bv = np.zeros(vertex_count, dtype=bool)
         bv[self.edges[self.boundary_edge].ravel()] = True
         self.boundary_vertex = _freeze(bv)
-        # _edge_face_lists, _vertex_fans and _far_ends build them on first call
-        self._lists_memo = None
-        self._fan_memo = None
-        self._ends_memo = None
 
+    @cached_property
+    def vertex_face_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, rows): vertex v's faces are ``rows[offsets[v]:offsets[v + 1]]``, ascending."""
+        return _incidence(self.faces, self.vertex_count)
+
+    @cached_property
+    def vertex_edge_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, rows): the edges on vertex v, in the layout of ``vertex_face_csr``."""
+        return _incidence(self.edges, self.vertex_count)
+
+    @cached_property
     def _edge_face_lists(self) -> tuple[list, list, list]:
-        """(face_edges, offsets, rows) as Python lists, built on first call and kept.
+        """(face_edges, offsets, rows) as Python lists.
 
         ``face_edges`` is ``self.face_edges.tolist()``, and the faces on
         edge e are ``rows[offsets[e]:offsets[e + 1]]``, ascending. The
         feasibility repair reads them one face at a time, which lists do
-        faster than arrays. Built lazily, so that a mesh that is never
-        repaired holds none of them; two threads that race here build
-        equal lists, and either may be kept.
+        faster than arrays; a mesh that is never repaired builds none.
         """
-        if self._lists_memo is None:
-            offsets, rows = _incidence(self.face_edges, self.edge_count)
-            self._lists_memo = (self.face_edges.tolist(), offsets.tolist(), rows.tolist())
-        return self._lists_memo
+        offsets, rows = _incidence(self.face_edges, self.edge_count)
+        return self.face_edges.tolist(), offsets.tolist(), rows.tolist()
 
+    @cached_property
     def _vertex_fans(self) -> tuple[np.ndarray, np.ndarray]:
-        """The fan table (others, opposite), built on first call and kept.
+        """The fan table (others, opposite), read-only.
 
-        Entry j of the CSR pair is vertex u and a face f holding it. Column
-        j of ``others`` (2, 3F) holds f's other two corners in corner
-        order, c1 before c2, and column j of ``opposite`` (3, 3F) the edges
-        opposite u, c1 and c2. Fast marching reads them one fan at a time.
-        Built lazily and read-only, and topology only: any metric on the
-        mesh can read them. Two threads that race here build equal arrays,
-        and either may be kept.
+        Entry j of ``vertex_face_csr`` is vertex u and a face f holding
+        it. Column j of ``others`` (2, 3F) holds f's other two corners in
+        corner order, c1 before c2, and column j of ``opposite`` (3, 3F)
+        the edges opposite u, c1 and c2. Fast marching reads them one fan
+        at a time. Topology only: any metric on the mesh can read them.
         """
-        if self._fan_memo is None:
-            offsets, rows = self.vertex_face_csr
-            at = np.repeat(np.arange(self.vertex_count), np.diff(offsets))
-            first = 3 * rows  # flat index of corner 0 of each entry's face
-            flat = self.faces.ravel()
-            pos_u = (flat[first + 1] == at) + 2 * (flat[first + 2] == at)
-            # corner positions of u, c1 and c2; corner p is opposite side (p + 1) % 3
-            pos = np.stack((pos_u, pos_u == 0, 2 - (pos_u == 2)))
-            others = flat[first + pos[1:]]
-            opposite = self.face_edges.ravel()[first + (pos + 1) % 3]
-            self._fan_memo = (_freeze(others), _freeze(opposite))
-        return self._fan_memo
+        offsets, rows = self.vertex_face_csr
+        at = np.repeat(np.arange(self.vertex_count), np.diff(offsets))
+        first = 3 * rows  # flat index of corner 0 of each entry's face
+        flat = self.faces.ravel()
+        pos_u = (flat[first + 1] == at) + 2 * (flat[first + 2] == at)
+        # corner positions of u, c1 and c2; corner p is opposite side (p + 1) % 3
+        pos = np.stack((pos_u, pos_u == 0, 2 - (pos_u == 2)))
+        others = flat[first + pos[1:]]
+        opposite = self.face_edges.ravel()[first + (pos + 1) % 3]
+        return _freeze(others), _freeze(opposite)
 
+    @cached_property
     def _far_ends(self) -> np.ndarray:
-        """The far-end table, built on first call and kept.
+        """The far-end table (int64, 2E), read-only.
 
         Entry k of ``vertex_edge_csr`` is a vertex u and an edge holding
-        it; entry k of the table (int64, 2E) is that edge's other end.
-        Dijkstra reads it one vertex at a time. Built lazily and read-only,
-        and topology only, like :meth:`_vertex_fans`.
+        it; entry k of the table is that edge's other end. Dijkstra reads
+        it one vertex at a time. Topology only, like ``_vertex_fans``.
         """
-        if self._ends_memo is None:
-            offsets, rows = self.vertex_edge_csr
-            at = np.repeat(np.arange(self.vertex_count), np.diff(offsets))
-            ends = self.edges[rows]
-            self._ends_memo = _freeze(ends[:, 0] + ends[:, 1] - at)
-        return self._ends_memo
+        offsets, rows = self.vertex_edge_csr
+        at = np.repeat(np.arange(self.vertex_count), np.diff(offsets))
+        ends = self.edges[rows]
+        return _freeze(ends[:, 0] + ends[:, 1] - at)
 
     @property
     def face_count(self) -> int:
@@ -238,7 +229,10 @@ class Mesh:
         return int(self.edges.shape[0])
 
     def vertex_faces(self, v: int) -> np.ndarray:
-        """Indices of faces incident to vertex ``v``, ascending (read-only)."""
+        """Indices of faces incident to vertex ``v``, an int in [0, V), ascending (read-only)."""
+        integral = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        if not (integral and 0 <= v < self.vertex_count):
+            raise ValueError(f"vertex {v!r} is not an integer in [0, {self.vertex_count})")
         offsets, rows = self.vertex_face_csr
         return rows[offsets[v] : offsets[v + 1]]
 

@@ -348,7 +348,7 @@ def feasibility_projection(
         return metric
     todo = bytearray(short[0] | short[1] | short[2])
     lengths = floored.tolist()
-    face_edges, offsets, edge_faces = mesh._edge_face_lists()
+    face_edges, offsets, edge_faces = mesh._edge_face_lists
     for _ in range(_MAX_SWEEPS):
         changed = False
         later = bytearray(len(todo))  # the faces the next sweep visits

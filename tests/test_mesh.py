@@ -1,6 +1,8 @@
 import io
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from metricmesh.errors import (
     OFFParseError,
 )
 
-from conftest import two_triangle_strip
+from conftest import FIT, FLOW, fit_case, flow_case, two_triangle_strip
 from loop_generators import loop_grid, loop_icosphere, loop_torus
 
 
@@ -64,6 +66,40 @@ class TestMeshConstruction:
             mm.Mesh(4, np.array([[0, 1, 2, 3]]))
         with pytest.raises(MeshError):
             mm.Mesh(3, np.zeros((0, 3), dtype=np.int64))
+
+    @pytest.mark.parametrize("count", [3.9, 3.0, np.float64(3.0), "3", True, None])
+    def test_vertex_count_must_be_an_integer(self, count):
+        with pytest.raises(MeshError, match=re.escape(f"got {count!r}")):
+            mm.Mesh(count, np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize(
+        "faces",
+        [[[0, 1.7, 2.2]], [[0, 1.0, 2]], [["0", "1", "2"]], [[True, False, True]], [[0, None, 2]]],
+    )
+    def test_faces_must_be_integers(self, faces):
+        dtype = np.asarray(faces).dtype
+        with pytest.raises(MeshError, match=re.escape(f"got dtype {dtype}")):
+            mm.Mesh(3, faces)
+
+    @pytest.mark.parametrize("count", [np.int32(4), np.uint64(4)])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_any_integer_types(self, count, dtype):
+        mesh = mm.Mesh(count, np.array([[0, 1, 2], [2, 1, 3]], dtype=dtype))
+        want = mm.Mesh(4, [[0, 1, 2], [2, 1, 3]])
+        assert type(mesh.vertex_count) is int and mesh.vertex_count == 4
+        for name in ("faces", "edges", "face_edges", "isolated_vertices"):
+            assert same_bytes(getattr(mesh, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("v", [-1, -12, 12, 13, 1.0, np.float64(0.0), True, "0", None])
+    def test_vertex_faces_rejects_a_bad_id(self, icosphere0, v):
+        mesh, _ = icosphere0
+        with pytest.raises(ValueError, match=re.escape(f"vertex {v!r} ")):
+            mesh.vertex_faces(v)
+
+    def test_vertex_faces_takes_numpy_integers(self, icosphere0):
+        mesh, _ = icosphere0
+        for v in (np.int64(11), np.uint8(11), np.int32(0)):
+            assert same_bytes(mesh.vertex_faces(v), mesh.vertex_faces(int(v)))
 
     def test_edges_sorted_unique(self):
         mesh = two_triangle_strip()
@@ -247,6 +283,20 @@ class TestValidateManifoldMatchesFanWalk:
         ]
 
 
+def _mesh_named(spec):
+    """A mesh of ``CRAFTED``, the defective icosphere(1), or a generator spec."""
+    if spec in CRAFTED:
+        return mm.Mesh(CRAFTED[spec][0], np.array(CRAFTED[spec][1]))
+    if spec == "icosphere(1) with defects":
+        return _icosphere_with_defects()
+    return mm.generate_mesh(spec)[0]
+
+
+# The tables a mesh builds on first read, and those only the solvers read.
+SOLVER_TABLES = ("vertex_face_csr", "vertex_edge_csr", "_vertex_fans", "_far_ends")
+LAZY_TABLES = SOLVER_TABLES + ("_edge_face_lists",)
+
+
 class TestIncidence:
     MESHES = ["icosphere(2)", "torus(16,8,2.0,0.7)", "grid(7,5,1.0)"]
 
@@ -268,15 +318,15 @@ class TestIncidence:
             mesh = _icosphere_with_defects()
         else:
             mesh, _ = mm.generate_mesh(spec)
-        assert mesh._lists_memo is None, "built only when first asked for"
-        face_edges, offsets, rows = mesh._edge_face_lists()
+        assert "_edge_face_lists" not in vars(mesh), "built only when first asked for"
+        face_edges, offsets, rows = mesh._edge_face_lists
         assert face_edges == mesh.face_edges.tolist()
         assert len(offsets) == mesh.edge_count + 1 and offsets[0] == 0
         for e in range(mesh.edge_count):
             want = [f for f, sides in enumerate(face_edges) if e in sides]
             assert rows[offsets[e] : offsets[e + 1]] == want
         assert offsets[-1] == len(rows) == 3 * mesh.face_count
-        assert mesh._edge_face_lists() is mesh._lists_memo
+        assert mesh._edge_face_lists is vars(mesh)["_edge_face_lists"]
 
     @pytest.mark.parametrize("spec", MESHES + sorted(CRAFTED) + ["icosphere(1) with defects"])
     def test_vertex_fans_match_brute_force(self, spec):
@@ -286,11 +336,11 @@ class TestIncidence:
             mesh = _icosphere_with_defects()
         else:
             mesh, _ = mm.generate_mesh(spec)
-        assert mesh._fan_memo is None, "built only when first used"
+        assert "_vertex_fans" not in vars(mesh), "built only when first used"
         mm.fast_marching(mesh, mm.MetricField.uniform(mesh, 1.0), 0)
-        memo = mesh._fan_memo
+        memo = vars(mesh).get("_vertex_fans")
         assert memo is not None
-        assert mesh._vertex_fans() is memo
+        assert mesh._vertex_fans is memo
         others, opposite = memo
         assert others.shape == (2, 3 * mesh.face_count)
         assert opposite.shape == (3, 3 * mesh.face_count)
@@ -315,11 +365,11 @@ class TestIncidence:
             mesh = _icosphere_with_defects()
         else:
             mesh, _ = mm.generate_mesh(spec)
-        assert mesh._ends_memo is None, "built only when first used"
+        assert "_far_ends" not in vars(mesh), "built only when first used"
         mm.dijkstra_distances(mesh, mm.MetricField.uniform(mesh, 1.0), 0)
-        memo = mesh._ends_memo
+        memo = vars(mesh).get("_far_ends")
         assert memo is not None
-        assert mesh._far_ends() is memo
+        assert mesh._far_ends is memo
         assert memo.dtype == np.int64 and memo.shape == (2 * mesh.edge_count,)
         offsets, rows = mesh.vertex_edge_csr
         edges = mesh.edges.tolist()
@@ -337,8 +387,84 @@ class TestIncidence:
         mm.run_optimization(
             mesh, metric, emb, None, config, mm.StopRule(max_iters=2), freeze_embedding=True
         )
-        assert mesh._fan_memo is None
-        assert mesh._ends_memo is None
+        assert "_vertex_fans" not in vars(mesh)
+        assert "_far_ends" not in vars(mesh)
+
+    @pytest.mark.parametrize("shape", ["flow", "fit"])
+    def test_optimization_builds_no_solver_tables(self, shape):
+        # the repair's lists may be built; the solvers' tables may not
+        if shape == "flow":
+            mesh, emb, metric = flow_case()
+            args, kwargs = (None, FLOW), {"freeze_embedding": True}
+        else:
+            mesh, emb, ds, metric = fit_case(n=60)
+            args, kwargs = (ds, FIT), {}
+        stop = mm.StopRule(max_iters=3, grad_tol=0.0)
+        mm.run_optimization(mesh, metric, emb, *args, stop=stop, **kwargs)
+        assert not set(SOLVER_TABLES) & set(vars(mesh))
+
+    @pytest.mark.parametrize("spec", MESHES + sorted(CRAFTED) + ["icosphere(1) with defects"])
+    def test_fresh_mesh_holds_no_lazy_table(self, spec):
+        mesh = _mesh_named(spec)
+        assert not set(LAZY_TABLES) & set(vars(mesh))
+        for name in LAZY_TABLES:
+            getattr(mesh, name)
+        assert set(LAZY_TABLES) <= set(vars(mesh))
+
+    @pytest.mark.parametrize("spec", MESHES + sorted(CRAFTED) + ["icosphere(1) with defects"])
+    def test_isolated_vertices_match_csr_rule(self, spec):
+        mesh = _mesh_named(spec)
+        want = np.flatnonzero(np.diff(mesh.vertex_face_csr[0]) == 0)
+        assert same_bytes(mesh.isolated_vertices, want)
+
+    def test_racing_first_reads_match_serial(self):
+        # Two threads make the first reads of one fresh mesh's tables: one
+        # through fast marching, the other through Dijkstra and a repair.
+        def jobs_on(mesh, emb):
+            metric = mm.MetricField.from_embedding(mesh, emb)
+            jittered = metric.with_jitter(np.random.default_rng(5), 0.5)
+            return {
+                "fmm": lambda: mm.fast_marching(mesh, metric, 3).distances,
+                "graph": lambda: mm.dijkstra_distances(mesh, metric, 3).distances,
+                "repair": lambda: mm.feasibility_projection(mesh, jittered, 1e-4, 1e-6).lengths,
+            }
+
+        def tables(mesh):
+            csr = [*mesh.vertex_face_csr, *mesh.vertex_edge_csr]
+            return csr + [*mesh._vertex_fans, mesh._far_ends]
+
+        serial_mesh, emb = mm.make_icosphere(3)
+        want = {name: job() for name, job in jobs_on(serial_mesh, emb).items()}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                mesh, emb = mm.make_icosphere(3)
+                jobs, got = jobs_on(mesh, emb), {}
+                start = threading.Barrier(2)
+
+                def run(*names):
+                    start.wait(timeout=30)
+                    for name in names:
+                        got[name] = jobs[name]()
+
+                threads = [
+                    threading.Thread(target=run, args=("fmm",)),
+                    threading.Thread(target=run, args=("graph", "repair")),
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert got.keys() == want.keys()
+                for name in want:
+                    assert same_bytes(got[name], want[name]), name
+                assert set(LAZY_TABLES) <= set(vars(mesh)), "the repair ran"
+                for kept, ref in zip(tables(mesh), tables(serial_mesh)):
+                    assert same_bytes(kept, ref)
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_read_only(self):
         mesh = mm.Mesh(5, np.array([[0, 1, 3], [1, 4, 3]]))
@@ -346,7 +472,7 @@ class TestIncidence:
         assert mesh.vertex_faces(2).size == 0 and offsets[2] == offsets[3]
         arrays = [mesh.vertex_faces(1), rows[offsets[1] : offsets[2]]]
         arrays += [*mesh.vertex_face_csr, *mesh.vertex_edge_csr, mesh.isolated_vertices]
-        arrays += [*mesh._vertex_fans(), mesh._far_ends()]
+        arrays += [*mesh._vertex_fans, mesh._far_ends]
         assert mesh.isolated_vertices.tolist() == [2]
         for a in arrays:
             assert not a.flags.writeable

@@ -677,7 +677,7 @@ class TestRepairVisitsOnlyShortFaces:
         mesh, emb = mm.make_icosphere(2)
         metric = mm.MetricField.from_embedding(mesh, emb)
         assert feasibility_projection(mesh, metric, 1e-6, 1e-9) is metric
-        assert mesh._lists_memo is None
+        assert "_edge_face_lists" not in vars(mesh)
 
 
 class TestRepairReturnsFeasibleInputAsIs:
